@@ -376,15 +376,16 @@ def tangent_frame(normal) -> np.ndarray:
     """Deterministic orthonormal basis of the orthogonal complement of a unit vector.
 
     Columns of the result, together with ``normal`` as the last vector, form
-    an orthonormal basis of the ambient space (Householder completion).
+    an orthonormal basis of the ambient space (Householder completion).  A
+    stack of normals of shape (..., m) gives a stack of (m, m - 1) frames.
     """
-    n = np.asarray(normal, dtype=float).reshape(-1)
-    m = n.size
-    sign = 1.0 if n[-1] >= 0 else -1.0
+    n = np.asarray(normal, dtype=float)
+    m = n.shape[-1]
     u = n.copy()
-    u[-1] += sign
-    h = np.eye(m) - 2.0 * np.outer(u, u) / (u @ u)
-    return h[:, : m - 1]
+    u[..., -1] += np.where(n[..., -1] >= 0, 1.0, -1.0)
+    uu = u[..., None, :] @ u[..., :, None]
+    h = np.eye(m) - 2.0 * (u[..., :, None] * u[..., None, :]) / uu
+    return h[..., : m - 1]
 
 
 def split_at_boundary(a: AlternatingForm, normal, tol: float = 1e-12) -> SplitForm:

@@ -19,6 +19,19 @@ Tetrahedral ASCII format (``.tet``)::
     i j k                  (one line per boundary face, outward CCW)
 
 Lines starting with ``#`` are comments.
+
+Integer keys
+------------
+Topology tables are built by array code on int64 keys, with no loop or
+``dict`` per simplex.  With V vertices, the undirected edge {i, j}, i < j,
+has key ``i*V + j`` (below V**2 <= 2**62 for any V < 2**31).
+``MeshComplex.edges`` decodes the sorted distinct keys, so edges come out
+sorted lexicographically by (i, j): the order of the rows of ``d0``, the
+columns of ``d1`` and every edge cochain.  ``MeshComplex.edge_ids`` maps
+vertex pairs to edge ids by ``searchsorted`` on the sorted keys.  A triangle
+with sorted vertices a < b < c has key ``edge_id(a, b)*V + c``, below E*V for
+E edges.  Validation counts these keys, and icosphere subdivision numbers
+each edge midpoint by the edge's first use in face order.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .curvature import ShapeData
 
@@ -55,6 +69,32 @@ class MeshError(Exception):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"[{code}]{where} {message}")
+
+
+_TRIANGLE_EDGES = ((0, 1), (1, 2), (2, 0))
+_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# outward faces of tet (v0,v1,v2,v3): opposite each vertex, CCW outside
+_TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+
+def _pair_keys(u, w, n):
+    """int64 key ``min*n + max`` of each undirected vertex pair {u, w}."""
+    return np.minimum(u, w) * n + np.maximum(u, w)
+
+
+def _find(sorted_keys, keys):
+    """Position of each key in a sorted key array, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, np.r_[sorted_keys, -1][pos] == keys
+
+
+def _adjacency(mesh: MeshComplex) -> sparse.csr_matrix:
+    """Symmetric vertex adjacency with unit weights."""
+    e = mesh.edges
+    n = mesh.n_vertices
+    return sparse.csr_matrix(
+        (np.ones(2 * len(e)), (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]])), shape=(n, n)
+    )
 
 
 class MeshComplex:
@@ -92,10 +132,10 @@ class MeshComplex:
         self.kind = "surface" if self.cells.shape[1] == 3 else "solid"
         self.metadata = dict(metadata or {})
         self._edges = None
-        self._edge_index = None
+        self._edge_keys = None
         if self.kind == "solid":
             if boundary_faces is None:
-                boundary_faces = self._extract_boundary()
+                boundary_faces, _ = self._extract_boundary(self._sorted_edge_keys())
             self.boundary_faces = np.asarray(boundary_faces, dtype=np.int64)
         else:
             self.boundary_faces = None
@@ -115,24 +155,23 @@ class MeshComplex:
 
     @property
     def edges(self) -> np.ndarray:
-        """Undirected edges as sorted (i, j) pairs in a fixed global order."""
+        """Undirected edges as (i, j) pairs, i < j, sorted lexicographically."""
         if self._edges is None:
-            if self.kind == "surface":
-                raw = np.vstack(
-                    [self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]]]
-                )
-            else:
-                pairs = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-                raw = np.vstack([self.cells[:, p] for p in pairs])
-            raw = np.sort(raw, axis=1)
-            self._edges = np.unique(raw, axis=0)
+            self._edge_keys = self._sorted_edge_keys()
+            self._edges = np.column_stack(np.divmod(self._edge_keys, self.n_vertices))
         return self._edges
 
-    @property
-    def edge_index(self) -> dict:
-        if self._edge_index is None:
-            self._edge_index = {tuple(e): i for i, e in enumerate(self.edges)}
-        return self._edge_index
+    def _sorted_edge_keys(self) -> np.ndarray:
+        c = self.cells
+        pairs = _TRIANGLE_EDGES if self.kind == "surface" else _TET_EDGES
+        keys = np.concatenate([_pair_keys(c[:, i], c[:, j], self.n_vertices) for i, j in pairs])
+        keys.sort()
+        return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+    def edge_ids(self, u, w) -> np.ndarray:
+        """Ids of the edges {u[k], w[k]}; every pair must be an edge of the mesh."""
+        self.edges  # builds the sorted keys
+        return np.searchsorted(self._edge_keys, _pair_keys(u, w, self.n_vertices))
 
     @property
     def n_edges(self):
@@ -144,15 +183,9 @@ class MeshComplex:
         return self.n_vertices - self.n_edges + self.n_cells
 
     def connected_components(self) -> int:
-        from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
 
-        e = self.edges
-        ones = np.ones(len(e))
-        adj = coo_matrix(
-            (ones, (e[:, 0], e[:, 1])), shape=(self.n_vertices, self.n_vertices)
-        )
-        n, _ = connected_components(adj, directed=False)
+        n, _ = connected_components(_adjacency(self), directed=False)
         return int(n)
 
     def genus(self) -> int:
@@ -201,6 +234,12 @@ class MeshComplex:
     # validation
 
     def validate(self, require_closed=True) -> None:
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(
+                "non_finite_vertices",
+                f"{bad.size} vertices have NaN or infinite coordinates (first: {bad[:5].tolist()})",
+            )
         if self.cells.min() < 0 or self.cells.max() >= self.n_vertices:
             raise MeshError("bad_index", "cell index out of range")
         referenced = np.zeros(self.n_vertices, dtype=bool)
@@ -221,26 +260,38 @@ class MeshComplex:
             self._validate_solid()
 
     def _validate_surface(self, faces, require_closed) -> None:
-        directed = {}
-        for f_idx, (a, b, c) in enumerate(faces):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                directed.setdefault(key, []).append((u, v, f_idx))
-        for key, uses in directed.items():
-            if len(uses) > 2:
-                raise MeshError(
-                    "non_manifold_edge", f"edge {key} borders {len(uses)} faces"
-                )
-            if len(uses) == 1:
-                if require_closed:
-                    raise MeshError("not_closed", f"edge {key} borders a single face")
-                continue
-            (u1, v1, f1), (u2, v2, f2) = uses
-            if (u1, v1) == (u2, v2):
-                raise MeshError(
-                    "inconsistent_orientation",
-                    f"faces {f1} and {f2} traverse edge {key} the same way",
-                )
+        # half-edge k runs u[k] -> w[k] in face k // 3; a stable sort groups
+        # the uses of each edge in face order, as a walk over the faces meets them
+        u = faces.reshape(-1)
+        w = faces[:, [1, 2, 0]].reshape(-1)
+        keys = _pair_keys(u, w, self.n_vertices)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        start = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        count = np.diff(np.r_[start, keys.size])
+        first = order[start]
+        second = order[np.minimum(start + 1, keys.size - 1)]
+        bad = (count > 2) | ((count == 1) & require_closed) | ((count == 2) & (u[first] == u[second]))
+        if bad.any():
+            # report the offending edge whose first use comes earliest
+            g = np.flatnonzero(bad)[np.argmin(first[bad])]
+            h1, h2 = int(first[g]), int(second[g])
+            key = (int(min(u[h1], w[h1])), int(max(u[h1], w[h1])))
+            if count[g] > 2:
+                raise MeshError("non_manifold_edge", f"edge {key} borders {count[g]} faces")
+            if count[g] == 1:
+                raise MeshError("not_closed", f"edge {key} borders a single face")
+            raise MeshError(
+                "inconsistent_orientation",
+                f"faces {h1 // 3} and {h2 // 3} traverse edge {key} the same way",
+            )
+        p = self.vertices[faces]
+        flat = np.flatnonzero(~np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).any(axis=1))
+        if flat.size:
+            raise MeshError(
+                "degenerate_face",
+                f"{flat.size} faces have zero area (first: {flat[:5].tolist()})",
+            )
 
     def _validate_solid(self) -> None:
         v = self.vertices
@@ -256,26 +307,37 @@ class MeshComplex:
                 "inconsistent_orientation",
                 f"{bad.size} tets non-positively oriented (first: {bad[:5].tolist()})",
             )
-        extracted = self._extract_boundary()
-        if sorted(map(tuple, np.sort(extracted, axis=1))) != sorted(
-            map(tuple, np.sort(self.boundary_faces, axis=1))
-        ):
+        # The key table is rebuilt, not cached: under glibc malloc, arrays
+        # that outlive validation land among its temporaries and keep that
+        # heap resident (about 14 MB more peak RSS for ball(4) ledgers).
+        edge_keys = self._sorted_edge_keys()
+        _, extracted = self._extract_boundary(edge_keys)
+        stored = self._face_keys(self.boundary_faces, edge_keys)
+        if not np.array_equal(np.sort(extracted), np.sort(stored)):
             raise MeshError(
                 "bad_boundary", "stored boundary faces do not match tet boundary"
             )
         self._validate_surface(self.boundary_faces, require_closed=True)
 
-    def _extract_boundary(self) -> np.ndarray:
-        # outward faces of tet (v0,v1,v2,v3): opposite each vertex, CCW outside
+    def _face_keys(self, faces, edge_keys) -> np.ndarray:
+        """Key of each triangle as a vertex set; -1 where its two smallest
+        vertices are not an edge (``edge_keys``: sorted edge keys)."""
+        a, b, c = faces.T
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        ids, found = _find(edge_keys, _pair_keys(lo, a + b + c - lo - hi, self.n_vertices))
+        return np.where(found, ids * self.n_vertices + hi, -1)
+
+    def _extract_boundary(self, edge_keys):
+        """Boundary triangles of the tets (outward CCW) and their keys."""
         t = self.cells
-        faces = np.vstack(
-            [t[:, [1, 2, 3]], t[:, [0, 3, 2]], t[:, [0, 1, 3]], t[:, [0, 2, 1]]]
-        )
-        keys = np.sort(faces, axis=1)
-        _, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
-        return faces[counts[inverse] == 1]
+        keys = np.concatenate([self._face_keys(t[:, f], edge_keys) for f in _TET_FACES])
+        k = np.sort(keys)
+        shared = k[1:] == k[:-1]
+        _, once = _find(k[~(np.r_[shared, False] | np.r_[False, shared])], keys)
+        which = np.flatnonzero(once)  # face slot-major, then tet order
+        faces = t[(which % len(t))[:, None], _TET_FACES[which // len(t)]]
+        return faces, keys[once]
 
     def boundary_mesh(self):
         """Boundary as a standalone surface mesh plus the vertex index map."""
@@ -357,21 +419,19 @@ def _icosahedron():
 
 
 def _subdivide(verts, faces):
-    verts = list(map(np.asarray, verts))
-    midpoint = {}
-
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            verts.append((verts[i] + verts[j]) / 2.0)
-        return midpoint[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-    return np.asarray(verts), np.asarray(new_faces, dtype=np.int64)
+    """Split every triangle in four; each edge midpoint is numbered by the
+    edge's first use in face order."""
+    nv = verts.shape[0]
+    keys = _pair_keys(faces, faces[:, [1, 2, 0]], nv).reshape(-1)  # ab, bc, ca
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(by_use.size)
+    lo, hi = np.divmod(uniq[by_use], nv)
+    ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    new_faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return np.vstack([verts, (verts[lo] + verts[hi]) / 2.0]), new_faces.reshape(-1, 3)
 
 
 def generate_icosphere(subdivisions: int, radius: float = 1.0) -> MeshComplex:
@@ -411,24 +471,14 @@ def generate_ellipsoid(a: float, b: float, c: float, subdivisions: int = 3) -> M
     )
 
 
-def _split_prism(bottom, top):
-    """Decompose a prism into 3 tets with globally consistent quad diagonals.
-
-    Bottom/top are triples of global vertex ids with top[i] above bottom[i].
-    The split keys off global ids only, so prisms sharing a quad face agree
-    on its diagonal.
-    """
-    v = list(bottom) + list(top)
-    if min(v[3:]) < min(v[:3]):
-        # flip upside down, preserving the vertical edge pairing and winding
-        v = [v[3], v[5], v[4], v[0], v[2], v[1]]
-    r = int(np.argmin(v[:3]))
-    v = [v[r], v[(r + 1) % 3], v[(r + 2) % 3], v[3 + r], v[3 + (r + 1) % 3], v[3 + (r + 2) % 3]]
-    if min(v[1], v[5]) < min(v[2], v[4]):
-        tets = [(v[0], v[1], v[2], v[5]), (v[0], v[1], v[5], v[4]), (v[0], v[4], v[5], v[3])]
-    else:
-        tets = [(v[0], v[1], v[2], v[4]), (v[0], v[4], v[2], v[5]), (v[0], v[4], v[5], v[3])]
-    return tets
+# Tets of the prism (b0, b1, b2, t0, t1, t2), indexed 0..5, with b0 its
+# smallest id and t_i above b_i, for either diagonal choice on the quads.
+_PRISM_TETS = np.array(
+    [
+        [[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]],  # min(b1, t2) < min(b2, t1)
+        [[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]],
+    ]
+)
 
 
 def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
@@ -444,24 +494,20 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     if layers is None:
         layers = max(1, 2**subdivisions)
     radii = np.arange(1, layers + 1) / layers
-    verts = [np.zeros((1, 3))]
-    for r in radii:
-        verts.append(sphere.vertices * r)
-    verts = np.vstack(verts)
-
-    def layer_idx(k):  # 1-based layer -> global ids of its sphere copy
-        return 1 + (k - 1) * nv
-
-    tets = []
-    base = layer_idx(1)
-    for a, b, c in sphere.cells:
-        tets.append((0, base + a, base + b, base + c))
-    for k in range(1, layers):
-        lo, hi = layer_idx(k), layer_idx(k + 1)
-        for a, b, c in sphere.cells:
-            tets.extend(_split_prism((lo + a, lo + b, lo + c), (hi + a, hi + b, hi + c)))
-
-    tets = np.asarray(tets, dtype=np.int64)
+    verts = np.vstack([np.zeros((1, 3)), (sphere.vertices * radii[:, None, None]).reshape(-1, 3)])
+    # layer k (1-based) holds sphere vertex a at global id 1 + (k - 1)*nv + a
+    cells = sphere.cells
+    cone = np.column_stack([np.zeros(len(cells), dtype=np.int64), 1 + cells])
+    # Split the prism over each face so that prisms sharing a quad agree on
+    # its diagonal: rotate the face to start at its smallest vertex, then
+    # pick the diagonal from global ids.  Top ids exceed bottom ids by nv,
+    # so min(b1, t2) < min(b2, t1) reduces to b1 < b2 in every layer.
+    rows = np.arange(len(cells))[:, None]
+    rot = cells[rows, (np.argmin(cells, axis=1)[:, None] + np.arange(3)) % 3]
+    local = _PRISM_TETS[np.where(rot[:, 1] < rot[:, 2], 0, 1)]  # (F, 3, 4) in 0..5
+    prism = rot[rows[:, :, None], local % 3] + nv * (local >= 3)
+    bottoms = 1 + nv * np.arange(layers - 1)
+    tets = np.vstack([cone, (prism + bottoms[:, None, None, None]).reshape(-1, 4)])
     # orient every tet positively (the split table does not track handedness)
     d = np.einsum(
         "ij,ij->i",
@@ -471,8 +517,7 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     flip = d < 0
     tets[flip] = tets[flip][:, [0, 2, 1, 3]]
 
-    outer = layer_idx(layers)
-    boundary = sphere.cells + outer
+    boundary = cells + 1 + (layers - 1) * nv
     return MeshComplex(
         verts,
         tets,
@@ -492,23 +537,18 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
         raise ValueError("need at least 3 samples per direction")
     us = 2 * np.pi * np.arange(nu) / nu
     vs = 2 * np.pi * np.arange(nv) / nv
-    verts = np.empty((nu * nv, 3))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            r = big_radius + small_radius * np.cos(v)
-            verts[i * nv + j] = (r * np.cos(u), r * np.sin(u), small_radius * np.sin(v))
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * nv + j
-            b = ((i + 1) % nu) * nv + j
-            c = ((i + 1) % nu) * nv + (j + 1) % nv
-            d = i * nv + (j + 1) % nv
-            faces.append([a, b, c])
-            faces.append([a, c, d])
+    r = big_radius + small_radius * np.cos(vs)
+    x, y, z = np.broadcast_arrays(
+        r * np.cos(us)[:, None], r * np.sin(us)[:, None], small_radius * np.sin(vs)
+    )
+    verts = np.stack([x, y, z], axis=-1).reshape(-1, 3)  # vertex (i, j) at i*nv + j
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    i1, j1 = (i + 1) % nu, (j + 1) % nv
+    a, b, c, d = i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     return MeshComplex(
         verts,
-        np.asarray(faces, dtype=np.int64),
+        faces,
         metadata={
             "generator": "torus",
             "nu": nu,
@@ -699,29 +739,25 @@ class DiscreteShape:
         return float((self.areas * (self.principal**2).sum(axis=1)).sum())
 
 
-def _vertex_adjacency(mesh: MeshComplex):
-    neighbors = [set() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.cells:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
-    return neighbors
-
-
 def _vertex_rings(mesh: MeshComplex, depth: int = 2, min_size: int = 8):
-    """k-ring neighbourhoods, grown deeper where the mesh is too sparse
-    (patch corners) to determine a quadric fit."""
-    neighbors = _vertex_adjacency(mesh)
-    rings = []
-    for v in range(mesh.n_vertices):
-        ring = set(neighbors[v])
-        level = 1
-        while level < depth or (len(ring) < min_size and level < depth + 3):
-            ring |= {w for u in list(ring) for w in neighbors[u]}
-            level += 1
-        ring.discard(v)
-        rings.append(sorted(ring))
-    return rings
+    """k-ring neighbourhoods as a CSR pattern: row v lists ring(v) minus v,
+    sorted.  Rings grow one level per product with (I + adjacency); they
+    grow deeper where the mesh is too sparse (patch corners) to determine a
+    quadric fit, counting v itself once it is reached."""
+    adj = _adjacency(mesh)
+    step = adj + sparse.identity(mesh.n_vertices, format="csr")
+    ring = adj
+    for level in range(1, depth + 3):
+        size = np.diff(ring.indptr)
+        grow = (level < depth) | (size < min_size)
+        if not grow.any():
+            break
+        grown = sparse.diags(grow.astype(float)) @ ring @ step
+        ring = grown + sparse.diags((~grow).astype(float)) @ ring
+    ring = (ring - sparse.diags(ring.diagonal())).tocsr()
+    ring.eliminate_zeros()
+    ring.sort_indices()
+    return ring
 
 
 def _vertex_normals(mesh: MeshComplex) -> np.ndarray:
@@ -756,46 +792,55 @@ def discrete_shape(mesh: MeshComplex, ring_depth: int = 2) -> DiscreteShape:
     """
     if mesh.kind != "surface":
         raise MeshError("bad_kind", "discrete shape requires a surface mesh")
-    v = mesh.vertices
-    normals = _vertex_normals(mesh)
-    rings = _vertex_rings(mesh, ring_depth)
-    nv = mesh.n_vertices
-
-    frames = np.empty((nv, 3, 2))
-    shapes = np.empty((nv, 2, 2))
-    shape_world = np.empty((nv, 3, 3))
-    principal = np.empty((nv, 2))
-
     from .exterior import tangent_frame
 
-    for i in range(nv):
-        ring = rings[i]
-        if len(ring) < 5:
+    v = mesh.vertices
+    nv = mesh.n_vertices
+    normals = _vertex_normals(mesh)
+    frames = tangent_frame(normals)
+    rings = _vertex_rings(mesh, ring_depth)
+    size = np.diff(rings.indptr)
+
+    # Fit the full quadratic h(u,w) = a u^2 + b u w + c w^2 + d u + e w + g
+    # with one batched QR solve per ring size.  Grouping rings by size, not
+    # zero-padding them, keeps memory at the number of ring entries when a
+    # few vertices have huge rings.  The rank test is lstsq's: singular
+    # values of R above eps * max(ring size, 6) times the largest.  Rings
+    # of fewer than 6 vertices cannot reach rank 6.
+    sol = np.zeros((nv, 6))
+    rank = np.minimum(size, 6)
+    for m in np.unique(size[size >= 6]):
+        sel = np.flatnonzero(size == m)
+        ring = rings.indices[rings.indptr[sel][:, None] + np.arange(m)]
+        rel = v[ring] - v[sel][:, None, :]
+        uv = rel @ frames[sel]
+        h = np.einsum("kmi,ki->km", rel, normals[sel])
+        u, w = uv[..., 0], uv[..., 1]
+        cols = np.stack([u**2, u * w, w**2, u, w, np.ones_like(u)], axis=-1)
+        q, r = np.linalg.qr(cols)
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank[sel] = (sv > np.finfo(float).eps * m * sv[:, :1]).sum(axis=1)
+        ok = rank[sel] == 6
+        qh = np.einsum("kmi,km->ki", q[ok], h[ok])
+        sol[sel[ok]] = np.linalg.solve(r[ok], qh[..., None])[..., 0]
+    bad = np.flatnonzero((size < 5) | (rank < 6))
+    if bad.size:
+        i = int(bad[0])
+        if size[i] < 5:
             raise MeshError("degenerate_ring", f"vertex {i} has too few neighbours")
-        frame = tangent_frame(normals[i])
-        rel = v[ring] - v[i]
-        uv = rel @ frame
-        h = rel @ normals[i]
-        # full quadratic h(u,w) = a u^2 + b u w + c w^2 + d u + e w + g
-        cols = np.column_stack(
-            [uv[:, 0] ** 2, uv[:, 0] * uv[:, 1], uv[:, 1] ** 2, uv, np.ones(len(ring))]
-        )
-        sol, _, rank, _ = np.linalg.lstsq(cols, h, rcond=None)
-        if rank < 6:
-            raise MeshError("degenerate_ring", f"rank-deficient fit at vertex {i}")
-        a, b, c, d, e, _ = sol
-        hess = np.array([[2 * a, b], [b, 2 * c]])
-        grad = np.array([d, e])
-        first = np.eye(2) + np.outer(grad, grad)
-        second = hess / np.sqrt(1.0 + grad @ grad)
-        evals, evecs = np.linalg.eigh(first)
-        inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-        s = inv_sqrt @ second @ inv_sqrt
-        s = (s + s.T) / 2.0
-        frames[i] = frame
-        shapes[i] = s
-        shape_world[i] = frame @ s @ frame.T
-        principal[i] = np.linalg.eigvalsh(s)
+        raise MeshError("degenerate_ring", f"rank-deficient fit at vertex {i}")
+
+    a, b, c, d, e = sol[:, :5].T
+    hess = np.stack([2 * a, b, b, 2 * c], axis=-1).reshape(-1, 2, 2)
+    grad = np.stack([d, e], axis=-1)
+    first = np.eye(2) + grad[:, :, None] * grad[:, None, :]
+    second = hess / np.sqrt(1.0 + np.einsum("ki,ki->k", grad, grad))[:, None, None]
+    evals, evecs = np.linalg.eigh(first)
+    inv_sqrt = (evecs * evals[:, None, :] ** -0.5) @ evecs.transpose(0, 2, 1)
+    shapes = inv_sqrt @ second @ inv_sqrt
+    shapes = (shapes + shapes.transpose(0, 2, 1)) / 2.0
+    shape_world = frames @ shapes @ frames.transpose(0, 2, 1)
+    principal = np.linalg.eigvalsh(shapes)
 
     _, face_areas = mesh.face_normals_areas()
     areas = np.zeros(nv)

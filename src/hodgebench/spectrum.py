@@ -100,7 +100,6 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
     v = mesh.vertices
     f = mesh.cells
     edges = mesh.edges
-    eidx = mesh.edge_index
     nv, ne, nf = mesh.n_vertices, mesh.n_edges, mesh.n_cells
 
     rows = np.repeat(np.arange(ne), 2)
@@ -108,14 +107,14 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
     vals = np.tile([-1.0, 1.0], ne)
     d0 = sparse.csr_matrix((vals, (rows, cols)), shape=(ne, nv))
 
-    r1, c1, v1 = [], [], []
-    for fi, (a, b, c) in enumerate(f):
-        for u, w in ((a, b), (b, c), (c, a)):
-            e = eidx[(min(u, w), max(u, w))]
-            r1.append(fi)
-            c1.append(e)
-            v1.append(1.0 if u < w else -1.0)
-    d1 = sparse.csr_matrix((v1, (r1, c1)), shape=(nf, ne))
+    # face edges ab, bc, ca; column k is opposite corner (k + 2) % 3
+    heads = f[:, [1, 2, 0]]
+    face_edges = mesh.edge_ids(f, heads)
+    signs = np.where(f < heads, 1.0, -1.0)
+    d1 = sparse.csr_matrix(
+        (signs.reshape(-1), (np.repeat(np.arange(nf), 3), face_edges.reshape(-1))),
+        shape=(nf, ne),
+    )
 
     # cotangents of the three corner angles of every face
     cots = np.empty((nf, 3))
@@ -130,10 +129,7 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
 
     star1 = np.zeros(ne)
     for corner in range(3):
-        u = f[:, (corner + 1) % 3]
-        w = f[:, (corner + 2) % 3]
-        eids = np.array([eidx[(min(a, b), max(a, b))] for a, b in zip(u, w)])
-        np.add.at(star1, eids, 0.5 * cots[:, corner])
+        np.add.at(star1, face_edges[:, (corner + 1) % 3], 0.5 * cots[:, corner])
 
     # circumcentric dual areas: per corner (|e_opp_j|^2 cot_j + |e_opp_k|^2 cot_k)/8
     lengths_sq = np.empty((nf, 3))
@@ -167,9 +163,9 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
     bad1 = np.flatnonzero(star1 <= 0)
     if bad1.size:
         if strict:
-            e = edges[bad1[0]]
+            e = tuple(edges[bad1[0]].tolist())
             raise MeshError(
-                "nonpositive_weight", f"cotan weight of edge {tuple(e)} is nonpositive"
+                "nonpositive_weight", f"cotan weight of edge {e} is nonpositive"
             )
         star1 = star1.copy()
         star1[bad1] = clamp_floor

@@ -1,0 +1,103 @@
+"""Property tests of the integer-keyed topology layer."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seed_oracle as oracle
+from hodgebench.meshes import (
+    MeshComplex,
+    MeshError,
+    generate_ball,
+    generate_icosphere,
+    generate_torus,
+    merge_meshes,
+)
+from hodgebench.spectrum import assemble_dec
+
+_ico0 = generate_icosphere(0)
+SURFACES = {
+    "ico1": generate_icosphere(1),
+    "ico2": generate_icosphere(2),
+    "torus": generate_torus(9, 5),
+    "two-spheres": merge_meshes(_ico0, MeshComplex(_ico0.vertices + 3.0, _ico0.cells)),
+}
+BALL = generate_ball(1)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _relabel(mesh, rng):
+    """New vertex ids for the mesh's vertices: (vertices, id map)."""
+    perm = rng.permutation(mesh.n_vertices)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(perm.size)
+    return mesh.vertices[perm], new_id
+
+
+def _rotate_rows(cells, shifts, width):
+    cols = (np.arange(width)[None, :] + shifts[:, None]) % width
+    return cells[np.arange(len(cells))[:, None], cols]
+
+
+@given(name=st.sampled_from(sorted(SURFACES)), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_surface_invariants_under_relabelling_and_rotation(name, seed):
+    mesh = SURFACES[name]
+    rng = np.random.default_rng(seed)
+    verts, new_id = _relabel(mesh, rng)
+    cells = _rotate_rows(new_id[mesh.cells], rng.integers(0, 3, mesh.n_cells), 3)
+    other = MeshComplex(verts, cells)
+    assert other.n_edges == mesh.n_edges
+    assert other.euler_characteristic() == mesh.euler_characteristic()
+    assert other.first_betti_number() == mesh.first_betti_number()
+    assert np.array_equal(other.edges, oracle.edges(cells))
+    ops = assemble_dec(other)
+    assert (ops.d1 @ ops.d0).count_nonzero() == 0
+
+
+@given(seed=seeds)
+@settings(max_examples=15, deadline=None)
+def test_solid_invariants_under_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    verts, new_id = _relabel(BALL, rng)
+    # cycling the last three vertices of a tet is an even permutation: it
+    # keeps the orientation
+    tets = new_id[BALL.cells]
+    tets[:, 1:] = _rotate_rows(tets[:, 1:], rng.integers(0, 3, BALL.n_cells), 3)
+    bnd = _rotate_rows(new_id[BALL.boundary_faces], rng.integers(0, 3, len(BALL.boundary_faces)), 3)
+    other = MeshComplex(verts, tets, boundary_faces=bnd)
+    assert other.n_edges == BALL.n_edges
+    assert np.array_equal(other.edges, oracle.edges(tets))
+    auto = MeshComplex(verts, tets)
+    assert np.array_equal(np.sort(np.sort(auto.boundary_faces, axis=1), axis=0),
+                          np.sort(np.sort(bnd, axis=1), axis=0))
+
+
+def _verdict(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_validator_verdict_matches_oracle(data):
+    mesh = SURFACES[data.draw(st.sampled_from(["ico1", "torus"]))]
+    faces = mesh.cells.copy()
+    n = len(faces)
+    flips = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    faces[flips] = faces[flips][:, ::-1]
+    for _ in range(data.draw(st.integers(0, 3))):
+        src = data.draw(st.integers(0, n - 1))
+        dup = np.roll(faces[src], data.draw(st.integers(0, 2)))
+        if data.draw(st.booleans()):
+            dup = dup[::-1]
+        at = data.draw(st.integers(0, len(faces)))
+        faces = np.insert(faces, at, dup, axis=0)
+    closed = data.draw(st.booleans())
+    got = _verdict(MeshComplex, mesh.vertices, faces, require_closed=closed)
+    want = _verdict(oracle.validate_surface, faces, closed)
+    assert got == want
