@@ -41,8 +41,7 @@ print(f"\nellipsoid {abc}: fitted vs closed-form curvatures")
 print(f"  max error {err.max():.4f}, median {np.median(err):.4f}")
 
 # global lowest p-curvatures of the ellipsoid (minimum over vertices)
-shapes = list(shape.iter_shape_data())
 for p in (1, 2):
-    print(f"  sigma_{p} over the mesh: {lowest_p_curvature_global(shapes, p):.4f}")
+    print(f"  sigma_{p} over the mesh: {lowest_p_curvature_global(shape.principal, p):.4f}")
 print("  closed-form minimum curvature (equator): "
       f"{ellipsoid_principal_curvatures(np.array([[1.0, 0.0, 0.0]]), abc)[0][0]:.4f}")

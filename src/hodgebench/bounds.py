@@ -14,11 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .curvature import lowest_p_curvature, sum_largest_squared_curvatures
+from .curvature import lowest_p_curvature_global
 from .exterior import AlternatingForm
 from .meshes import MeshComplex, discrete_shape, generate_ellipsoid
 from .reilly import restriction_identity_residuals
-from .spectrum import sphere_hodge_oracle, spectrum_functions, spectrum_one_forms
+from .spectrum import sphere_hodge_oracle, spectrum_functions
 
 __all__ = [
     "BoundVerdict",
@@ -143,7 +143,6 @@ class GeometryCase:
         self.ambient_w_nonneg = True  # flat Euclidean interiors throughout
         self._shape = None
         self._spectrum0 = None
-        self._spectrum1 = None
 
     # constructors ------------------------------------------------------
     @classmethod
@@ -197,11 +196,6 @@ class GeometryCase:
             self._spectrum0 = spectrum_functions(self.mesh, self.spectrum_k)
         return self._spectrum0
 
-    def spectrum1(self):
-        if self._spectrum1 is None:
-            self._spectrum1 = spectrum_one_forms(self.mesh, self.spectrum_k)
-        return self._spectrum1
-
     def sigma(self, p: int) -> float:
         """Lowest p-curvature over the boundary."""
         n = self.boundary_dim
@@ -209,8 +203,7 @@ class GeometryCase:
             raise ValueError(f"p={p} out of range 1..{n}")
         if self.is_analytic:
             return p / self.radius
-        eta = self.shape().principal
-        return float(np.partition(eta, p - 1, axis=1)[:, :p].sum(axis=1).min())
+        return lowest_p_curvature_global(self.shape().principal, p)
 
     def lambda1_exact(self, p: int) -> float:
         """First eigenvalue on exact p-forms of the boundary."""
@@ -425,9 +418,8 @@ def equality_case_diagnostics(
         ratio = ball.area() / ball.volume()
         surf, _ = ball.boundary_mesh()
         sh = discrete_shape(surf)
-        sigma_sum = float(
-            np.sort(sh.principal, axis=1)[:, :p].sum(axis=1).min()
-            + np.sort(sh.principal, axis=1)[:, : n - p + 1].sum(axis=1).min()
+        sigma_sum = lowest_p_curvature_global(sh.principal, p) + lowest_p_curvature_global(
+            sh.principal, n - p + 1
         )
         h_mean = float(sh.mean.mean())
         geometry = {"label": "mesh-ball", "metadata": ball.metadata, "p": p}

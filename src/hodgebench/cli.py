@@ -23,8 +23,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     GeometryCase,
@@ -81,7 +79,6 @@ class RunConfig:
     order: int = 2
     tol: float | None = None
     out: str = "."
-    seed: int = 0
     suite: str | None = None
     theorem: str = "all"
     strict_dec: bool = False
@@ -330,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--geometry", help="geometry spec, e.g. icosphere:4 or ball:3")
         sp.add_argument("--mesh", help="path to an OFF/OBJ/tet mesh file")
         sp.add_argument("--out", default=os.environ.get("HODGEBENCH_OUT", "."))
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("spectrum", help="Hodge-Laplacian eigenvalues of a surface mesh")
@@ -381,13 +377,11 @@ def main(argv=None) -> int:
         order=getattr(args, "order", 2),
         tol=getattr(args, "tol", None),
         out=getattr(args, "out", "."),
-        seed=getattr(args, "seed", 0),
         suite=getattr(args, "suite", None),
         theorem=getattr(args, "theorem", "all"),
         strict_dec=getattr(args, "strict_dec", False),
         cluster_tol=getattr(args, "cluster_tol", 1e-3),
     )
-    np.random.seed(cfg.seed)
     try:
         if cfg.command == "spectrum":
             return cmd_spectrum(cfg)

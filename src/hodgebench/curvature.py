@@ -52,17 +52,20 @@ def lowest_p_curvature(principal, p: int) -> float:
 def lowest_p_curvature_global(per_point, p: int) -> float:
     """Infimum over sample points of the lowest p-curvature.
 
-    ``per_point`` is an iterable of ShapeData or principal-curvature arrays.
-    On a mesh this is the minimum over vertices, a sampling approximation of
-    the true infimum.
+    ``per_point`` is an (M, n) array of principal curvatures, one row per
+    point, or an iterable of ShapeData or principal-curvature arrays.  On a
+    mesh this is the minimum over vertices, a sampling approximation of the
+    true infimum.
     """
-    values = []
-    for item in per_point:
-        eta = item.principal if isinstance(item, ShapeData) else item
-        values.append(lowest_p_curvature(eta, p))
-    if not values:
+    if not isinstance(per_point, np.ndarray):
+        per_point = [item.principal if isinstance(item, ShapeData) else item for item in per_point]
+    eta = np.asarray(per_point, dtype=float)
+    if len(eta) == 0:
         raise ValueError("empty collection of sample points")
-    return float(min(values))
+    eta = np.sort(eta.reshape(len(eta), -1), axis=1)
+    if not 1 <= p <= eta.shape[1]:
+        raise ValueError(f"p={p} out of range 1..{eta.shape[1]}")
+    return float(eta[:, :p].sum(axis=1).min())
 
 
 def is_p_convex(per_point, p: int, strict: bool = False) -> bool:
@@ -189,9 +192,7 @@ class CurvatureTerm:
     def scalar(self, p: int, ambient_dim: int) -> float:
         """Scalar acting on p-forms (exact for constant curvature and the LCF
         middle degree, a lower bound for the operator-bound kind)."""
-        if self.kind == "constant_curvature":
-            return gallot_meyer_bound(self.value, ambient_dim, p)
-        if self.kind == "gallot_meyer_lower_bound":
+        if self.kind in ("constant_curvature", "gallot_meyer_lower_bound"):
             return gallot_meyer_bound(self.value, ambient_dim, p)
         # lcf_middle_degree: only defined at p = ambient_dim / 2
         if ambient_dim % 2 != 0 or p != ambient_dim // 2:

@@ -8,6 +8,10 @@ through the frames chosen per point by callers.
 
 Orientation convention: the Hodge star satisfies e_I ^ (star e_I) = vol,
 where vol = e_1 ^ ... ^ e_n.
+
+Every operation is a contraction with cached structure stacks derived from
+one enumerated wedge tensor; the ``_batch_*`` functions apply the same
+stacks to coefficient arrays of many points at once.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ class AlternatingForm:
                 f"expected {comb(dim, degree)} coefficients for "
                 f"Lambda^{degree}(R^{dim}), got {c.size}"
             )
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         c = c.copy()
         c.flags.writeable = False  # values are immutable after construction
         object.__setattr__(self, "dim", dim)
@@ -237,19 +243,17 @@ class SplitForm:
         m = self.frame.shape[0]
         p = self.normal.degree + 1
         q_mat = np.column_stack([self.frame, self.normal_vector])
-        rotated = np.zeros(comb(m, p))
+        # in the rotated basis the normal is e_(m-1): form = t + e_(m-1) ^ v
+        normal = np.zeros(comb(m, p - 1))
+        normal[_face_ranks(m, p - 1)] = self.normal.coeffs
+        rotated = wedge_basis_stack(m, p - 1)[m - 1] @ normal
         if self.tangential.degree == p:
-            for idx, c in zip(multi_indices(m - 1, p), self.tangential.coeffs):
-                rotated[multi_index_rank(m, idx)] = c
-        sign = -1.0 if (p - 1) & 1 else 1.0
-        for idx, c in zip(multi_indices(m - 1, p - 1), self.normal.coeffs):
-            rotated[multi_index_rank(m, idx + (m - 1,))] = sign * c
-        k_mat = _compound_matrix(q_mat, p)
-        return AlternatingForm(m, p, k_mat @ rotated)
+            rotated[_face_ranks(m, p)] += self.tangential.coeffs
+        return AlternatingForm(m, p, _compound(q_mat, p) @ rotated)
 
 
 # ---------------------------------------------------------------------------
-# core operations
+# core operations: contractions with the structure stacks below
 
 
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
@@ -259,20 +263,8 @@ def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         raise ValueError(f"degree overflow: {a.degree}+{b.degree} > {a.dim}")
-    out = np.zeros(comb(a.dim, degree))
-    ranks = _rank_table(a.dim, degree)
-    idx_a = multi_indices(a.dim, a.degree)
-    idx_b = multi_indices(a.dim, b.degree)
-    for ia, ca in zip(idx_a, a.coeffs):
-        if ca == 0.0:
-            continue
-        set_a = set(ia)
-        for ib, cb in zip(idx_b, b.coeffs):
-            if cb == 0.0 or set_a & set(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            out[ranks[merged]] += _merge_sign(ia, ib) * ca * cb
-    return AlternatingForm(a.dim, degree, out)
+    tensor = _wedge_tensor(a.dim, a.degree, b.degree)
+    return AlternatingForm(a.dim, degree, np.einsum("KIJ,I,J->K", tensor, a.coeffs, b.coeffs))
 
 
 def hodge_star(a: AlternatingForm) -> AlternatingForm:
@@ -282,29 +274,13 @@ def hodge_star(a: AlternatingForm) -> AlternatingForm:
     )
 
 
-@lru_cache(maxsize=None)
-def star_matrix(dim: int, degree: int) -> np.ndarray:
-    """Matrix of the Hodge star from Lambda^degree to Lambda^(dim-degree)."""
-    rows = _rank_table(dim, dim - degree)
-    mat = np.zeros((comb(dim, dim - degree), comb(dim, degree)))
-    full = set(range(dim))
-    for col, idx in enumerate(multi_indices(dim, degree)):
-        compl = tuple(sorted(full - set(idx)))
-        mat[rows[compl], col] = _merge_sign(idx, compl)
-    mat.flags.writeable = False
-    return mat
-
-
 def interior_product(v, a: AlternatingForm) -> AlternatingForm:
     """Interior multiplication i_v a; degree drops by one."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != a.dim:
-        raise ValueError(f"vector lives in R^{v.size}, form in R^{a.dim}")
+    v = _vector_in(a, v)
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
-    stack = interior_basis_stack(a.dim, a.degree)
     return AlternatingForm(
-        a.dim, a.degree - 1, np.einsum("kDc,c,k->D", stack, a.coeffs, v)
+        a.dim, a.degree - 1, _batch_interior(a.coeffs[None], v[None], a.degree)[0]
     )
 
 
@@ -313,19 +289,28 @@ def induced_endomorphism(base, degree: int, sym_tol: float = 1e-10):
 
     The operator acts on a p-form by substituting ``base`` into each slot
     in turn; its eigenvalues are all p-fold sums of eigenvalues of ``base``.
-    Built by explicit action on basis multi-indices, not by
-    eigen-decomposition, so it is exact for non-diagonal input.
+    Built as sum_(a,b) base[a, b] e_b ^ i_(e_a) from the structure stacks,
+    not by eigen-decomposition, so it is exact for non-diagonal input.
     """
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise ValueError("base must be a square matrix")
+    if not np.isfinite(base).all():
+        raise ValueError("base matrix must be finite")
     scale = max(1.0, float(np.abs(base).max()))
     if np.abs(base - base.T).max() > sym_tol * scale:
         raise ValueError("base matrix must be symmetric")
     n = base.shape[0]
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for dim {n}")
-    matrix = _derivation_matrix(base, degree)
+    matrix = np.zeros((comb(n, degree), comb(n, degree)))
+    if degree > 0:
+        wedges = wedge_basis_stack(n, degree - 1)
+        interiors = interior_basis_stack(n, degree)
+        # each term has one nonzero summand per entry; summing over ascending b
+        # makes the diagonal the ascending sum of base[i, i] (at top degree, the trace)
+        for b in range(n):
+            matrix += wedges[b] @ np.tensordot(base[:, b], interiors, axes=1)
     return InducedEndomorphism(base=base, degree=degree, matrix=matrix)
 
 
@@ -344,32 +329,6 @@ class InducedEndomorphism:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-
-def _derivation_matrix(base: np.ndarray, degree: int) -> np.ndarray:
-    n = base.shape[0]
-    idxs = multi_indices(n, degree)
-    ranks = _rank_table(n, degree)
-    size = len(idxs)
-    mat = np.zeros((size, size))
-    for col, index in enumerate(idxs):
-        for j, i in enumerate(index):
-            others = index[:j] + index[j + 1 :]
-            other_set = set(others)
-            for k in range(n):
-                coeff = base[i, k]
-                if coeff == 0.0:
-                    continue
-                if k == i:
-                    mat[col, col] += coeff
-                    continue
-                if k in other_set:
-                    continue
-                lo, hi = (i, k) if i < k else (k, i)
-                gap = sum(1 for o in others if lo < o < hi)
-                sign = -1.0 if gap & 1 else 1.0
-                mat[ranks[tuple(sorted(others + (k,)))], col] += sign * coeff
-    return mat
 
 
 def tangent_frame(normal) -> np.ndarray:
@@ -396,31 +355,23 @@ def split_at_boundary(a: AlternatingForm, normal, tol: float = 1e-12) -> SplitFo
     tangent frame of :func:`tangent_frame`.  Satisfies
     ||tangential||^2 + ||normal||^2 = ||a||^2.
     """
-    n_vec = np.asarray(normal, dtype=float).reshape(-1)
-    if n_vec.size != a.dim:
-        raise ValueError("normal dimension does not match form dimension")
-    if abs(np.linalg.norm(n_vec) - 1.0) > tol:
-        raise ValueError("normal must be a unit vector")
+    n_vec = _vector_in(a, normal, "normal")
+    if not abs(np.linalg.norm(n_vec) - 1.0) <= tol:  # also rejects NaN and inf
+        raise ValueError("normal must be a finite unit vector")
     if a.degree == 0:
         raise ValueError("cannot split a 0-form (normal part would have degree -1)")
     m = a.dim
     p = a.degree
     frame = tangent_frame(n_vec)
     q_mat = np.column_stack([frame, n_vec])
-    rotated = _compound_matrix(q_mat, p).T @ a.coeffs
+    rotated = _compound(q_mat, p).T @ a.coeffs  # coefficients in the (frame, normal) basis
     if p <= m - 1:
-        tang = np.zeros(comb(m - 1, p))
-        for r, idx in enumerate(multi_indices(m - 1, p)):
-            tang[r] = rotated[multi_index_rank(m, idx)]
-        tang_form = AlternatingForm(m - 1, p, tang)
+        tang_form = AlternatingForm(m - 1, p, rotated[_face_ranks(m, p)])
     else:
         # a top-degree ambient form restricts to zero on the tangent space;
         # stored as the zero top-form there
         tang_form = AlternatingForm.zero(m - 1, m - 1)
-    sign = -1.0 if (p - 1) & 1 else 1.0
-    norm_coeffs = np.zeros(comb(m - 1, p - 1))
-    for r, idx in enumerate(multi_indices(m - 1, p - 1)):
-        norm_coeffs[r] = sign * rotated[multi_index_rank(m, idx + (m - 1,))]
+    norm_coeffs = (interior_basis_stack(m, p)[m - 1] @ rotated)[_face_ranks(m, p - 1)]
     return SplitForm(
         tangential=tang_form,
         normal=AlternatingForm(m - 1, p - 1, norm_coeffs),
@@ -429,32 +380,17 @@ def split_at_boundary(a: AlternatingForm, normal, tol: float = 1e-12) -> SplitFo
     )
 
 
-def _compound_matrix(q: np.ndarray, degree: int) -> np.ndarray:
-    """p-th compound: K[J, I] = det(q[J, I]) over increasing multi-indices."""
-    m = q.shape[0]
-    idxs = multi_indices(m, degree)
-    size = len(idxs)
-    k_mat = np.empty((size, size))
-    if degree == 0:
-        return np.ones((1, 1))
-    for jr, rows in enumerate(idxs):
-        sub = q[list(rows), :]
-        for ir, cols in enumerate(idxs):
-            k_mat[jr, ir] = np.linalg.det(sub[:, list(cols)])
-    return k_mat
-
-
 def tangential_part(a: AlternatingForm, normal) -> AlternatingForm:
     """Ambient representative of the restriction J*: a - n^* ^ (i_n a)."""
-    if a.degree == 0:
-        return a
-    n_vec = np.asarray(normal, dtype=float)
-    return a - wedge(AlternatingForm.covector(n_vec), interior_product(n_vec, a))
+    n_vec = _vector_in(a, normal)
+    return AlternatingForm(
+        a.dim, a.degree, _batch_tangential(a.coeffs[None], n_vec[None], a.degree)[0]
+    )
 
 
 def normal_part(a: AlternatingForm, normal) -> AlternatingForm:
     """Ambient representative of the normal component i_n a (tangential itself)."""
-    return interior_product(np.asarray(normal, dtype=float), a)
+    return interior_product(normal, a)
 
 
 def duality_identity_residual(shape_matrix, degree: int) -> float:
@@ -474,24 +410,49 @@ def duality_identity_residual(shape_matrix, degree: int) -> float:
     return float(np.linalg.norm(residual, 2))
 
 
+def _vector_in(a: AlternatingForm, v, what: str = "vector") -> np.ndarray:
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.size != a.dim:
+        raise ValueError(f"{what} lives in R^{v.size}, form in R^{a.dim}")
+    return v
+
+
 # ---------------------------------------------------------------------------
-# structure stacks for vectorized evaluation over many points
+# structure stacks, built on first use and cached
+
+
+@lru_cache(maxsize=None)
+def _wedge_tensor(dim: int, p: int, q: int) -> np.ndarray:
+    """T with a ^ b = einsum('KIJ,I,J->K', T, a, b) for a p-form a and a q-form b.
+
+    The one structure tensor built by enumeration; every other stack below
+    is a slice, transpose or contraction of it.
+    """
+    if p + q > dim:
+        raise ValueError("degree overflow")
+    rows = _rank_table(dim, p + q)
+    out = np.zeros((comb(dim, p + q), comb(dim, p), comb(dim, q)))
+    for i, ia in enumerate(multi_indices(dim, p)):
+        for j, ib in enumerate(multi_indices(dim, q)):
+            if not set(ia) & set(ib):
+                out[rows[tuple(sorted(ia + ib))], i, j] = _merge_sign(ia, ib)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def star_matrix(dim: int, degree: int) -> np.ndarray:
+    """Matrix of the Hodge star from Lambda^degree to Lambda^(dim-degree)."""
+    # e_I ^ star(e_I) = vol fixes star(e_I) = sign(I, I^c) e_(I^c)
+    out = np.ascontiguousarray(_wedge_tensor(dim, degree, dim - degree)[0].T)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def wedge_basis_stack(dim: int, degree: int) -> np.ndarray:
     """Stack of matrices of e_k ^ (-): shape (dim, C(dim,p+1), C(dim,p))."""
-    if degree + 1 > dim:
-        raise ValueError("degree overflow")
-    rows = _rank_table(dim, degree + 1)
-    out = np.zeros((dim, comb(dim, degree + 1), comb(dim, degree)))
-    for col, idx in enumerate(multi_indices(dim, degree)):
-        idx_set = set(idx)
-        for k in range(dim):
-            if k in idx_set:
-                continue
-            sign = -1.0 if sum(1 for b in idx if b < k) & 1 else 1.0
-            out[k, rows[tuple(sorted(idx + (k,)))], col] = sign
+    out = np.ascontiguousarray(_wedge_tensor(dim, 1, degree).transpose(1, 0, 2))
     out.flags.writeable = False
     return out
 
@@ -501,12 +462,8 @@ def interior_basis_stack(dim: int, degree: int) -> np.ndarray:
     """Stack of matrices of i_{e_k}: shape (dim, C(dim,p-1), C(dim,p))."""
     if degree < 1:
         raise ValueError("interior product needs degree >= 1")
-    rows = _rank_table(dim, degree - 1)
-    out = np.zeros((dim, comb(dim, degree - 1), comb(dim, degree)))
-    for col, idx in enumerate(multi_indices(dim, degree)):
-        for slot, k in enumerate(idx):
-            sign = -1.0 if slot & 1 else 1.0
-            out[k, rows[idx[:slot] + idx[slot + 1 :]], col] = sign
+    # i_(e_k) is the adjoint of e_k ^ (-) in an orthonormal basis
+    out = np.ascontiguousarray(wedge_basis_stack(dim, degree - 1).transpose(0, 2, 1))
     out.flags.writeable = False
     return out
 
@@ -514,12 +471,78 @@ def interior_basis_stack(dim: int, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def induced_generator_stack(dim: int, degree: int) -> np.ndarray:
     """Tensor G with S^[p] = einsum('IJab,ab->IJ', G, S) for any base S."""
-    size = comb(dim, degree)
-    out = np.zeros((size, size, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            unit = np.zeros((dim, dim))
-            unit[a, b] = 1.0
-            out[:, :, a, b] = _derivation_matrix(unit, degree)
+    if degree == 0:
+        out = np.zeros((1, 1, dim, dim))
+    else:
+        # G[:, :, a, b] = (e_b ^ -) o i_(e_a), the derivation of the unit map e_a -> e_b
+        out = np.ascontiguousarray(
+            np.einsum(
+                "bIK,aKJ->IJab",
+                wedge_basis_stack(dim, degree - 1),
+                interior_basis_stack(dim, degree),
+            )
+        )
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def _face_ranks(dim: int, degree: int) -> np.ndarray:
+    """Ranks of the degree-p multi-indices that avoid the last axis, in lex order."""
+    return np.array(
+        [r for r, idx in enumerate(multi_indices(dim, degree)) if dim - 1 not in idx], dtype=int
+    )
+
+
+def _compound(q: np.ndarray, degree: int) -> np.ndarray:
+    """p-th compound of q: column I holds the wedge of the columns q[:, i], i in I.
+
+    Entry [J, I] equals det(q[J, I]) over increasing multi-indices.
+    """
+    m = q.shape[0]
+    out = np.ones((1, 1))
+    for r in range(degree):
+        # column I of degree r + 1 is q[:, I[0]] ^ (column I[1:] of degree r)
+        idxs = multi_indices(m, r + 1)
+        head = [idx[0] for idx in idxs]
+        tail = [_rank_table(m, r)[idx[1:]] for idx in idxs]
+        out = np.einsum("kKL,kI,LI->KI", wedge_basis_stack(m, r), q[:, head], out[:, tail])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# batched operations over M points: coefficient arrays of shape (M, C(dim, p))
+
+
+def _batch_interior(coeffs, normals, degree):
+    stack = interior_basis_stack(normals.shape[1], degree)
+    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
+
+
+def _batch_wedge_vec(coeffs, normals, degree):
+    stack = wedge_basis_stack(normals.shape[1], degree)
+    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
+
+
+def _batch_tangential(coeffs, normals, degree):
+    if degree == 0:
+        return coeffs
+    v = _batch_interior(coeffs, normals, degree)
+    return coeffs - _batch_wedge_vec(v, normals, degree - 1)
+
+
+def _batch_shape(coeffs, shape_world, degree):
+    stack = induced_generator_stack(shape_world.shape[1], degree)
+    return np.einsum("IJab,mab,mJ->mI", stack, shape_world, coeffs)
+
+
+def _batch_d(jac, degree, dim):
+    if degree == dim:
+        return np.zeros((jac.shape[0], 1))
+    stack = wedge_basis_stack(dim, degree)
+    return np.einsum("kDc,mck->mD", stack, jac)
+
+
+def _batch_delta(jac, degree, dim):
+    stack = interior_basis_stack(dim, degree)
+    return -np.einsum("kDc,mck->mD", stack, jac)

@@ -28,15 +28,14 @@ import numpy as np
 from .curvature import CurvatureTerm
 from .exterior import (
     AlternatingForm,
-    induced_endomorphism,
-    induced_generator_stack,
-    interior_basis_stack,
-    interior_product,
+    _batch_d,
+    _batch_delta,
+    _batch_interior,
+    _batch_shape,
+    _batch_tangential,
+    _batch_wedge_vec,
     star_matrix,
     tangent_frame,
-    tangential_part,
-    wedge,
-    wedge_basis_stack,
 )
 from .fields import FormField, ScalarField
 from .meshes import MeshComplex, MeshError, discrete_shape
@@ -60,44 +59,6 @@ _TET4_B = 0.1381966011250105
 
 
 # ---------------------------------------------------------------------------
-# batched multilinear helpers (structure matrices come from the exterior core)
-
-
-def _batch_interior(coeffs, normals, degree):
-    stack = interior_basis_stack(normals.shape[1], degree)
-    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
-
-
-def _batch_wedge_vec(coeffs, normals, degree):
-    stack = wedge_basis_stack(normals.shape[1], degree)
-    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
-
-
-def _batch_tangential(coeffs, normals, degree):
-    if degree == 0:
-        return coeffs
-    v = _batch_interior(coeffs, normals, degree)
-    return coeffs - _batch_wedge_vec(v, normals, degree - 1)
-
-
-def _batch_shape(coeffs, shape_world, degree):
-    stack = induced_generator_stack(shape_world.shape[1], degree)
-    return np.einsum("IJab,mab,mJ->mI", stack, shape_world, coeffs)
-
-
-def _batch_d(jac, degree, dim):
-    if degree == dim:
-        return np.zeros((jac.shape[0], 1))
-    stack = wedge_basis_stack(dim, degree)
-    return np.einsum("kDc,mck->mD", stack, jac)
-
-
-def _batch_delta(jac, degree, dim):
-    stack = interior_basis_stack(dim, degree)
-    return -np.einsum("kDc,mck->mD", stack, jac)
-
-
-# ---------------------------------------------------------------------------
 # surfaces supplying normals and shape operators at boundary points
 
 
@@ -116,16 +77,10 @@ class SphereSurface:
         q = np.atleast_2d(points) - self.center
         return -q / np.linalg.norm(q, axis=1)[:, None]
 
-    def normal_at(self, point) -> np.ndarray:
-        return self.normals(point[None])[0]
-
     def shape_world(self, points) -> np.ndarray:
         n = self.normals(points)
         proj = np.eye(self.dim)[None] - np.einsum("mi,mj->mij", n, n)
         return proj / self.radius
-
-    def shape_world_at(self, point) -> np.ndarray:
-        return self.shape_world(point[None])[0]
 
     def project(self, points) -> np.ndarray:
         q = np.atleast_2d(points) - self.center
@@ -214,6 +169,32 @@ def _diameter(mesh: MeshComplex) -> float:
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     return float(np.linalg.norm(hi - lo))
+
+
+def _ledger_setup(mesh, fields, order, shape_source, nodes, fd_step, allow_fd=True):
+    """Setup shared by the ledgers and the Stokes check.
+
+    Returns (fd_step, surface, nodes, pts, wts, bpts, bw, normals,
+    shape_world): the FD step (defaulted when a field lacks analytic
+    derivatives), the boundary surface, the resolved node mode, the tet
+    quadrature, and the boundary quadrature with its surface data.
+    """
+    if not all(f.has_analytic_derivatives for f in fields):
+        if not allow_fd:
+            raise ValueError("field lacks analytic derivatives and FD is disabled")
+        if fd_step is None:
+            fd_step = 1e-5 * _diameter(mesh)
+    surface = _resolve_surface(mesh, shape_source)
+    pts, wts = _tet_quadrature(mesh, order)
+    bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
+    if nodes == "auto":
+        nodes = "projected" if getattr(surface, "analytic", False) else "flat"
+    if nodes == "projected":
+        if not hasattr(surface, "project"):
+            raise ValueError("projected boundary nodes require an analytic surface")
+        bpts = surface.project(bpts)
+    normals, shape_world = surface.quadrature_data(bpts, fids, bary)
+    return fd_step, surface, nodes, pts, wts, bpts, bw, normals, shape_world
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +301,12 @@ def evaluate_reilly(
     p = form.degree
     if not 1 <= p <= 3:
         raise ValueError("form degree must be 1, 2 or 3")
-    if not form.has_analytic_derivatives:
-        if not allow_fd:
-            raise ValueError("field lacks analytic derivatives and FD is disabled")
-        if fd_step is None:
-            fd_step = 1e-5 * _diameter(mesh)
-    h = fd_step
-
-    surface = _resolve_surface(mesh, shape_source)
     w_scalar = _check_curvature(curvature, p)
+    h, surface, nodes, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
+        mesh, [form], order, shape_source, nodes, fd_step, allow_fd
+    )
 
     # interior terms
-    pts, wts = _tet_quadrature(mesh, order)
     coeffs = form.value(pts)
     jac = form.jacobian(pts, h=h)
     d_co = _batch_d(jac, p, 3)
@@ -341,13 +316,6 @@ def evaluate_reilly(
     curvature_term = w_scalar * float(wts @ (coeffs**2).sum(axis=1))
 
     # boundary terms
-    bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    if nodes == "auto":
-        nodes = "projected" if getattr(surface, "analytic", False) else "flat"
-    if nodes == "projected" and not hasattr(surface, "project"):
-        raise ValueError("projected boundary nodes require an analytic surface")
-    epts = surface.project(bpts) if nodes == "projected" else bpts
-    normals, shape_world = surface.quadrature_data(epts, fids, bary)
     cb = form.value(epts)
     jb = form.jacobian(epts, h=h)
 
@@ -423,16 +391,11 @@ def evaluate_classical_reilly(
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "classical ledger requires a solid mesh")
-    if not f.has_analytic_derivatives:
-        if not allow_fd:
-            raise ValueError("field lacks analytic derivatives and FD is disabled")
-        if fd_step is None:
-            fd_step = 1e-5 * _diameter(mesh)
-    h = fd_step
-    surface = _resolve_surface(mesh, shape_source)
     ric_scalar = _check_curvature(curvature, 1)
+    h, surface, nodes, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
+        mesh, [f], order, shape_source, nodes, fd_step, allow_fd
+    )
 
-    pts, wts = _tet_quadrature(mesh, order)
     hess = f.hessian(pts, h=h)
     grad = f.gradient(pts, h=h)
     lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
@@ -440,13 +403,6 @@ def evaluate_classical_reilly(
     hessian_energy = float(wts @ (hess**2).sum(axis=(1, 2)))
     ricci = ric_scalar * float(wts @ (grad**2).sum(axis=1))
 
-    bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    if nodes == "auto":
-        nodes = "projected" if getattr(surface, "analytic", False) else "flat"
-    if nodes == "projected" and not hasattr(surface, "project"):
-        raise ValueError("projected boundary nodes require an analytic surface")
-    epts = surface.project(bpts) if nodes == "projected" else bpts
-    normals, shape_world = surface.quadrature_data(epts, fids, bary)
     gb = f.gradient(epts, h=h)
     hb = f.hessian(epts, h=h)
     f_n = np.einsum("mk,mk->m", gb, normals)
@@ -570,7 +526,7 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface, h):
 
 
 # ---------------------------------------------------------------------------
-# pointwise surface-derivative machinery and identity checks
+# pointwise boundary identity checks, batched over the sample points
 
 
 def sphere_sample_points(count: int, dim: int = 3, radius: float = 1.0, seed: int = 3):
@@ -580,48 +536,51 @@ def sphere_sample_points(count: int, dim: int = 3, radius: float = 1.0, seed: in
     return radius * q / np.linalg.norm(q, axis=1)[:, None]
 
 
-def _point_value(form: FormField, q, h):
-    val = AlternatingForm(form.dim, form.degree, form.value(q[None])[0])
-    jac = form.jacobian(q[None], h=h)[0]
-    return val, jac
+def _tangent_derivatives(form, surface, pts, normals, shape, val, jac, x, method, h):
+    """Surface covariant derivatives of J*w and of i_N w along tangents x.
 
-
-def _surface_covariant_derivative(form, surface, q, x, method="fd", h=1e-4, fd_field_h=None):
-    """(surface covariant derivative of J*w, of i_N w) along tangent x at q.
-
-    'fd' differentiates the split fields along the projected curve through q
-    (independent of any commutation identity); 'analytic' uses the shape
-    operator and the ambient field derivative.
-    Returns ambient-coefficient tangential AlternatingForms.
+    One tangent per point (rows of ``pts``, with the surface normals and
+    shape operators there and the field's values and Jacobians).  'fd'
+    differentiates the split fields along the projected curve through each
+    point (independent of any commutation identity); 'analytic' uses the
+    shape operator and the ambient field derivative.  Returns ambient
+    coefficients of tangential forms of degree p and p - 1.
     """
-    n_vec = surface.normal_at(q)
     p = form.degree
     if method == "analytic":
-        s_world = surface.shape_world_at(q)
-        val, jac = _point_value(form, q, fd_field_h)
-        grad_x = AlternatingForm(form.dim, p, jac @ x)
-        dn = -(s_world @ x)
-        v = interior_product(n_vec, val)
-        dxv = interior_product(dn, val) + interior_product(n_vec, grad_x)
-        dxt = grad_x - wedge(AlternatingForm.covector(dn), v) - wedge(
-            AlternatingForm.covector(n_vec), dxv
-        )
-        return tangential_part(dxt, n_vec), tangential_part(dxv, n_vec)
-    if method != "fd":
-        raise ValueError("method must be 'fd' or 'analytic'")
+        grad_x = np.einsum("mck,mk->mc", jac, x)
+        dn = -np.einsum("mij,mj->mi", shape, x)
+        v = _batch_interior(val, normals, p)
+        dxv = _batch_interior(val, dn, p) + _batch_interior(grad_x, normals, p)
+        dxt = grad_x - _batch_wedge_vec(v, dn, p - 1) - _batch_wedge_vec(dxv, normals, p - 1)
+    else:
+        def split_at(y):
+            ny = surface.normals(y)
+            w = form.value(y)
+            return _batch_tangential(w, ny, p), _batch_interior(w, ny, p)
 
-    def split_at(y):
-        ny = surface.normal_at(y)
-        w = AlternatingForm(form.dim, p, form.value(y[None])[0])
-        return tangential_part(w, ny), interior_product(ny, w)
+        tp, vp = split_at(surface.project(pts + h * x))
+        tm, vm = split_at(surface.project(pts - h * x))
+        dxt = (tp - tm) * (1.0 / (2 * h))
+        dxv = (vp - vm) * (1.0 / (2 * h))
+    return _batch_tangential(dxt, normals, p), _batch_tangential(dxv, normals, p - 1)
 
-    qp = surface.project((q + h * x)[None])[0]
-    qm = surface.project((q - h * x)[None])[0]
-    tp, vp = split_at(qp)
-    tm, vm = split_at(qm)
-    dxt = (tp - tm) * (1.0 / (2 * h))
-    dxv = (vp - vm) * (1.0 / (2 * h))
-    return tangential_part(dxt, n_vec), tangential_part(dxv, n_vec)
+
+def _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h):
+    """(delta^S of J*w, d^S of i_N w) per point, as ambient tangential coefficients."""
+    frame = tangent_frame(normals)
+    delta_t = d_v = 0.0
+    for i in range(frame.shape[-1]):
+        ti = frame[:, :, i]
+        dt, dv = _tangent_derivatives(form, surface, pts, normals, shape, val, jac, ti, method, h)
+        delta_t = delta_t - _batch_interior(dt, ti, form.degree)
+        d_v = d_v + _batch_wedge_vec(dv, ti, form.degree - 1)
+    return delta_t, d_v
+
+
+def _max_norm(diff) -> float:
+    # np.max propagates NaN; 0.0 for zero points
+    return float(np.max(np.linalg.norm(diff, axis=1), initial=0.0))
 
 
 def check_derivative_formulas(
@@ -640,44 +599,20 @@ def check_derivative_formulas(
     i_N grad_X w - i_{S X} J* w.  Returns the max residual of each identity.
     """
     pts = np.atleast_2d(points)
-    rng = np.random.default_rng(seed)
-    res1 = res2 = 0.0
-    for q in pts:
-        n_vec = surface.normal_at(q)
-        s_world = surface.shape_world_at(q)
-        x = rng.standard_normal(form.dim)
-        x -= (x @ n_vec) * n_vec
-        x /= np.linalg.norm(x)
-        lhs1, lhs2 = _surface_covariant_derivative(
-            form, surface, q, x, method="fd", h=h, fd_field_h=fd_field_h
-        )
-        val, jac = _point_value(form, q, fd_field_h)
-        grad_x = AlternatingForm(form.dim, form.degree, jac @ x)
-        v = interior_product(n_vec, val)
-        t = tangential_part(val, n_vec)
-        sx = s_world @ x
-        rhs1 = tangential_part(grad_x, n_vec) + wedge(AlternatingForm.covector(sx), v)
-        rhs2 = interior_product(n_vec, grad_x) - interior_product(sx, t)
-        res1 = max(res1, (lhs1 - rhs1).norm())
-        res2 = max(res2, (lhs2 - rhs2).norm())
-    return res1, res2
-
-
-def _surface_d_delta(form, surface, q, method, h, fd_field_h):
-    """(delta^S of J*w, d^S of i_N w) as ambient tangential forms at q."""
-    n_vec = surface.normal_at(q)
-    frame = tangent_frame(n_vec)
     p = form.degree
-    delta_t = AlternatingForm.zero(form.dim, p - 1) if p >= 1 else None
-    d_v = AlternatingForm.zero(form.dim, p) if p >= 1 else None
-    for i in range(frame.shape[1]):
-        ti = frame[:, i]
-        dt, dv = _surface_covariant_derivative(
-            form, surface, q, ti, method=method, h=h, fd_field_h=fd_field_h
-        )
-        delta_t = delta_t - interior_product(ti, dt)
-        d_v = d_v + wedge(AlternatingForm.covector(ti), dv)
-    return delta_t, d_v
+    normals, shape = surface.normals(pts), surface.shape_world(pts)
+    val, jac = form.value(pts), form.jacobian(pts, h=fd_field_h)
+    x = np.random.default_rng(seed).standard_normal((len(pts), form.dim))
+    x -= np.einsum("mi,mi->m", x, normals)[:, None] * normals
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    lhs1, lhs2 = _tangent_derivatives(form, surface, pts, normals, shape, val, jac, x, "fd", h)
+    grad_x = np.einsum("mck,mk->mc", jac, x)
+    sx = np.einsum("mij,mj->mi", shape, x)
+    v = _batch_interior(val, normals, p)
+    t = _batch_tangential(val, normals, p)
+    rhs1 = _batch_tangential(grad_x, normals, p) + _batch_wedge_vec(v, sx, p - 1)
+    rhs2 = _batch_interior(grad_x, normals, p) - _batch_interior(t, sx, p)
+    return _max_norm(lhs1 - rhs1), _max_norm(lhs2 - rhs2)
 
 
 def check_commutation(
@@ -697,41 +632,26 @@ def check_commutation(
     finite differences (method='fd', the independent oracle) or from the
     analytic shape-operator path.
     """
+    if method not in ("fd", "analytic"):
+        raise ValueError("method must be 'fd' or 'analytic'")
     pts = np.atleast_2d(points)
-    p = form.degree
-    res1 = res2 = 0.0
-    for q in pts:
-        n_vec = surface.normal_at(q)
-        s_world = surface.shape_world_at(q)
-        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, method, h, fd_field_h)
-        val, jac = _point_value(form, q, fd_field_h)
-        v = interior_product(n_vec, val)
-        t = tangential_part(val, n_vec)
-        n_mean = float(np.trace(s_world))
-        delta_w = AlternatingForm(
-            form.dim, p - 1, _batch_delta(jac[None], p, form.dim)[0]
-        )
-        grad_n = AlternatingForm(form.dim, p, jac @ n_vec)
-        rhs1 = (
-            tangential_part(delta_w, n_vec)
-            + interior_product(n_vec, grad_n)
-            + induced_endomorphism(s_world, p - 1).apply(v)
-            - n_mean * v
-        )
-        d_w_co = _batch_d(jac[None], p, form.dim)[0]
-        if p == form.dim:
-            i_n_dw = AlternatingForm.zero(form.dim, p)
-        else:
-            d_w = AlternatingForm(form.dim, p + 1, d_w_co)
-            i_n_dw = interior_product(n_vec, d_w)
-        rhs2 = (
-            -1.0 * i_n_dw
-            + tangential_part(grad_n, n_vec)
-            - induced_endomorphism(s_world, p).apply(t)
-        )
-        res1 = max(res1, (lhs_delta - rhs1).norm())
-        res2 = max(res2, (lhs_d - rhs2).norm())
-    return res1, res2
+    p, dim = form.degree, form.dim
+    normals, shape = surface.normals(pts), surface.shape_world(pts)
+    val, jac = form.value(pts), form.jacobian(pts, h=fd_field_h)
+    lhs_delta, lhs_d = _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h)
+    v = _batch_interior(val, normals, p)
+    t = _batch_tangential(val, normals, p)
+    n_mean = np.einsum("mii->m", shape)
+    grad_n = np.einsum("mck,mk->mc", jac, normals)
+    rhs1 = (
+        _batch_tangential(_batch_delta(jac, p, dim), normals, p - 1)
+        + _batch_interior(grad_n, normals, p)
+        + _batch_shape(v, shape, p - 1)
+        - n_mean[:, None] * v
+    )
+    i_n_dw = 0.0 if p == dim else _batch_interior(_batch_d(jac, p, dim), normals, p + 1)
+    rhs2 = -i_n_dw + _batch_tangential(grad_n, normals, p) - _batch_shape(t, shape, p)
+    return _max_norm(lhs_delta - rhs1), _max_norm(lhs_d - rhs2)
 
 
 def restriction_identity_residuals(
@@ -751,20 +671,16 @@ def restriction_identity_residuals(
     surface = SphereSurface(radius=radius, dim=m)
     if points is None:
         points = sphere_sample_points(count, dim=m, radius=radius, seed=seed)
+    pts = np.atleast_2d(points)
     form = FormField.constant(xi.coeffs, p, dim=m, name="parallel")
+    normals, shape = surface.normals(pts), surface.shape_world(pts)
+    val, jac = form.value(pts), form.jacobian(pts)
+    lhs_delta, lhs_d = _surface_d_delta(form, surface, pts, normals, shape, val, jac, "analytic", 0.0)
     h_mean = 1.0 / radius
     n = m - 1
-    res1 = res2 = 0.0
-    for q in np.atleast_2d(points):
-        n_vec = surface.normal_at(q)
-        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, "analytic", 0.0, None)
-        v = interior_product(n_vec, xi)
-        t = tangential_part(xi, n_vec)
-        want_delta = -(n - p + 1) * h_mean * v
-        want_d = -p * h_mean * t
-        res1 = max(res1, (lhs_delta - want_delta).norm())
-        res2 = max(res2, (lhs_d - want_d).norm())
-    return res1, res2
+    want_delta = -(n - p + 1) * h_mean * _batch_interior(val, normals, p)
+    want_d = -p * h_mean * _batch_tangential(val, normals, p)
+    return _max_norm(lhs_delta - want_delta), _max_norm(lhs_d - want_d)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +704,10 @@ def check_stokes(
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
-    h = fd_step
-    if (not omega.has_analytic_derivatives or not phi.has_analytic_derivatives) and h is None:
-        h = 1e-5 * _diameter(mesh)
-    surface = _resolve_surface(mesh, shape_source)
+    h, _, _, pts, wts, epts, bw, normals, _ = _ledger_setup(
+        mesh, [omega, phi], order, shape_source, "auto", fd_step
+    )
 
-    pts, wts = _tet_quadrature(mesh, order)
     d_omega = _batch_d(omega.jacobian(pts, h=h), omega.degree, 3)
     phi_vals = phi.value(pts)
     lhs = float(wts @ (d_omega * phi_vals).sum(axis=1))
@@ -801,10 +715,6 @@ def check_stokes(
     omega_vals = omega.value(pts)
     vol_term = float(wts @ (omega_vals * delta_phi).sum(axis=1))
 
-    bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    nodes = "projected" if getattr(surface, "analytic", False) else "flat"
-    epts = surface.project(bpts) if nodes == "projected" else bpts
-    normals, _ = surface.quadrature_data(epts, fids, bary)
     ob = omega.value(epts)
     t_omega = _batch_tangential(ob, normals, omega.degree)
     i_n_phi = _batch_interior(phi.value(epts), normals, p)

@@ -69,8 +69,13 @@ def test_global_minimum():
     b = ShapeData.from_principal([0.2, 0.3])
     assert lowest_p_curvature_global([a, b], 2) == 0.5
     assert lowest_p_curvature_global([np.ones(2)], 1) == 1.0
+    # an (M, n) array of principal curvatures, rows unsorted
+    assert lowest_p_curvature_global(np.array([[1.0, 1.0], [0.3, 0.2]]), 2) == 0.5
+    assert lowest_p_curvature_global(np.array([[1.0, 1.0], [0.3, 0.2]]), 1) == 0.2
     with pytest.raises(ValueError):
         lowest_p_curvature_global([], 1)
+    with pytest.raises(ValueError):
+        lowest_p_curvature_global(np.ones((4, 2)), 3)
 
 
 def test_p_convexity():

@@ -187,6 +187,14 @@ def test_induced_rejects_nonsymmetric():
         induced_endomorphism(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_induced_rejects_non_finite_base():
+    # NaN and inf pass the symmetry test (NaN > tol is False)
+    for bad in (np.nan, np.inf):
+        base = np.diag([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            induced_endomorphism(base, 2)
+
+
 def test_induced_spectrum_is_subset_sums():
     for n in range(2, 7):
         s = random_symmetric(n)
@@ -263,6 +271,12 @@ def test_split_rejects_non_unit_normal():
         split_at_boundary(basis(3, 0), [1.0, 1.0, 0.0])
 
 
+def test_split_rejects_non_finite_normal():
+    for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            split_at_boundary(basis(3, 0), bad)
+
+
 def test_tangent_frame_orthonormal():
     for _ in range(20):
         n = int(rng.integers(2, 8))
@@ -299,6 +313,14 @@ def test_duality_identity_random_all_degrees():
         s = random_symmetric(n)
         for p in range(n + 1):
             assert duality_identity_residual(s, p) <= 1e-10
+
+
+def test_duality_identity_rejects_non_finite():
+    s = random_symmetric(3)
+    s[0, 1] = s[1, 0] = np.inf
+    # not numpy's LinAlgError (a ValueError subclass) from the SVD
+    with pytest.raises(ValueError, match="finite"):
+        duality_identity_residual(s, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +372,12 @@ def test_form_immutable():
         a.coeffs[0] = 5.0
     with pytest.raises(AttributeError):
         a.degree = 2
+
+
+def test_form_rejects_non_finite_coefficients():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            AlternatingForm(3, 1, [1.0, bad, 0.0])
 
 
 def test_scalar_and_top_forms_have_one_coefficient():

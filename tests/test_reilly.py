@@ -239,6 +239,26 @@ def test_derivative_formulas_df_and_zero():
     assert z1 == 0.0 and z2 == 0.0
 
 
+def test_nan_residuals_are_reported_as_nan():
+    # a point at the sphere's centre has no normal: the residuals are NaN, not 0
+    centre = [[0.0, 0.0, 0.0]]
+    form = named_form_field("x2dx1")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        results = [
+            check_commutation(form, SPHERE, centre, method="analytic"),
+            check_commutation(form, SPHERE, np.vstack([POINTS, centre])),
+            check_derivative_formulas(form, SPHERE, centre),
+            restriction_identity_residuals(AlternatingForm(3, 1, [1.0, 0.0, 0.0]), points=centre),
+        ]
+    for pair in results:
+        assert all(np.isnan(r) for r in pair), pair
+
+
+def test_commutation_method_validated_before_points():
+    with pytest.raises(ValueError):
+        check_commutation(named_form_field("x2dx1"), SPHERE, np.empty((0, 3)), method="bogus")
+
+
 def test_restriction_identities_unit_sphere():
     for degree in (1, 2):
         from math import comb
