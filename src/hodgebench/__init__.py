@@ -45,10 +45,8 @@ from .spectrum import (
     SolverError,
     SpectrumReport,
     assemble_dec,
+    spectrum,
     sphere_hodge_oracle,
-    spectrum_functions,
-    spectrum_one_forms,
-    spectrum_two_forms,
 )
 from .fields import FormField, ScalarField, named_form_field, named_scalar_field
 from .reilly import (

@@ -18,7 +18,7 @@ from .curvature import lowest_p_curvature_global
 from .exterior import AlternatingForm
 from .meshes import MeshComplex, discrete_shape, generate_ellipsoid
 from .reilly import restriction_identity_residuals
-from .spectrum import sphere_hodge_oracle, spectrum_functions
+from .spectrum import spectrum, sphere_hodge_oracle
 
 __all__ = [
     "BoundVerdict",
@@ -37,6 +37,7 @@ __all__ = [
 
 ANALYTIC_TOL = 1e-12
 MESH_TOL = 3e-2
+SPECTRUM_K = 8  # function eigenvalues solved for a mesh case
 
 
 @dataclass
@@ -130,7 +131,6 @@ class GeometryCase:
         radius: float | None = None,
         mesh: MeshComplex | None = None,
         label: str = "",
-        spectrum_k: int = 8,
     ):
         if kind not in ("analytic-sphere", "mesh-surface"):
             raise ValueError(f"unknown case kind {kind!r}")
@@ -139,7 +139,6 @@ class GeometryCase:
         self.radius = radius
         self.mesh = mesh
         self.label = label or kind
-        self.spectrum_k = spectrum_k
         self.ambient_w_nonneg = True  # flat Euclidean interiors throughout
         self._shape = None
         self._spectrum0 = None
@@ -152,7 +151,7 @@ class GeometryCase:
         )
 
     @classmethod
-    def from_surface_mesh(cls, mesh: MeshComplex, label: str = "", spectrum_k: int = 8):
+    def from_surface_mesh(cls, mesh: MeshComplex, label: str = ""):
         if mesh.kind != "surface":
             raise ValueError("mesh case needs a surface mesh")
         return cls(
@@ -160,15 +159,12 @@ class GeometryCase:
             2,
             mesh=mesh,
             label=label or mesh.metadata.get("generator", "mesh"),
-            spectrum_k=spectrum_k,
         )
 
     @classmethod
-    def ellipsoid(cls, a, b, c, subdivisions: int = 3, spectrum_k: int = 8):
+    def ellipsoid(cls, a, b, c, subdivisions: int = 3):
         mesh = generate_ellipsoid(a, b, c, subdivisions)
-        return cls.from_surface_mesh(
-            mesh, label=f"ellipsoid({a:g},{b:g},{c:g}; s={subdivisions})", spectrum_k=spectrum_k
-        )
+        return cls.from_surface_mesh(mesh, label=f"ellipsoid({a:g},{b:g},{c:g}; s={subdivisions})")
 
     # data --------------------------------------------------------------
     @property
@@ -193,7 +189,7 @@ class GeometryCase:
 
     def spectrum0(self):
         if self._spectrum0 is None:
-            self._spectrum0 = spectrum_functions(self.mesh, self.spectrum_k)
+            self._spectrum0 = spectrum(self.mesh, 0, SPECTRUM_K)
         return self._spectrum0
 
     def sigma(self, p: int) -> float:
@@ -426,6 +422,8 @@ def equality_case_diagnostics(
     else:
         tol = tol if tol is not None else ANALYTIC_TOL
         n = int(ball) if n is None else n
+        if not 1 <= p <= n:
+            raise ValueError(f"p={p} out of range 1..{n}")
         r = radius
         ratio = (n + 1) / r
         sigma_sum = p / r + (n - p + 1) / r

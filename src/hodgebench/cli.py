@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -51,12 +51,7 @@ from .meshes import (
     load_mesh,
 )
 from .reilly import evaluate_classical_reilly, evaluate_reilly
-from .spectrum import (
-    SolverError,
-    spectrum_functions,
-    spectrum_one_forms,
-    spectrum_two_forms,
-)
+from .spectrum import SolverError, spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -153,12 +148,7 @@ def _write_csv(path, header, rows, cfg):
 def cmd_spectrum(cfg: RunConfig) -> int:
     mesh = _resolve_mesh(cfg)
     degree = cfg.p if cfg.p is not None else 0
-    solver = {0: spectrum_functions, 1: spectrum_one_forms, 2: spectrum_two_forms}
-    if degree not in solver:
-        raise ValueError("spectrum degree must be 0, 1 or 2")
-    report = solver[degree](
-        mesh, cfg.k, cluster_tol=cfg.cluster_tol, strict=cfg.strict_dec
-    )
+    report = spectrum(mesh, degree, cfg.k, cluster_tol=cfg.cluster_tol, strict=cfg.strict_dec)
     report.to_json(_out_path(cfg, "spectrum.json"), extra=_stamp(cfg))
     report.to_csv(_out_path(cfg, "spectrum.csv"))
     first = report.clusters[0] if report.clusters else (float("nan"), 0)
@@ -366,21 +356,9 @@ def main(argv=None) -> int:
             flag = "--" + key.replace("_", "-")
             if flag not in argv and hasattr(args, dest):
                 setattr(args, dest, value)
+    # options a subcommand does not define keep the RunConfig defaults
     cfg = RunConfig(
-        command=args.command,
-        geometry=getattr(args, "geometry", None),
-        mesh=getattr(args, "mesh", None),
-        p=getattr(args, "p", None),
-        k=getattr(args, "k", 10),
-        levels=getattr(args, "levels", "3"),
-        field=getattr(args, "field", "linear-x1"),
-        order=getattr(args, "order", 2),
-        tol=getattr(args, "tol", None),
-        out=getattr(args, "out", "."),
-        suite=getattr(args, "suite", None),
-        theorem=getattr(args, "theorem", "all"),
-        strict_dec=getattr(args, "strict_dec", False),
-        cluster_tol=getattr(args, "cluster_tol", 1e-3),
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
     try:
         if cfg.command == "spectrum":

@@ -196,9 +196,24 @@ class MeshComplex:
             raise MeshError("bad_topology", "genus requires a connected surface")
         return (2 - chi) // 2
 
+    def betti_numbers(self) -> tuple:
+        """(b0, b1, b2) of an orientable surface.
+
+        b2 counts the components without boundary edges; b1 follows from
+        the Euler characteristic b0 - b1 + b2.
+        """
+        from scipy.sparse.csgraph import connected_components
+
+        chi = self.euler_characteristic()
+        b0, labels = connected_components(_adjacency(self), directed=False)
+        f = self.cells
+        faces_per_edge = np.bincount(self.edge_ids(f, f[:, [1, 2, 0]]).ravel(), minlength=self.n_edges)
+        b2 = b0 - np.unique(labels[self.edges[faces_per_edge == 1, 0]]).size
+        return int(b0), int(b0 + b2 - chi), int(b2)
+
     def first_betti_number(self) -> int:
-        """b1 of a closed orientable surface (2*components - Euler char.)."""
-        return 2 * self.connected_components() - self.euler_characteristic()
+        """b1 of an orientable surface."""
+        return self.betti_numbers()[1]
 
     # ------------------------------------------------------------------
     # measures

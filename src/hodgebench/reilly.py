@@ -578,6 +578,17 @@ def _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h):
     return delta_t, d_v
 
 
+def _require_pointwise(surface) -> None:
+    """The surface checks evaluate normals, shapes and projections at any point."""
+    needed = ("normals", "shape_world", "project")
+    missing = [name for name in needed if not callable(getattr(surface, name, None))]
+    if missing:
+        raise ValueError(
+            f"the surface checks need normals, shape_world and project (as on "
+            f"SphereSurface); {type(surface).__name__} has no {', '.join(missing)}"
+        )
+
+
 def _max_norm(diff) -> float:
     # np.max propagates NaN; 0.0 for zero points
     return float(np.max(np.linalg.norm(diff, axis=1), initial=0.0))
@@ -598,6 +609,7 @@ def check_derivative_formulas(
     compared against  J*(grad_X w) + (S X)^* ^ i_N w  and
     i_N grad_X w - i_{S X} J* w.  Returns the max residual of each identity.
     """
+    _require_pointwise(surface)
     pts = np.atleast_2d(points)
     p = form.degree
     normals, shape = surface.normals(pts), surface.shape_world(pts)
@@ -634,6 +646,7 @@ def check_commutation(
     """
     if method not in ("fd", "analytic"):
         raise ValueError("method must be 'fd' or 'analytic'")
+    _require_pointwise(surface)
     pts = np.atleast_2d(points)
     p, dim = form.degree, form.dim
     normals, shape = surface.normals(pts), surface.shape_world(pts)

@@ -1,4 +1,4 @@
-"""Discrete exterior calculus Hodge Laplacian on closed triangle surfaces.
+"""Discrete exterior calculus Hodge Laplacian on triangle surfaces.
 
 Cochains live on vertices/edges/faces with signed incidence matrices as the
 exterior derivative and diagonal (circumcentric, cotangent-weighted) Hodge
@@ -27,13 +27,11 @@ __all__ = [
     "SpectrumReport",
     "SolverError",
     "assemble_dec",
-    "spectrum_functions",
-    "spectrum_one_forms",
-    "spectrum_two_forms",
+    "spectrum",
     "sphere_hodge_oracle",
 ]
 
-DENSE_CUTOFF = 3000  # unknowns below this solve densely, above via Lanczos
+CLAMP_FLOOR = 1e-10  # nonpositive Hodge weights are clamped to this (times the local scale)
 
 
 class SolverError(Exception):
@@ -87,7 +85,7 @@ class DecOperators:
         return (self.d1.T @ (self.star2 * x)) / self.star1
 
 
-def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1e-10) -> DecOperators:
+def assemble_dec(mesh: MeshComplex, strict: bool = False) -> DecOperators:
     """Assemble incidence matrices and circumcentric Hodge stars.
 
     Negative cotan weights (non-Delaunay edges) and negative circumcentric
@@ -158,7 +156,7 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
                 "nonpositive_weight", f"dual area of vertex {bad0[0]} is nonpositive"
             )
         star0 = star0.copy()
-        star0[bad0] = clamp_floor * bary[bad0]
+        star0[bad0] = CLAMP_FLOOR * bary[bad0]
         clamped0 = bad0.tolist()
     bad1 = np.flatnonzero(star1 <= 0)
     if bad1.size:
@@ -168,7 +166,7 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False, clamp_floor: float = 1
                 "nonpositive_weight", f"cotan weight of edge {e} is nonpositive"
             )
         star1 = star1.copy()
-        star1[bad1] = clamp_floor
+        star1[bad1] = CLAMP_FLOOR
         clamped1 = bad1.tolist()
 
     return DecOperators(
@@ -270,35 +268,26 @@ def _pencil_scale(a, b_diag) -> float:
     return float(np.median(a.diagonal() / b_diag))
 
 
-def _solve_pencil(
-    a: sparse.csr_matrix,
-    b_diag: np.ndarray,
-    k: int,
-    v0_seed: int = 7,
-    force_sparse: bool = False,
-):
+def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, clamped: bool):
     """k smallest eigenpairs of the symmetric pencil (A, diag(b)).
 
-    Dense below DENSE_CUTOFF unknowns, shift-invert Lanczos above.  Meshes
-    with clamped Hodge weights make diag(b) badly conditioned, which breaks
-    the dense Cholesky reduction; they are forced onto the shift-invert
-    path, where A - sigma*B stays SPD for sigma < 0.
+    A full spectrum (k >= n) is solved densely, anything less by
+    shift-invert Lanczos from a fixed start vector.  Clamped Hodge weights
+    make diag(b) badly conditioned, which breaks the dense Cholesky
+    reduction, so full spectra of clamped meshes are refused; on the
+    shift-invert path A - sigma*B stays SPD for sigma < 0.
     """
     n = a.shape[0]
-    k = min(k, n)
-    if n <= DENSE_CUTOFF and not force_sparse:
-        w, vecs = eigh(
-            a.toarray(), np.diag(b_diag), subset_by_index=(0, k - 1)
-        )
-        return w, vecs, "dense"
     if k >= n:
-        raise SolverError(
-            "full spectra of meshes with clamped Hodge weights are not "
-            "computable reliably; request k < number of unknowns"
-        )
+        if clamped:
+            raise SolverError(
+                "full spectra of meshes with clamped Hodge weights are not "
+                "computable reliably; request k < number of unknowns"
+            )
+        w, vecs = eigh(a.toarray(), np.diag(b_diag))
+        return w, vecs, "dense"
     sigma = -1e-2 * _pencil_scale(a, b_diag)
-    rng = np.random.default_rng(v0_seed)
-    v0 = rng.standard_normal(n)
+    v0 = np.random.default_rng(7).standard_normal(n)
     try:
         w, vecs = eigsh(
             a, k=k, M=sparse.diags(b_diag), sigma=sigma, which="LM", v0=v0
@@ -313,112 +302,56 @@ def _solve_pencil(
     return w[order], vecs[:, order], "shift-invert"
 
 
-def _zero_tol(a, b_diag) -> float:
-    return 1e-8 * _pencil_scale(a, b_diag)
+def _one_form_family(ops: DecOperators, x: np.ndarray) -> str:
+    """'exact' if the codifferential of x outweighs its differential."""
+    dx = ops.d1 @ x
+    d_norm = float(np.sqrt((ops.star2 * dx * dx).sum()))
+    cx = ops.codifferential_1(x)
+    c_norm = float(np.sqrt((ops.star0 * cx * cx).sum()))
+    return "exact" if d_norm <= c_norm else "coexact"
 
 
-def spectrum_functions(
+def spectrum(
     mesh: MeshComplex,
+    degree: int,
     k: int = 10,
     dec: DecOperators | None = None,
     cluster_tol: float = 1e-3,
     strict: bool = False,
 ) -> SpectrumReport:
-    """k smallest eigenvalues of the Laplacian on functions (0-forms).
+    """k smallest eigenvalues of the degree-p Hodge Laplacian, tagged by family.
 
-    Eigenvalue 0 appears with multiplicity equal to the number of connected
-    components; the nonzero eigenvalues form the coexact family (their
-    differentials are the exact 1-eigenforms).
+    Numerical zeros are harmonic.  Nonzero eigenvalues are coexact for
+    functions (their differentials are the exact 1-eigenforms) and exact for
+    2-forms; a 1-form eigenvector is classified by comparing the norms of
+    its discrete differential and codifferential.  The harmonic count must
+    equal the Betti number b_p of the surface (capped at k) and no
+    eigenvalue may lie below -zero_tol; otherwise the solve is not trusted
+    and SolverError is raised.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     ops = dec or assemble_dec(mesh, strict=strict)
-    a, b = ops.laplacian_matrices(0)
-    forced = bool(ops.clamped_star0 or ops.clamped_star1)
-    w, _, method = _solve_pencil(a, b, k, force_sparse=forced)
-    ztol = _zero_tol(a, b)
-    families = ["harmonic" if lam < ztol else "coexact" for lam in w]
+    a, b = ops.laplacian_matrices(degree)
+    clamped = bool(ops.clamped_star0 or ops.clamped_star1)
+    w, vecs, method = _solve_pencil(a, b, k, clamped)
     scale = _pencil_scale(a, b)
+    ztol = 1e-8 * scale
+    nonzero = ("coexact", None, "exact")[degree]
+    families = [
+        "harmonic" if lam < ztol else nonzero or _one_form_family(ops, vecs[:, i])
+        for i, lam in enumerate(w)
+    ]
+    betti = mesh.betti_numbers()[degree]
+    harmonic = families.count("harmonic")
+    if harmonic != min(betti, len(w)) or w[0] < -ztol:
+        raise SolverError(
+            f"degree-{degree} spectrum has {harmonic} harmonic eigenvalues "
+            f"(lowest {w[0]:.6g}, zero tolerance {ztol:.3g}) but b{degree} = {betti}"
+        )
     clusters, ids = _cluster(w, cluster_tol, 1e-6 * scale)
     return SpectrumReport(
-        degree=0,
-        eigenvalues=w,
-        families=families,
-        clusters=clusters,
-        cluster_ids=ids,
-        mesh_meta=mesh.report(),
-        zero_tol=ztol,
-        cluster_tol=cluster_tol,
-        method=method,
-    )
-
-
-def spectrum_one_forms(
-    mesh: MeshComplex,
-    k: int = 10,
-    dec: DecOperators | None = None,
-    cluster_tol: float = 1e-3,
-    strict: bool = False,
-) -> SpectrumReport:
-    """k smallest 1-form Hodge Laplacian eigenvalues, tagged exact/coexact.
-
-    Harmonic eigenvalues (numerical zeros) count the first Betti number of
-    a closed surface.  Each nonzero eigenvector is classified by comparing
-    the norms of its discrete differential and codifferential.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    ops = dec or assemble_dec(mesh, strict=strict)
-    a, b = ops.laplacian_matrices(1)
-    forced = bool(ops.clamped_star0 or ops.clamped_star1)
-    w, vecs, method = _solve_pencil(a, b, k, force_sparse=forced)
-    ztol = _zero_tol(a, b)
-    families = []
-    for i, lam in enumerate(w):
-        if lam < ztol:
-            families.append("harmonic")
-            continue
-        x = vecs[:, i]
-        dx = ops.d1 @ x
-        d_norm = float(np.sqrt((ops.star2 * dx * dx).sum()))
-        cx = ops.codifferential_1(x)
-        c_norm = float(np.sqrt((ops.star0 * cx * cx).sum()))
-        families.append("exact" if d_norm <= c_norm else "coexact")
-    scale = _pencil_scale(a, b)
-    clusters, ids = _cluster(w, cluster_tol, 1e-6 * scale)
-    return SpectrumReport(
-        degree=1,
-        eigenvalues=w,
-        families=families,
-        clusters=clusters,
-        cluster_ids=ids,
-        mesh_meta=mesh.report(),
-        zero_tol=ztol,
-        cluster_tol=cluster_tol,
-        method=method,
-    )
-
-
-def spectrum_two_forms(
-    mesh: MeshComplex,
-    k: int = 10,
-    dec: DecOperators | None = None,
-    cluster_tol: float = 1e-3,
-    strict: bool = False,
-) -> SpectrumReport:
-    """k smallest 2-form eigenvalues: the exact family plus harmonics."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    ops = dec or assemble_dec(mesh, strict=strict)
-    a, b = ops.laplacian_matrices(2)
-    forced = bool(ops.clamped_star0 or ops.clamped_star1)
-    w, _, method = _solve_pencil(a, b, k, force_sparse=forced)
-    ztol = _zero_tol(a, b)
-    families = ["harmonic" if lam < ztol else "exact" for lam in w]
-    scale = _pencil_scale(a, b)
-    clusters, ids = _cluster(w, cluster_tol, 1e-6 * scale)
-    return SpectrumReport(
-        degree=2,
+        degree=degree,
         eigenvalues=w,
         families=families,
         clusters=clusters,

@@ -39,9 +39,8 @@ from hodgebench.reilly import (
 )
 from hodgebench.spectrum import (
     assemble_dec,
+    spectrum,
     sphere_hodge_oracle,
-    spectrum_functions,
-    spectrum_one_forms,
 )
 
 RESIDUAL_FLOOR = 1e-10
@@ -102,12 +101,12 @@ def test_criterion_3_sphere_spectrum():
         mesh = generate_icosphere(4, 1.0)
         assert mesh.n_vertices == 2562
         dec = assemble_dec(mesh)
-        rep0 = spectrum_functions(mesh, 6, dec=dec)
+        rep0 = spectrum(mesh, 0, 6, dec=dec)
         lam1 = rep0.first_positive()
         assert abs(lam1 - 2.0) / 2.0 <= 0.02
         cluster = next(c for c in rep0.clusters if abs(c[0] - lam1) < 0.1)
         assert cluster[1] == 3
-        rep1 = spectrum_one_forms(mesh, 8, dec=dec)
+        rep1 = spectrum(mesh, 1, 8, dec=dec)
         lam1_exact = rep1.first_positive("exact")
         assert abs(lam1_exact - lam1) / lam1 <= 1e-8
         for n in range(1, 11):

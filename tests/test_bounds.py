@@ -203,6 +203,12 @@ def test_ball_diagnostics_analytic():
     assert report_r.satisfied
 
 
+def test_ball_diagnostics_analytic_p_range():
+    for p in (0, 4, 5):
+        with pytest.raises(ValueError, match=f"p={p} out of range 1..3"):
+            equality_case_diagnostics(3, p=p)
+
+
 def test_ball_diagnostics_mesh():
     report = equality_case_diagnostics(generate_ball(3), p=1)
     assert report.satisfied

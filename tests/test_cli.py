@@ -6,6 +6,7 @@ import pytest
 from hodgebench.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
     main,
@@ -53,6 +54,15 @@ def test_spectrum_torus_off_harmonics(tmp_path):
     assert code == EXIT_OK
     data = json.loads((tmp_path / "spectrum.json").read_text())
     assert data["families"].count("harmonic") == 2
+
+
+def test_spectrum_harmonic_count_mismatch_exit_code(tmp_path, capsys):
+    code = main(
+        ["spectrum", "--geometry", "torus:24,12", "--p", "2", "--k", "6", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_SOLVER
+    assert "harmonic" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
 
 
 def test_spectrum_invalid_mesh_exit_code(tmp_path, capsys):

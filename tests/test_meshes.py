@@ -113,6 +113,30 @@ def test_merge_components():
     assert both.first_betti_number() == 0
 
 
+def sphere_zone(keep):
+    """Open patch of icosphere(2): the faces whose centroid height passes keep."""
+    sphere = generate_icosphere(2, 1.0)
+    faces = sphere.cells[keep(sphere.vertices[sphere.cells].mean(axis=1)[:, 2])]
+    used, faces = np.unique(faces, return_inverse=True)
+    return MeshComplex(sphere.vertices[used], faces.reshape(-1, 3), require_closed=False)
+
+
+def test_betti_numbers_with_boundary():
+    cap = sphere_zone(lambda z: z > 0.2)
+    band = sphere_zone(lambda z: np.abs(z) < 0.4)
+    assert cap.betti_numbers() == (1, 0, 0)
+    assert band.betti_numbers() == (1, 1, 0)
+    assert band.first_betti_number() == 1
+    far = generate_icosphere(1, 1.0)
+    both = MeshComplex(
+        np.vstack([cap.vertices, far.vertices + 5.0]),
+        np.vstack([cap.cells, far.cells + cap.n_vertices]),
+        require_closed=False,
+    )
+    assert both.betti_numbers() == (2, 0, 1)
+    assert generate_torus(16, 8).betti_numbers() == (1, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # discrete shape operator
 

@@ -6,6 +6,7 @@ from hodgebench.exterior import AlternatingForm
 from hodgebench.fields import FormField, ScalarField, named_form_field, named_scalar_field
 from hodgebench.meshes import generate_ball
 from hodgebench.reilly import (
+    MeshBoundarySurface,
     SphereSurface,
     check_commutation,
     check_derivative_formulas,
@@ -257,6 +258,14 @@ def test_nan_residuals_are_reported_as_nan():
 def test_commutation_method_validated_before_points():
     with pytest.raises(ValueError):
         check_commutation(named_form_field("x2dx1"), SPHERE, np.empty((0, 3)), method="bogus")
+
+
+def test_surface_checks_reject_mesh_boundary_surface():
+    surface = MeshBoundarySurface(generate_ball(1))
+    form = named_form_field("x2dx1")
+    for check in (check_commutation, check_derivative_formulas):
+        with pytest.raises(ValueError, match="normals, shape_world and project"):
+            check(form, surface, POINTS)
 
 
 def test_restriction_identities_unit_sphere():

@@ -8,11 +8,10 @@ from hodgebench.meshes import MeshComplex, MeshError, generate_icosphere, genera
 from hodgebench.spectrum import (
     SolverError,
     assemble_dec,
+    spectrum,
     sphere_hodge_oracle,
-    spectrum_functions,
-    spectrum_one_forms,
-    spectrum_two_forms,
 )
+from test_meshes import sphere_zone
 
 
 def shifted_copy(mesh, offset):
@@ -64,7 +63,7 @@ def test_strict_mode_raises_on_torus():
 
 
 def test_sphere_lambda1_cluster():
-    rep = spectrum_functions(generate_icosphere(3, 1.0), 8)
+    rep = spectrum(generate_icosphere(3, 1.0), 0, 8)
     lam1 = rep.first_positive()
     assert abs(lam1 - 2.0) / 2.0 < 0.02
     cluster = rep.clusters[1]
@@ -73,20 +72,20 @@ def test_sphere_lambda1_cluster():
 
 
 def test_sphere_radius_scaling_law():
-    rep = spectrum_functions(generate_icosphere(3, 2.0), 4)
+    rep = spectrum(generate_icosphere(3, 2.0), 0, 4)
     assert abs(rep.first_positive() - 0.5) / 0.5 < 0.02
 
 
 def test_disjoint_spheres_zero_multiplicity():
     a = generate_icosphere(2, 1.0)
     both = merge_meshes(a, shifted_copy(a, [5.0, 0.0, 0.0]))
-    rep = spectrum_functions(both, 4)
+    rep = spectrum(both, 0, 4)
     assert rep.families[:2] == ["harmonic", "harmonic"]
     assert rep.count("harmonic") == 2
 
 
 def test_zero_eigenvalue_present():
-    rep = spectrum_functions(generate_icosphere(1, 1.0), 3)
+    rep = spectrum(generate_icosphere(1, 1.0), 0, 3)
     assert rep.eigenvalues[0] < rep.zero_tol
 
 
@@ -97,9 +96,9 @@ def test_zero_eigenvalue_present():
 def test_one_form_families_on_sphere():
     mesh = generate_icosphere(3, 1.0)
     dec = assemble_dec(mesh)
-    rep0 = spectrum_functions(mesh, 6, dec=dec)
-    rep1 = spectrum_one_forms(mesh, 8, dec=dec)
-    rep2 = spectrum_two_forms(mesh, 5, dec=dec)
+    rep0 = spectrum(mesh, 0, 6, dec=dec)
+    rep1 = spectrum(mesh, 1, 8, dec=dec)
+    rep2 = spectrum(mesh, 2, 5, dec=dec)
 
     # exact family duplicates the nonzero function spectrum
     lam0 = rep0.first_positive()
@@ -121,7 +120,7 @@ def test_one_form_families_on_sphere():
 
 
 def test_torus_harmonic_count():
-    rep = spectrum_one_forms(generate_torus(24, 12), 6)
+    rep = spectrum(generate_torus(24, 12), 1, 6)
     assert rep.count("harmonic") == 2
     assert rep.families[:2] == ["harmonic", "harmonic"]
     assert (rep.eigenvalues >= -1e-10).all()
@@ -132,13 +131,13 @@ def test_full_spectrum_family_counts():
     # add up to the edge count, with b1 harmonics
     for mesh, b1 in ((generate_icosphere(0, 1.0), 0), (generate_icosphere(1, 1.0), 0)):
         ne = mesh.n_edges
-        rep = spectrum_one_forms(mesh, ne)
+        rep = spectrum(mesh, 1, ne)
         assert len(rep.eigenvalues) == ne
         assert rep.count("harmonic") == b1
         assert rep.count("exact") + rep.count("coexact") == ne - b1
         # exact eigenvalues biject with nonzero function eigenvalues
         nv = mesh.n_vertices
-        rep0 = spectrum_functions(mesh, nv)
+        rep0 = spectrum(mesh, 0, nv)
         nonzero0 = [l for l, f in zip(rep0.eigenvalues, rep0.families) if f != "harmonic"]
         exact1 = [l for l, f in zip(rep.eigenvalues, rep.families) if f == "exact"]
         assert len(nonzero0) == len(exact1)
@@ -148,11 +147,42 @@ def test_full_spectrum_family_counts():
 def test_full_spectrum_of_clamped_mesh_rejected():
     torus = generate_torus(8, 6)
     with pytest.raises(SolverError):
-        spectrum_one_forms(torus, torus.n_edges)
+        spectrum(torus, 1, torus.n_edges)
+
+
+def test_full_spectrum_matches_shift_invert():
+    # k = n is the dense full spectrum, k = n - 1 goes through shift-invert
+    mesh = generate_icosphere(0, 1.0)
+    for degree, n in ((0, mesh.n_vertices), (1, mesh.n_edges), (2, mesh.n_cells)):
+        full = spectrum(mesh, degree, n)
+        part = spectrum(mesh, degree, n - 1)
+        assert (full.method, part.method) == ("dense", "shift-invert")
+        scale = np.abs(full.eigenvalues).max()
+        assert np.allclose(part.eigenvalues, full.eigenvalues[:-1], rtol=0, atol=1e-12 * scale)
+        assert part.count("harmonic") == full.count("harmonic")
+
+
+def test_open_band_harmonic_counts():
+    # a band has absolute Betti numbers (1, 1, 0); its spectra pass the self-check
+    band = sphere_zone(lambda z: np.abs(z) < 0.4)
+    counts = [spectrum(band, degree, 6).count("harmonic") for degree in (0, 1, 2)]
+    assert counts == [1, 1, 0]
+
+
+def test_wrong_harmonic_count_raises():
+    # the clamped (1e-10) and near-zero (<1e-15) cotan weights of this torus
+    # wreck its 2-form pencil: negative "harmonic" eigenvalues, not b2 = 1
+    with pytest.raises(SolverError, match="b2 = 1"):
+        spectrum(generate_torus(24, 12), 2, 6)
+
+
+def test_degree_out_of_range():
+    with pytest.raises(ValueError):
+        spectrum(generate_icosphere(1, 1.0), 3, 4)
 
 
 def test_lambda_1p_is_min_over_families():
-    rep = spectrum_one_forms(generate_icosphere(2, 1.0), 8)
+    rep = spectrum(generate_icosphere(2, 1.0), 1, 8)
     lam = rep.first_eigenvalue()
     assert lam == min(rep.first_positive("exact"), rep.first_positive("coexact"))
 
@@ -191,7 +221,7 @@ def test_sphere_oracle_range_errors():
 
 
 def test_report_serialization(tmp_path):
-    rep = spectrum_functions(generate_icosphere(1, 1.0), 5)
+    rep = spectrum(generate_icosphere(1, 1.0), 0, 5)
     jpath = tmp_path / "spec.json"
     cpath = tmp_path / "spec.csv"
     rep.to_json(jpath, extra={"note": "test"})
@@ -207,4 +237,4 @@ def test_report_serialization(tmp_path):
 
 def test_solver_error_on_bad_k():
     with pytest.raises(ValueError):
-        spectrum_functions(generate_icosphere(1, 1.0), 0)
+        spectrum(generate_icosphere(1, 1.0), 0, 0)
