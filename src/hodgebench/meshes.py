@@ -255,14 +255,17 @@ class MeshComplex:
                 "non_finite_vertices",
                 f"{bad.size} vertices have NaN or infinite coordinates (first: {bad[:5].tolist()})",
             )
+        if not self.cells.size:
+            raise MeshError("bad_format", "mesh has no cells")
         if self.cells.min() < 0 or self.cells.max() >= self.n_vertices:
             raise MeshError("bad_index", "cell index out of range")
         referenced = np.zeros(self.n_vertices, dtype=bool)
         referenced[self.cells.reshape(-1)] = True
         if self.kind == "solid" and self.boundary_faces is not None:
-            if self.boundary_faces.min() < 0 or self.boundary_faces.max() >= self.n_vertices:
+            bf = self.boundary_faces
+            if ((bf < 0) | (bf >= self.n_vertices)).any():
                 raise MeshError("bad_index", "boundary face index out of range")
-            referenced[self.boundary_faces.reshape(-1)] = True
+            referenced[bf.reshape(-1)] = True
         if not referenced.all():
             missing = np.flatnonzero(~referenced)
             raise MeshError(
@@ -607,14 +610,29 @@ def load_mesh(path, fmt: str | None = None) -> MeshComplex:
 
 
 def _content_lines(text):
+    """(line number, text) of every line left once comments are stripped."""
+    out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield i, line
+            out.append((i, line))
+    return out
+
+
+def _check_counts(counts, left, line) -> None:
+    """Refuse negative counts and counts the content lines left cannot hold,
+    before anything is allocated from them."""
+    if min(counts) < 0 or sum(counts) > left:
+        raise MeshError(
+            "parse",
+            f"counts {list(counts)} are negative or exceed the {left} lines that follow",
+            line,
+        )
 
 
 def _parse_off(text) -> MeshComplex:
-    lines = _content_lines(text)
+    content = _content_lines(text)
+    lines = iter(content)
     try:
         i, header = next(lines)
     except StopIteration:
@@ -626,22 +644,23 @@ def _parse_off(text) -> MeshComplex:
         nv, nf, _ = (int(tok) for tok in counts.split()[:3])
     except (StopIteration, ValueError):
         raise MeshError("parse", "bad OFF count line", i) from None
+    _check_counts((nv, nf), len(content) - 2, i)
     verts = np.empty((nv, 3))
     for k in range(nv):
+        i, line = next(lines)
         try:
-            i, line = next(lines)
             verts[k] = [float(tok) for tok in line.split()[:3]]
-        except (StopIteration, ValueError):
+        except ValueError:
             raise MeshError("parse", f"bad vertex line {k}", i) from None
     faces = np.empty((nf, 3), dtype=np.int64)
     for k in range(nf):
+        i, line = next(lines)
         try:
-            i, line = next(lines)
             toks = line.split()
             if int(toks[0]) != 3:
                 raise MeshError("bad_format", "only triangular faces supported", i)
             faces[k] = [int(t) for t in toks[1:4]]
-        except (StopIteration, ValueError, IndexError):
+        except (ValueError, IndexError, OverflowError):
             raise MeshError("parse", f"bad face line {k}", i) from None
     return MeshComplex(verts, faces, metadata={"source": "off"})
 
@@ -672,7 +691,8 @@ def _parse_obj(text) -> MeshComplex:
 
 
 def _parse_tet(text) -> MeshComplex:
-    lines = _content_lines(text)
+    content = _content_lines(text)
+    lines = iter(content)
     try:
         i, header = next(lines)
     except StopIteration:
@@ -684,24 +704,24 @@ def _parse_tet(text) -> MeshComplex:
         nv, nt, nb = (int(tok) for tok in counts.split()[:3])
     except (StopIteration, ValueError):
         raise MeshError("parse", "bad count line", i) from None
+    _check_counts((nv, nt, nb), len(content) - 2, i)
 
     def read_block(count, width, caster, what):
-        out = []
-        last = i
+        out = np.empty((count, width), dtype=float if caster is float else np.int64)
         for k in range(count):
+            last, line = next(lines)
             try:
-                last, line = next(lines)
                 toks = line.split()
                 if len(toks) < width:
                     raise ValueError
-                out.append([caster(t) for t in toks[:width]])
-            except (StopIteration, ValueError):
+                out[k] = [caster(t) for t in toks[:width]]
+            except (ValueError, OverflowError):
                 raise MeshError("parse", f"bad {what} line {k}", last) from None
         return out
 
-    verts = np.asarray(read_block(nv, 3, float, "vertex"))
-    tets = np.asarray(read_block(nt, 4, int, "tet"), dtype=np.int64)
-    bnd = np.asarray(read_block(nb, 3, int, "boundary"), dtype=np.int64)
+    verts = read_block(nv, 3, float, "vertex")
+    tets = read_block(nt, 4, int, "tet")
+    bnd = read_block(nb, 3, int, "boundary")
     return MeshComplex(verts, tets, boundary_faces=bnd, metadata={"source": "tet"})
 
 

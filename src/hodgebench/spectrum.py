@@ -17,8 +17,8 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .meshes import MeshComplex, MeshError
 
@@ -32,10 +32,16 @@ __all__ = [
 ]
 
 CLAMP_FLOOR = 1e-10  # nonpositive Hodge weights are clamped to this (times the local scale)
+# Relative to the pencil scale: eigenvalues below ZERO_TOL are harmonic, and
+# an eigenpair residual above it fails the solve, as it could move an
+# eigenvalue across that line.  Residuals of valid Lanczos pairs are about
+# 1e-15, but reach 3.1e-10 where k cuts a degenerate cluster of a small mesh
+# (icosphere(1), degree 0, k=3) and 2.3e-9 on rotated, relabelled copies.
+ZERO_TOL = 1e-8
 
 
 class SolverError(Exception):
-    """Eigensolver failed to converge; carries the residual information."""
+    """Eigensolve failed or its result failed a self-check; carries residuals."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -268,14 +274,17 @@ def _pencil_scale(a, b_diag) -> float:
     return float(np.median(a.diagonal() / b_diag))
 
 
-def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, clamped: bool):
+def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, clamped: bool, scale: float):
     """k smallest eigenpairs of the symmetric pencil (A, diag(b)).
 
     A full spectrum (k >= n) is solved densely, anything less by
-    shift-invert Lanczos from a fixed start vector.  Clamped Hodge weights
-    make diag(b) badly conditioned, which breaks the dense Cholesky
-    reduction, so full spectra of clamped meshes are refused; on the
-    shift-invert path A - sigma*B stays SPD for sigma < 0.
+    shift-invert Lanczos from a fixed start vector, with A - sigma*B
+    factorized once by SuperLU and sigma = -1e-4*scale just below the
+    spectrum.  Clamped Hodge weights make diag(b) badly conditioned, which
+    breaks the dense Cholesky reduction, so full spectra of clamped meshes
+    are refused; on the shift-invert path A - sigma*B stays SPD for
+    sigma < 0.  Every eigenpair must satisfy
+    ||A x - lambda b*x|| <= ZERO_TOL * scale * ||b*x||, else SolverError.
     """
     n = a.shape[0]
     if k >= n:
@@ -284,22 +293,47 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, clamped: boo
                 "full spectra of meshes with clamped Hodge weights are not "
                 "computable reliably; request k < number of unknowns"
             )
-        w, vecs = eigh(a.toarray(), np.diag(b_diag))
-        return w, vecs, "dense"
-    sigma = -1e-2 * _pencil_scale(a, b_diag)
-    v0 = np.random.default_rng(7).standard_normal(n)
-    try:
-        w, vecs = eigsh(
-            a, k=k, M=sparse.diags(b_diag), sigma=sigma, which="LM", v0=v0
-        )
-    except ArpackNoConvergence as exc:
-        got = np.asarray(exc.eigenvalues)
+        try:
+            w, vecs = eigh(a.toarray(), np.diag(b_diag))
+        except LinAlgError as exc:
+            raise SolverError(f"dense eigensolve failed: {exc}") from exc
+        method = "dense"
+    else:
+        sigma = -1e-4 * scale
+        m = sparse.diags(b_diag)
+        try:
+            lu = splu((a - sigma * m).tocsc(), options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverError(f"factorization of A - sigma*B failed: {exc}") from exc
+        v0 = np.random.default_rng(7).standard_normal(n)
+        try:
+            w, vecs = eigsh(
+                a,
+                k=k,
+                M=m,
+                sigma=sigma,
+                which="LM",
+                v0=v0,
+                OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            )
+        except ArpackNoConvergence as exc:
+            got = np.asarray(exc.eigenvalues)
+            raise SolverError(
+                f"Lanczos converged only {got.size}/{k} eigenvalues",
+                residuals={"converged": got.tolist()},
+            ) from exc
+        order = np.argsort(w)
+        w, vecs, method = w[order], vecs[:, order], "shift-invert"
+    bx = b_diag[:, None] * vecs
+    r = float(
+        np.max(np.linalg.norm(a @ vecs - w * bx, axis=0) / (scale * np.linalg.norm(bx, axis=0)))
+    )
+    if not r <= ZERO_TOL:
         raise SolverError(
-            f"Lanczos converged only {got.size}/{k} eigenvalues",
-            residuals={"converged": got.tolist()},
-        ) from exc
-    order = np.argsort(w)
-    return w[order], vecs[:, order], "shift-invert"
+            f"{method} eigenpairs have relative residual {r:.3g} > {ZERO_TOL:g}",
+            residuals={"max_rel_residual": r},
+        )
+    return w, vecs, method
 
 
 def _one_form_family(ops: DecOperators, x: np.ndarray) -> str:
@@ -334,9 +368,9 @@ def spectrum(
     ops = dec or assemble_dec(mesh, strict=strict)
     a, b = ops.laplacian_matrices(degree)
     clamped = bool(ops.clamped_star0 or ops.clamped_star1)
-    w, vecs, method = _solve_pencil(a, b, k, clamped)
     scale = _pencil_scale(a, b)
-    ztol = 1e-8 * scale
+    w, vecs, method = _solve_pencil(a, b, k, clamped, scale)
+    ztol = ZERO_TOL * scale
     nonzero = ("coexact", None, "exact")[degree]
     families = [
         "harmonic" if lam < ztol else nonzero or _one_form_family(ops, vecs[:, i])

@@ -318,6 +318,27 @@ def test_tet_parse_error_line(tmp_path):
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["OFF\n-1 2 0\n", "OFF\n99999999999 1 0\n", "OFF\n8 12 0\n0 0 0\n", "tetmesh\n1 -4 0\n0 0 0\n"],
+)
+def test_counts_checked_before_allocation(tmp_path, text):
+    path = tmp_path / ("bad.off" if text.startswith("OFF") else "bad.tet")
+    path.write_text(text)
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert err.value.code == "parse"
+    assert err.value.line == 2
+
+
+def test_mesh_without_cells_rejected(tmp_path):
+    path = tmp_path / "empty.off"
+    path.write_text("OFF\n0 0 0\n")
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert err.value.code == "bad_format"
+
+
 def test_report_and_json(tmp_path):
     mesh = generate_icosphere(1, 1.0)
     rep = mesh.report()

@@ -1,0 +1,96 @@
+"""Parser fuzz: malformed OFF and tet texts end in MeshError, never a traceback."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgebench.cli import EXIT_VALIDATION, main
+from hodgebench.meshes import MeshError, generate_icosphere, load_mesh
+
+# a single tet: 4 vertices, 1 tet, 4 outward boundary faces
+TET = """tetmesh
+4 1 4
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+0 1 2 3
+0 2 1
+0 1 3
+0 3 2
+1 2 3
+"""
+
+
+def _off_text():
+    mesh = generate_icosphere(0)
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_cells} 0"]
+    lines += [" ".join(repr(float(c)) for c in v) for v in mesh.vertices]
+    lines += ["3 " + " ".join(str(int(i)) for i in f) for f in mesh.cells]
+    return "\n".join(lines) + "\n"
+
+
+VALID = {"off": _off_text(), "tet": TET}
+BAD_TOKENS = ("nan", "NaN", "inf", "-inf", "Infinity")
+
+
+@st.composite
+def malformed(draw):
+    """(format, text) of a valid file broken in one way that no reading can repair."""
+    fmt = draw(st.sampled_from(sorted(VALID)))
+    text = VALID[fmt]
+    lines = text.splitlines()
+    counts = [int(t) for t in lines[1].split()]
+    needed = counts[:2] if fmt == "off" else counts
+    kind = draw(st.sampled_from(("truncate", "negative", "huge", "token")))
+    if kind == "truncate":
+        # cut anywhere before the last line starts: at least one line is lost
+        text = text[: draw(st.integers(0, text.rindex("\n", 0, len(text) - 1)))]
+    elif kind in ("negative", "huge"):
+        slot = draw(st.integers(0, len(needed) - 1))
+        left = len(lines) - 2
+        counts[slot] = (
+            draw(st.integers(-(10**30), -1))
+            if kind == "negative"
+            else draw(st.integers(left - sum(needed) + needed[slot] + 1, 10**30))
+        )
+        lines[1] = " ".join(map(str, counts))
+        text = "\n".join(lines) + "\n"
+    else:
+        # nan/inf in a count, a coordinate or an index
+        row = draw(st.integers(1, len(lines) - 1))
+        toks = lines[row].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        lines[row] = " ".join(toks)
+        text = "\n".join(lines) + "\n"
+    return fmt, text
+
+
+def test_fuzz_bases_are_valid(tmp_path):
+    for fmt, text in VALID.items():
+        path = tmp_path / f"ok.{fmt}"
+        path.write_text(text)
+        load_mesh(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=malformed())
+def test_malformed_text_raises_mesh_error(tmp_path_factory, case):
+    fmt, text = case
+    path = tmp_path_factory.mktemp("fuzz") / f"mesh.{fmt}"
+    path.write_text(text)
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    if err.value.code == "parse":
+        assert err.value.line is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=malformed())
+def test_malformed_text_exits_validation(tmp_path_factory, case):
+    fmt, text = case
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / f"mesh.{fmt}"
+    path.write_text(text)
+    code = main(["spectrum", "--mesh", str(path), "--out", str(root / "out")])
+    assert code == EXIT_VALIDATION

@@ -1,3 +1,4 @@
+import importlib
 import json
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 
 from hodgebench.meshes import MeshComplex, MeshError, generate_icosphere, generate_torus, merge_meshes
 from hodgebench.spectrum import (
+    ZERO_TOL,
     SolverError,
     assemble_dec,
     spectrum,
@@ -160,6 +162,53 @@ def test_full_spectrum_matches_shift_invert():
         scale = np.abs(full.eigenvalues).max()
         assert np.allclose(part.eigenvalues, full.eigenvalues[:-1], rtol=0, atol=1e-12 * scale)
         assert part.count("harmonic") == full.count("harmonic")
+
+
+@pytest.mark.parametrize(
+    "level, degree, k, multiplicities",
+    [(5, 2, 10, [1, 3, 5, 1]), (5, 0, 16, [1, 3, 5, 7]), (4, 1, 16, [3, 3, 5, 5])],
+)
+def test_shift_invert_finds_full_multiplicities(level, degree, k, multiplicities):
+    # a far shift once lost one of the five copies of lambda ~ 6 on
+    # icosphere(5) 2-forms, depending on the BLAS thread count
+    rep = spectrum(generate_icosphere(level, 1.0), degree, k)
+    assert [m for _, m in rep.clusters] == multiplicities
+
+
+def test_singular_factorization_is_solver_error():
+    # all-zero cotan weights: A = 0, so the shift is 0 and A - sigma*B is singular
+    mesh = generate_icosphere(1, 1.0)
+    dec = assemble_dec(mesh)
+    dec.star1 = np.zeros_like(dec.star1)
+    with pytest.raises(SolverError, match="Factor is exactly singular"):
+        spectrum(mesh, 0, 4, dec=dec)
+
+
+def test_dense_linalg_error_is_solver_error():
+    mesh = generate_icosphere(1, 1.0)
+    dec = assemble_dec(mesh)
+    dec.star0 = dec.star0.copy()
+    dec.star0[0] = -1.0
+    with pytest.raises(SolverError, match="not positive definite"):
+        spectrum(mesh, 0, mesh.n_vertices, dec=dec)
+
+
+@pytest.mark.parametrize("solver, k", [("eigsh", 6), ("eigh", 42)])
+def test_inaccurate_eigenpairs_rejected(monkeypatch, solver, k):
+    # perturbed eigenvectors stand in for a solver that returns bad pairs
+    module = importlib.import_module("hodgebench.spectrum")
+    real = getattr(module, solver)
+
+    def noisy(*args, **kwargs):
+        w, vecs = real(*args, **kwargs)
+        return w, vecs + 1e-6 * np.random.default_rng(0).standard_normal(vecs.shape)
+
+    monkeypatch.setattr(module, solver, noisy)
+    mesh = generate_icosphere(1, 1.0)
+    assert mesh.n_vertices == 42
+    with pytest.raises(SolverError, match="relative residual") as err:
+        spectrum(mesh, 0, k)
+    assert err.value.residuals["max_rel_residual"] > ZERO_TOL
 
 
 def test_open_band_harmonic_counts():
