@@ -76,7 +76,6 @@ class RunConfig:
     out: str = "."
     suite: str | None = None
     theorem: str = "all"
-    strict_dec: bool = False
     cluster_tol: float = 1e-3
 
     def to_dict(self):
@@ -148,7 +147,7 @@ def _write_csv(path, header, rows, cfg):
 def cmd_spectrum(cfg: RunConfig) -> int:
     mesh = _resolve_mesh(cfg)
     degree = cfg.p if cfg.p is not None else 0
-    report = spectrum(mesh, degree, cfg.k, cluster_tol=cfg.cluster_tol, strict=cfg.strict_dec)
+    report = spectrum(mesh, degree, cfg.k, cluster_tol=cfg.cluster_tol)
     report.to_json(_out_path(cfg, "spectrum.json"), extra=_stamp(cfg))
     report.to_csv(_out_path(cfg, "spectrum.csv"))
     first = report.clusters[0] if report.clusters else (float("nan"), 0)
@@ -324,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=0, choices=(0, 1, 2), help="form degree")
     sp.add_argument("--k", type=int, default=10, help="number of eigenvalues")
     sp.add_argument("--cluster-tol", type=float, default=1e-3, dest="cluster_tol")
-    sp.add_argument("--strict-dec", action="store_true", dest="strict_dec",
-                    help="error out on nonpositive Hodge weights instead of clamping")
 
     sp = sub.add_parser("reilly", help="energy-identity ledgers over refinement levels")
     common(sp)

@@ -153,13 +153,6 @@ class ShapeData:
     def dim(self) -> int:
         return self.principal.size
 
-    def p_curvatures(self, p: int) -> np.ndarray:
-        return p_curvature_list(self.principal, p)
-
-    def norm_sq(self) -> float:
-        """Squared Frobenius norm of the shape operator, sum of eta^2."""
-        return float((self.principal**2).sum())
-
 
 class CurvatureTerm:
     """Closed enumeration of supported ambient curvature terms.
@@ -200,9 +193,6 @@ class CurvatureTerm:
                 "locally-conformally-flat term only acts in the middle degree"
             )
         return bourguignon_w(self.value, ambient_dim // 2)
-
-    def is_exact(self) -> bool:
-        return self.kind != "gallot_meyer_lower_bound"
 
     def __repr__(self):
         return f"CurvatureTerm({self.kind}, {self.value})"

@@ -43,8 +43,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .curvature import ShapeData
-
 __all__ = [
     "MeshComplex",
     "MeshError",
@@ -672,8 +670,10 @@ def _parse_obj(text) -> MeshComplex:
         toks = line.split()
         if toks[0] == "v":
             try:
+                if len(toks) < 4:
+                    raise ValueError
                 verts.append([float(t) for t in toks[1:4]])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise MeshError("parse", "bad vertex line", i) from None
         elif toks[0] == "f":
             refs = toks[1:]
@@ -681,13 +681,13 @@ def _parse_obj(text) -> MeshComplex:
                 raise MeshError("bad_format", "only triangular faces supported", i)
             try:
                 # "f 1/uv/nrm 2 3" -> geometry index before the first slash
-                faces.append([int(r.split("/")[0]) - 1 for r in refs])
-            except ValueError:
+                faces.append(np.array([int(r.split("/")[0]) - 1 for r in refs], dtype=np.int64))
+            except (ValueError, OverflowError):
                 raise MeshError("parse", "bad face line", i) from None
         # all other directives (vt, vn, usemtl, ...) are ignored
     if not verts or not faces:
         raise MeshError("parse", "no geometry found in OBJ", 1)
-    return MeshComplex(np.asarray(verts), np.asarray(faces, dtype=np.int64), metadata={"source": "obj"})
+    return MeshComplex(np.asarray(verts), np.asarray(faces), metadata={"source": "obj"})
 
 
 def _parse_tet(text) -> MeshComplex:
@@ -759,19 +759,6 @@ class DiscreteShape:
     principal: np.ndarray  # (V, 2) ascending
     mean: np.ndarray  # (V,)
     areas: np.ndarray  # (V,) barycentric vertex areas
-
-    def shape_data(self, vertex: int) -> ShapeData:
-        return ShapeData(
-            principal=self.principal[vertex], shape_matrix=self.shape[vertex]
-        )
-
-    def iter_shape_data(self):
-        for v in range(self.principal.shape[0]):
-            yield self.shape_data(v)
-
-    def integral_shape_norm_sq(self) -> float:
-        """Area-weighted integral of |S|^2 over the surface."""
-        return float((self.areas * (self.principal**2).sum(axis=1)).sum())
 
 
 def _vertex_rings(mesh: MeshComplex, depth: int = 2, min_size: int = 8):
@@ -921,9 +908,5 @@ def ellipsoid_principal_curvatures(points, semi_axes) -> np.ndarray:
     evals = np.linalg.eigvalsh(s)
     # one eigenvalue is exactly zero (the normal direction); drop the one
     # with smallest magnitude
-    idx = np.argmin(np.abs(evals), axis=1)
-    out = np.empty((len(evals), 2))
-    for m, i in enumerate(idx):
-        keep = [j for j in range(3) if j != i]
-        out[m] = np.sort(evals[m, keep])
-    return out
+    keep = np.array([[1, 2], [0, 2], [0, 1]])[np.argmin(np.abs(evals), axis=1)]
+    return np.sort(np.take_along_axis(evals, keep, axis=1), axis=1)

@@ -484,8 +484,10 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface, h):
             normals_v = surface.normals(surf.vertices)
         else:
             normals_v = discrete_shape(surf).normals
+    # cochains live on the intrinsic Delaunay complex; flipped edges and
+    # faces are sampled on the chords and flat triangles of their vertices
     ops = assemble_dec(surf)
-    edges = surf.edges
+    edges = ops.edges
     mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
     if getattr(surface, "analytic", False):
         n_mid = surface.normals(mids)
@@ -507,7 +509,7 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface, h):
 
     # p == 2: edge cochain of the normal part, face cochain of the restriction
     b = np.einsum("ek,ek->e", v_mid, edge_vec)
-    f = surf.cells
+    f = ops.faces
     centroids = surf.vertices[f].mean(axis=1)
     if getattr(surface, "analytic", False):
         n_cent = surface.normals(centroids)

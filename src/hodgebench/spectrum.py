@@ -1,8 +1,10 @@
 """Discrete exterior calculus Hodge Laplacian on triangle surfaces.
 
-Cochains live on vertices/edges/faces with signed incidence matrices as the
-exterior derivative and diagonal (circumcentric, cotangent-weighted) Hodge
-stars.  The degree-0 Laplacian is the classical cotan Laplacian; degree-1
+Cochains live on the vertices, edges and faces of the surface's intrinsic
+Delaunay triangulation (IDT), with signed incidence matrices as the exterior
+derivative and diagonal (circumcentric, cotangent-weighted) Hodge stars,
+which the IDT makes nonnegative.  The degree-0 Laplacian is the classical
+cotan Laplacian of the IDT (Bobenko & Springborn, DCG 2007); degree-1
 and degree-2 Laplacians come from the same operators, and the nonzero
 1-form spectrum splits into the exact family (shared with functions) and
 the coexact family (shared with 2-forms).
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
+from math import comb, hypot, sqrt
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +33,11 @@ __all__ = [
     "sphere_hodge_oracle",
 ]
 
-CLAMP_FLOOR = 1e-10  # nonpositive Hodge weights are clamped to this (times the local scale)
+# An interior edge is flipped while its cotan weight is below -FLIP_TOL times
+# the median weight magnitude of the input.  The diagonals of cocircular
+# quads (torus grid cells) have weights of about +-1e-16 of that scale,
+# which no flip improves; the tolerance leaves them where they are.
+FLIP_TOL = 1e-12
 # Relative to the pencil scale: eigenvalues below ZERO_TOL are harmonic, and
 # an eigenpair residual above it fails the solve, as it could move an
 # eigenvalue across that line.  Residuals of valid Lanczos pairs are about
@@ -50,7 +56,14 @@ class SolverError(Exception):
 
 @dataclass
 class DecOperators:
-    """Signed incidence matrices and diagonal Hodge stars of a surface mesh."""
+    """Signed incidence matrices and diagonal Hodge stars of a surface mesh,
+    built on its intrinsic Delaunay triangulation (IDT).
+
+    ``edges`` and ``faces`` are the IDT's own tables: the rows of ``d0`` and
+    ``d1``.  They equal ``mesh.edges`` and ``mesh.cells`` unless an edge was
+    flipped; a flipped edge keeps its row but joins the two opposite
+    vertices of its quad, so a vertex pair may repeat.
+    """
 
     d0: sparse.csr_matrix  # (E, V)
     d1: sparse.csr_matrix  # (F, E)
@@ -58,8 +71,8 @@ class DecOperators:
     star1: np.ndarray  # (E,) dual/primal length ratios
     star2: np.ndarray  # (F,) inverse face areas
     mesh: MeshComplex
-    clamped_star0: list = field(default_factory=list)
-    clamped_star1: list = field(default_factory=list)
+    edges: np.ndarray  # (E, 2) vertex pairs, i <= j
+    faces: np.ndarray  # (F, 3) counter-clockwise vertex triples
 
     def laplacian_matrices(self, degree: int):
         """Stiffness/mass pair (A, B) of the degree-p Hodge Laplacian.
@@ -77,6 +90,12 @@ class DecOperators:
             a = s1 @ self.d0 @ inv0 @ self.d0.T @ s1 + self.d1.T @ s2 @ self.d1
             return a.tocsr(), self.star1
         if degree == 2:
+            zero = int((self.star1 <= FLIP_TOL * np.median(np.abs(self.star1))).sum())
+            if zero:
+                raise SolverError(
+                    f"the degree-2 pencil divides by the cotan weights, and {zero} of them "
+                    "are zero to rounding (cocircular quads)"
+                )
             inv1 = sparse.diags(1.0 / self.star1)
             a = s2 @ self.d1 @ inv1 @ self.d1.T @ s2
             return a.tocsr(), self.star2
@@ -91,34 +110,124 @@ class DecOperators:
         return (self.d1.T @ (self.star2 * x)) / self.star1
 
 
-def assemble_dec(mesh: MeshComplex, strict: bool = False) -> DecOperators:
-    """Assemble incidence matrices and circumcentric Hodge stars.
+def _cotan_weights(face_edges, cots, ne) -> np.ndarray:
+    """Half the sum of the cotangents opposite each edge."""
+    w = np.zeros(ne)
+    for corner in range(3):
+        np.add.at(w, face_edges[:, (corner + 1) % 3], 0.5 * cots[:, corner])
+    return w
 
-    Negative cotan weights (non-Delaunay edges) and negative circumcentric
-    dual areas (obtuse triangles) are clamped to a small positive floor of
-    the local scale; with ``strict=True`` they raise instead, naming the
-    offending simplex.
+
+def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, start, tol):
+    """Flip interior edges with cotan weight below -tol, starting from the
+    edges ``start``, until none is left.
+
+    Works in place on the edge and face tables (side k of face t runs from
+    corner k to corner k + 1 and is edge ``face_edges[t, k]``; ``cots`` and
+    ``lengths_sq`` are per corner, the latter of the opposite side).  A
+    flipped edge keeps its id and joins the two opposite vertices; its
+    length comes from the quad laid flat in the plane, and the two new
+    faces get cotangents and areas from their side lengths alone.  This is
+    the edge-flip algorithm of Bobenko & Springborn (DCG 2007), which ends
+    in the intrinsic Delaunay triangulation.
+    """
+    # halves[e]: the slots 3*face + side of edge e
+    per_edge = np.bincount(face_edges.reshape(-1), minlength=len(edges))
+    slots = np.argsort(face_edges.reshape(-1), kind="stable").tolist()
+    ends = np.cumsum(per_edge).tolist()
+    halves = [slots[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    length = np.sqrt(lengths_sq)  # per corner, of the opposite side
+    elen = np.zeros(len(edges))
+    for corner in range(3):
+        elen[face_edges[:, (corner + 1) % 3]] = length[:, corner]
+    ev, fv, fe, fs = edges.tolist(), f.tolist(), face_edges.tolist(), signs.tolist()
+    ct, lsq, ar, el = cots.tolist(), lengths_sq.tolist(), areas.tolist(), elen.tolist()
+
+    def weight(e):
+        return 0.5 * sum(ct[h // 3][(h % 3 + 2) % 3] for h in halves[e])
+
+    stack = start[::-1]
+    queued = set(stack)
+    while stack:
+        e = stack.pop()
+        queued.discard(e)
+        if len(halves[e]) != 2 or weight(e) >= -tol:
+            continue
+        h1, h2 = halves[e]
+        t1, k1, t2, k2 = h1 // 3, h1 % 3, h2 // 3, h2 % 3
+        if t1 == t2:
+            continue  # both sides in one face: no quad to flip
+        a, b, c = fv[t1][k1], fv[t1][(k1 + 1) % 3], fv[t1][(k1 + 2) % 3]
+        d = fv[t2][(k2 + 2) % 3]
+        e_bc, e_ca = fe[t1][(k1 + 1) % 3], fe[t1][(k1 + 2) % 3]
+        e_ad, e_db = fe[t2][(k2 + 1) % 3], fe[t2][(k2 + 2) % 3]
+        s_bc, s_ca = fs[t1][(k1 + 1) % 3], fs[t1][(k1 + 2) % 3]
+        s_ad, s_db = fs[t2][(k2 + 1) % 3], fs[t2][(k2 + 2) % 3]
+        # the quad a-d-b-c laid flat with a at the origin and b on the +x axis;
+        # c above (face t1) and d below (face t2)
+        ab = el[e]
+        xc = (ab * ab + el[e_ca] ** 2 - el[e_bc] ** 2) / (2.0 * ab)
+        xd = (ab * ab + el[e_ad] ** 2 - el[e_db] ** 2) / (2.0 * ab)
+        yc, yd = 2.0 * ar[t1] / ab, 2.0 * ar[t2] / ab
+        el[e] = hypot(xc - xd, yc + yd)
+        # new faces (c, a, d) and (d, b, c); side 2 of each is the new edge
+        s_cd = 1.0 if c <= d else -1.0
+        ev[e] = [min(c, d), max(c, d)]
+        fv[t1], fe[t1], fs[t1] = [c, a, d], [e_ca, e_ad, e], [s_ca, s_ad, -s_cd]
+        fv[t2], fe[t2], fs[t2] = [d, b, c], [e_db, e_bc, e], [s_db, s_bc, s_cd]
+        # the four outer sides move to their slots in the new faces
+        for x, old, new in (
+            (e_ca, 3 * t1 + (k1 + 2) % 3, 3 * t1),
+            (e_ad, 3 * t2 + (k2 + 1) % 3, 3 * t1 + 1),
+            (e_db, 3 * t2 + (k2 + 2) % 3, 3 * t2),
+            (e_bc, 3 * t1 + (k1 + 1) % 3, 3 * t2 + 1),
+        ):
+            halves[x][halves[x].index(old)] = new
+        halves[e] = [3 * t1 + 2, 3 * t2 + 2]
+        for t in (t1, t2):
+            sides = [el[x] for x in fe[t]]
+            ar[t] = _heron(*sides)
+            for corner in range(3):
+                opp, adj1, adj2 = sides[(corner + 1) % 3], sides[(corner + 2) % 3], sides[corner]
+                lsq[t][corner] = opp * opp
+                ct[t][corner] = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (4.0 * ar[t])
+        for x in (e_bc, e_ca, e_ad, e_db):
+            if x not in queued:
+                queued.add(x)
+                stack.append(x)
+    edges[:], f[:], face_edges[:], signs[:] = ev, fv, fe, fs
+    cots[:], lengths_sq[:], areas[:] = ct, lsq, ar
+
+
+def _heron(a, b, c):
+    """Triangle area from side lengths (Kahan's rounding-stable form)."""
+    a, b, c = sorted((a, b, c), reverse=True)
+    return 0.25 * sqrt(max((a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)), 0.0))
+
+
+def assemble_dec(mesh: MeshComplex) -> DecOperators:
+    """Assemble incidence matrices and Hodge stars on the intrinsic Delaunay
+    triangulation (IDT) of the surface.
+
+    Every interior edge whose cotan weight is below -FLIP_TOL times the
+    median weight magnitude is flipped until none is left; the IDT's cotan
+    weights are then >= 0 and its circumcentric dual areas positive
+    (Bobenko & Springborn, DCG 2007).  Faces that no flip touches keep the
+    3-D cotangent expression, so a Delaunay mesh gets exactly the operators
+    of its own triangulation.  A boundary edge cannot be flipped: one whose
+    weight stays negative raises MeshError('nonpositive_weight').
     """
     if mesh.kind != "surface":
         raise MeshError("bad_kind", "DEC assembly requires a surface mesh")
     v = mesh.vertices
-    f = mesh.cells
-    edges = mesh.edges
+    f = mesh.cells.copy()
+    edges = mesh.edges.copy()
     nv, ne, nf = mesh.n_vertices, mesh.n_edges, mesh.n_cells
-
-    rows = np.repeat(np.arange(ne), 2)
-    cols = edges.reshape(-1)
-    vals = np.tile([-1.0, 1.0], ne)
-    d0 = sparse.csr_matrix((vals, (rows, cols)), shape=(ne, nv))
 
     # face edges ab, bc, ca; column k is opposite corner (k + 2) % 3
     heads = f[:, [1, 2, 0]]
     face_edges = mesh.edge_ids(f, heads)
     signs = np.where(f < heads, 1.0, -1.0)
-    d1 = sparse.csr_matrix(
-        (signs.reshape(-1), (np.repeat(np.arange(nf), 3), face_edges.reshape(-1))),
-        shape=(nf, ne),
-    )
 
     # cotangents of the three corner angles of every face
     cots = np.empty((nf, 3))
@@ -129,19 +238,39 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False) -> DecOperators:
         cross = np.linalg.norm(np.cross(e1, e2), axis=1)
         cots[:, corner] = np.einsum("ij,ij->i", e1, e2) / cross
 
-    _, face_areas = mesh.face_normals_areas()
-
-    star1 = np.zeros(ne)
-    for corner in range(3):
-        np.add.at(star1, face_edges[:, (corner + 1) % 3], 0.5 * cots[:, corner])
-
-    # circumcentric dual areas: per corner (|e_opp_j|^2 cot_j + |e_opp_k|^2 cot_k)/8
+    # squared length of the side opposite each corner
     lengths_sq = np.empty((nf, 3))
     for corner in range(3):
         lengths_sq[:, corner] = (
             np.linalg.norm(v[f[:, (corner + 1) % 3]] - v[f[:, (corner + 2) % 3]], axis=1)
             ** 2
         )
+    _, face_areas = mesh.face_normals_areas()
+
+    star1 = _cotan_weights(face_edges, cots, ne)
+    tol = FLIP_TOL * float(np.median(np.abs(star1)))
+    interior = np.bincount(face_edges.reshape(-1), minlength=ne) == 2
+    start = np.flatnonzero(interior & (star1 < -tol))
+    if start.size:
+        _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, face_areas, start.tolist(), tol)
+        star1 = _cotan_weights(face_edges, cots, ne)
+    bad = np.flatnonzero(~interior & (star1 < -tol))
+    if bad.size:
+        i, j = (int(x) for x in edges[bad[0]])
+        raise MeshError(
+            "nonpositive_weight",
+            f"cotan weight {star1[bad[0]]:.3g} of boundary edge ({i}, {j}) is negative, "
+            "and a boundary edge cannot be flipped",
+        )
+
+    rows = np.repeat(np.arange(ne), 2)
+    d0 = sparse.csr_matrix((np.tile([-1.0, 1.0], ne), (rows, edges.reshape(-1))), shape=(ne, nv))
+    d1 = sparse.csr_matrix(
+        (signs.reshape(-1), (np.repeat(np.arange(nf), 3), face_edges.reshape(-1))),
+        shape=(nf, ne),
+    )
+
+    # circumcentric dual areas: per corner (|e_opp_j|^2 cot_j + |e_opp_k|^2 cot_k)/8
     star0 = np.zeros(nv)
     for corner in range(3):
         j = (corner + 1) % 3
@@ -149,41 +278,15 @@ def assemble_dec(mesh: MeshComplex, strict: bool = False) -> DecOperators:
         contrib = (lengths_sq[:, j] * cots[:, j] + lengths_sq[:, k] * cots[:, k]) / 8.0
         np.add.at(star0, f[:, corner], contrib)
 
-    star2 = 1.0 / face_areas
-
-    clamped0, clamped1 = [], []
-    bary = np.zeros(nv)
-    for corner in range(3):
-        np.add.at(bary, f[:, corner], face_areas / 3.0)
-    bad0 = np.flatnonzero(star0 <= 0)
-    if bad0.size:
-        if strict:
-            raise MeshError(
-                "nonpositive_weight", f"dual area of vertex {bad0[0]} is nonpositive"
-            )
-        star0 = star0.copy()
-        star0[bad0] = CLAMP_FLOOR * bary[bad0]
-        clamped0 = bad0.tolist()
-    bad1 = np.flatnonzero(star1 <= 0)
-    if bad1.size:
-        if strict:
-            e = tuple(edges[bad1[0]].tolist())
-            raise MeshError(
-                "nonpositive_weight", f"cotan weight of edge {e} is nonpositive"
-            )
-        star1 = star1.copy()
-        star1[bad1] = CLAMP_FLOOR
-        clamped1 = bad1.tolist()
-
     return DecOperators(
         d0=d0,
         d1=d1,
         star0=star0,
         star1=star1,
-        star2=star2,
+        star2=1.0 / face_areas,
         mesh=mesh,
-        clamped_star0=clamped0,
-        clamped_star1=clamped1,
+        edges=edges,
+        faces=f,
     )
 
 
@@ -270,29 +373,25 @@ def _cluster(eigenvalues: np.ndarray, tol: float, scale: float):
 
 
 def _pencil_scale(a, b_diag) -> float:
-    # robust Rayleigh scale; the median ignores clamped near-zero weights
-    return float(np.median(a.diagonal() / b_diag))
+    # robust Rayleigh scale over the positive masses; zero dual edges
+    # (cocircular quads) have no Rayleigh quotient
+    pos = b_diag > 0
+    return float(np.median(a.diagonal()[pos] / b_diag[pos]))
 
 
-def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, clamped: bool, scale: float):
+def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float):
     """k smallest eigenpairs of the symmetric pencil (A, diag(b)).
 
     A full spectrum (k >= n) is solved densely, anything less by
     shift-invert Lanczos from a fixed start vector, with A - sigma*B
     factorized once by SuperLU and sigma = -1e-4*scale just below the
-    spectrum.  Clamped Hodge weights make diag(b) badly conditioned, which
-    breaks the dense Cholesky reduction, so full spectra of clamped meshes
-    are refused; on the shift-invert path A - sigma*B stays SPD for
-    sigma < 0.  Every eigenpair must satisfy
+    spectrum.  The dense Cholesky reduction needs a positive mass: a zero
+    Hodge weight ends in SolverError there, while A - sigma*B stays SPD for
+    sigma < 0 on the shift-invert path.  Every eigenpair must satisfy
     ||A x - lambda b*x|| <= ZERO_TOL * scale * ||b*x||, else SolverError.
     """
     n = a.shape[0]
     if k >= n:
-        if clamped:
-            raise SolverError(
-                "full spectra of meshes with clamped Hodge weights are not "
-                "computable reliably; request k < number of unknowns"
-            )
         try:
             w, vecs = eigh(a.toarray(), np.diag(b_diag))
         except LinAlgError as exc:
@@ -351,7 +450,6 @@ def spectrum(
     k: int = 10,
     dec: DecOperators | None = None,
     cluster_tol: float = 1e-3,
-    strict: bool = False,
 ) -> SpectrumReport:
     """k smallest eigenvalues of the degree-p Hodge Laplacian, tagged by family.
 
@@ -365,11 +463,10 @@ def spectrum(
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    ops = dec or assemble_dec(mesh, strict=strict)
+    ops = dec or assemble_dec(mesh)
     a, b = ops.laplacian_matrices(degree)
-    clamped = bool(ops.clamped_star0 or ops.clamped_star1)
     scale = _pencil_scale(a, b)
-    w, vecs, method = _solve_pencil(a, b, k, clamped, scale)
+    w, vecs, method = _solve_pencil(a, b, k, scale)
     ztol = ZERO_TOL * scale
     nonzero = ("coexact", None, "exact")[degree]
     families = [

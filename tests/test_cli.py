@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from hodgebench.cli import (
 )
 from hodgebench.bounds import GeometryCase
 from hodgebench.meshes import MeshComplex, generate_torus
+from test_spectrum import _cut_dec
 
 
 def test_parse_geometry_specs():
@@ -56,13 +58,28 @@ def test_spectrum_torus_off_harmonics(tmp_path):
     assert data["families"].count("harmonic") == 2
 
 
-def test_spectrum_harmonic_count_mismatch_exit_code(tmp_path, capsys):
+def test_spectrum_harmonic_count_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    # weights zeroed across a cut give two harmonic functions where b0 = 1
+    module = importlib.import_module("hodgebench.spectrum")
+    monkeypatch.setattr(module, "assemble_dec", _cut_dec)
     code = main(
-        ["spectrum", "--geometry", "torus:24,12", "--p", "2", "--k", "6", "--out", str(tmp_path)]
+        ["spectrum", "--geometry", "icosphere:2", "--k", "6", "--out", str(tmp_path)]
     )
     assert code == EXIT_SOLVER
     assert "harmonic" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_spectrum_prolate_ellipsoid_exit_ok(tmp_path, degree):
+    # 228 negative cotan weights at subdivision 3, all flipped away
+    code = main(
+        ["spectrum", "--geometry", "ellipsoid:1,1,2", "--p", str(degree), "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    if degree == 0:
+        assert abs(data["eigenvalues"][1] - 0.7291) / 0.7291 < 1e-3
 
 
 def test_spectrum_invalid_mesh_exit_code(tmp_path, capsys):
@@ -79,7 +96,8 @@ def test_spectrum_solver_failure_exit_code(tmp_path, capsys):
     torus = generate_torus(8, 6)
     off = tmp_path / "torus.off"
     torus.save_off(off)
-    # full spectra of clamped meshes are refused by the solver
+    # the torus's zero cotan weights make the degree-1 mass singular, which
+    # the dense eigensolve refuses
     code = main(
         ["spectrum", "--mesh", str(off), "--p", "1", "--k", str(torus.n_edges), "--out", str(tmp_path)]
     )

@@ -1,4 +1,4 @@
-"""Parser fuzz: malformed OFF and tet texts end in MeshError, never a traceback."""
+"""Parser fuzz: malformed OFF, OBJ and tet texts end in MeshError, never a traceback."""
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,14 @@ def _off_text():
     return "\n".join(lines) + "\n"
 
 
-VALID = {"off": _off_text(), "tet": TET}
+def _obj_text():
+    mesh = generate_icosphere(0)
+    lines = ["v " + " ".join(repr(float(c)) for c in v) for v in mesh.vertices]
+    lines += ["f " + " ".join(str(int(i) + 1) for i in f) for f in mesh.cells]
+    return "\n".join(lines) + "\n"
+
+
+VALID = {"off": _off_text(), "obj": _obj_text(), "tet": TET}
 BAD_TOKENS = ("nan", "NaN", "inf", "-inf", "Infinity")
 
 
@@ -40,13 +47,23 @@ def malformed(draw):
     fmt = draw(st.sampled_from(sorted(VALID)))
     text = VALID[fmt]
     lines = text.splitlines()
-    counts = [int(t) for t in lines[1].split()]
-    needed = counts[:2] if fmt == "off" else counts
     kind = draw(st.sampled_from(("truncate", "negative", "huge", "token")))
     if kind == "truncate":
         # cut anywhere before the last line starts: at least one line is lost
+        # (for OBJ: at least one face, so an odd count is left or no face)
         text = text[: draw(st.integers(0, text.rindex("\n", 0, len(text) - 1)))]
+    elif kind in ("negative", "huge") and fmt == "obj":
+        # OBJ has no counts: a face index below 1 or beyond int64
+        row = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("f ")]))
+        toks = lines[row].split()
+        toks[draw(st.integers(1, 3))] = str(
+            draw(st.integers(-(10**30), 0)) if kind == "negative" else draw(st.integers(2**63, 10**30))
+        )
+        lines[row] = " ".join(toks)
+        text = "\n".join(lines) + "\n"
     elif kind in ("negative", "huge"):
+        counts = [int(t) for t in lines[1].split()]
+        needed = counts[:2] if fmt == "off" else counts
         slot = draw(st.integers(0, len(needed) - 1))
         left = len(lines) - 2
         counts[slot] = (

@@ -4,9 +4,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import eigh
 
-from hodgebench.meshes import MeshComplex, MeshError, generate_icosphere, generate_torus, merge_meshes
+import seed_oracle as oracle
+from hodgebench.meshes import (
+    MeshComplex,
+    generate_ellipsoid,
+    generate_icosphere,
+    generate_torus,
+    merge_meshes,
+)
 from hodgebench.spectrum import (
+    FLIP_TOL,
     ZERO_TOL,
     SolverError,
     assemble_dec,
@@ -46,18 +56,63 @@ def test_star_positive_on_sphere():
     dec = assemble_dec(generate_icosphere(3, 1.0))
     assert (dec.star0 > 0).all()
     assert (dec.star1 > 0).all()
-    assert not dec.clamped_star0 and not dec.clamped_star1
 
 
-def test_strict_mode_raises_on_torus():
+def test_torus_cocircular_diagonals_stay_unflipped():
+    # every grid quad of the torus is cocircular: its diagonal's weight is
+    # zero to rounding, which the flip tolerance leaves alone
     torus = generate_torus(24, 12)
-    with pytest.raises(MeshError) as err:
-        assemble_dec(torus, strict=True)
-    assert err.value.code == "nonpositive_weight"
-    # default mode clamps instead
     dec = assemble_dec(torus)
-    assert len(dec.clamped_star1) > 0
-    assert (dec.star1 > 0).all()
+    raw = oracle.assemble_dec(torus.vertices, torus.cells)[3]
+    assert np.array_equal(dec.edges, torus.edges)
+    assert np.array_equal(dec.faces, torus.cells)
+    assert np.array_equal(dec.star1, raw)
+    scale = np.median(np.abs(raw))
+    assert dec.star1.min() >= -FLIP_TOL * scale
+    assert (np.abs(dec.star1) <= FLIP_TOL * scale).sum() == torus.n_cells // 2
+    # the 2-form pencil divides by those weights and refuses them
+    with pytest.raises(SolverError, match="cocircular"):
+        spectrum(torus, 2, 6)
+
+
+def test_degree_one_torus_without_zero_division():
+    # the torus's degree-1 mass holds exact zeros; the pencil scale skips them
+    torus = generate_torus(48, 24)
+    assert (assemble_dec(torus).star1 == 0).any()
+    with np.errstate(divide="raise", invalid="raise"):
+        rep = spectrum(torus, 1, 10)
+    assert rep.count("harmonic") == 2
+
+
+def _signed_cotan_reference(mesh, count):
+    """Lowest eigenvalues of the mesh's own cotan Laplacian with its raw,
+    signed weights: the linear-element stiffness over the circumcentric
+    dual areas."""
+    d0, _, star0, star1, _ = oracle.assemble_dec(mesh.vertices, mesh.cells)
+    assert (star0 > 0).all()
+    stiff = (d0.T @ sparse.diags(star1) @ d0).toarray()
+    return eigh(stiff, np.diag(star0), eigvals_only=True, subset_by_index=[0, count - 1])
+
+
+def test_prolate_ellipsoid_matches_signed_cotan_laplacian():
+    # ellipsoid 1:1:2 has 228 negative cotan weights; on its intrinsic
+    # Delaunay triangulation the spectrum agrees with the signed cotan
+    # Laplacian (clamping those weights once gave lambda_1 = 0.8129)
+    mesh = generate_ellipsoid(1.0, 1.0, 2.0, 3)
+    assert (oracle.assemble_dec(mesh.vertices, mesh.cells)[3] < 0).sum() == 228
+    ref = _signed_cotan_reference(mesh, 4)
+    assert abs(ref[1] - 0.7291) < 1e-4
+    dec = assemble_dec(mesh)
+    reps = [spectrum(mesh, degree, 10, dec=dec) for degree in (0, 1, 2)]
+    lam1 = reps[0].first_positive()
+    assert abs(lam1 - ref[1]) / ref[1] < 1e-3
+    # the rotational pair comes out as one cluster of two
+    assert reps[0].clusters[2][1] == 2
+    assert np.allclose(reps[0].eigenvalues[2:4], ref[2:4], rtol=1e-3)
+    # exact Hodge split: every nonzero 1-form value is a 0- or 2-form value
+    others = np.concatenate([r.eigenvalues[r.eigenvalues > r.zero_tol] for r in (reps[0], reps[2])])
+    for lam in reps[1].eigenvalues:
+        assert np.abs(others - lam).min() <= 1e-8 * lam
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +201,11 @@ def test_full_spectrum_family_counts():
         assert np.allclose(sorted(nonzero0), sorted(exact1), rtol=1e-8, atol=1e-8)
 
 
-def test_full_spectrum_of_clamped_mesh_rejected():
+def test_full_spectrum_with_zero_weights_fails_in_eigh():
+    # the torus's zero cotan weights make the degree-1 mass singular, which
+    # the dense Cholesky reduction refuses
     torus = generate_torus(8, 6)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="dense eigensolve failed"):
         spectrum(torus, 1, torus.n_edges)
 
 
@@ -218,11 +275,19 @@ def test_open_band_harmonic_counts():
     assert counts == [1, 1, 0]
 
 
+def _cut_dec(mesh):
+    """DEC operators with the weights of the edges crossing z = 0.05 zeroed:
+    the cotan Laplacian then sees two components where the sphere has one."""
+    dec = assemble_dec(mesh)
+    above = mesh.vertices[:, 2] > 0.05
+    dec.star1 = np.where(above[dec.edges[:, 0]] != above[dec.edges[:, 1]], 0.0, dec.star1)
+    return dec
+
+
 def test_wrong_harmonic_count_raises():
-    # the clamped (1e-10) and near-zero (<1e-15) cotan weights of this torus
-    # wreck its 2-form pencil: negative "harmonic" eigenvalues, not b2 = 1
-    with pytest.raises(SolverError, match="b2 = 1"):
-        spectrum(generate_torus(24, 12), 2, 6)
+    mesh = generate_icosphere(2, 1.0)
+    with pytest.raises(SolverError, match="2 harmonic eigenvalues .* but b0 = 1"):
+        spectrum(mesh, 0, 6, dec=_cut_dec(mesh))
 
 
 def test_degree_out_of_range():

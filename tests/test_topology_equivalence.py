@@ -78,10 +78,8 @@ def test_dec_operators_match_oracle(name, make):
     d0, d1, star0, star1, star2 = oracle.assemble_dec(mesh.vertices, mesh.cells)
     _same_sparse(ops.d0, d0)
     _same_sparse(ops.d1, d1)
-    if not ops.clamped_star0:
-        assert np.array_equal(ops.star0, star0)
-    if not ops.clamped_star1:
-        assert np.array_equal(ops.star1, star1)
+    assert np.array_equal(ops.star0, star0)
+    assert np.array_equal(ops.star1, star1)
     assert np.array_equal(ops.star2, star2)
 
 
@@ -327,11 +325,29 @@ def test_cli_degenerate_mesh_exit_2(tmp_path, capsys, kind):
     assert f"[{code}]" in capsys.readouterr().err
 
 
-def test_strict_dec_message_names_edge_with_plain_ints():
-    # flat triangular bipyramid: the angles opposite each equatorial edge are obtuse
+def test_negative_boundary_weight_names_edge_with_plain_ints():
+    # an open fan whose triangle (0, 1, 2) is obtuse at vertex 2: its boundary
+    # edge (0, 1) keeps a negative weight, as no flip can reach it
+    verts = [(0, 0, 0), (1, 0, 0), (0.5, 0.1, 0), (0.5, 1, 0)]
+    mesh = MeshComplex(verts, [(0, 1, 2), (0, 2, 3)], require_closed=False)
+    with pytest.raises(MeshError) as err:
+        assemble_dec(mesh)
+    assert str(err.value) == (
+        "[nonpositive_weight] cotan weight -1.2 of boundary edge (0, 1) is negative, "
+        "and a boundary edge cannot be flipped"
+    )
+
+
+def test_flat_bipyramid_flips_to_parallel_edges():
+    # the angles opposite each equatorial edge are obtuse; all three edges
+    # flip to diagonals between the two apexes, one vertex pair three times
     t = 2 * np.pi * np.arange(3) / 3
     verts = np.vstack([np.column_stack([np.cos(t), np.sin(t), np.zeros(3)]), [[0, 0, 0.1], [0, 0, -0.1]]])
     faces = [(0, 1, 3), (1, 2, 3), (2, 0, 3), (1, 0, 4), (2, 1, 4), (0, 2, 4)]
-    with pytest.raises(MeshError) as err:
-        assemble_dec(MeshComplex(verts, faces), strict=True)
-    assert str(err.value) == "[nonpositive_weight] cotan weight of edge (0, 1) is nonpositive"
+    mesh = MeshComplex(verts, faces)
+    ops = assemble_dec(mesh)
+    assert (ops.edges == [3, 4]).all(axis=1).sum() == 3
+    assert (ops.d1 @ ops.d0).count_nonzero() == 0
+    assert (ops.star1 >= 0).all() and (ops.star0 > 0).all()
+    assert abs(ops.star0.sum() - mesh.area()) < 1e-12 * mesh.area()
+    assert abs((1.0 / ops.star2).sum() - mesh.area()) < 1e-12 * mesh.area()

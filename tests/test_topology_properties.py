@@ -11,17 +11,20 @@ from hodgebench.meshes import (
     MeshComplex,
     MeshError,
     generate_ball,
+    generate_ellipsoid,
     generate_icosphere,
     generate_torus,
     merge_meshes,
 )
-from hodgebench.spectrum import SolverError, assemble_dec, spectrum
+from hodgebench.spectrum import FLIP_TOL, SolverError, assemble_dec, spectrum
+from test_topology_equivalence import _rotation
 
 _ico0 = generate_icosphere(0)
 SURFACES = {
     "ico1": generate_icosphere(1),
     "ico2": generate_icosphere(2),
     "torus": generate_torus(9, 5),
+    "ellipsoid-1-1-2": generate_ellipsoid(1.0, 1.0, 2.0, 2),  # 52 edges flipped
     "two-spheres": merge_meshes(_ico0, MeshComplex(_ico0.vertices + 3.0, _ico0.cells)),
 }
 BALL = generate_ball(1)
@@ -62,7 +65,7 @@ def _spectrum_or_refusal(mesh, degree):
     try:
         return spectrum(mesh, degree, k=6)
     except SolverError:
-        return None  # the torus's clamped 2-form pencil fails its harmonic count
+        return None  # the torus's zero cotan weights leave no 2-form pencil
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +88,30 @@ def test_spectrum_invariant_under_relabelling_and_rotation(name, degree, seed):
         scale = np.abs(want.eigenvalues).max()
         assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-10 * scale)
         assert got.count("harmonic") == want.count("harmonic")
+
+
+@given(
+    axes=st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)),
+    subdivisions=st.sampled_from([2, 3]),
+    seed=seeds,
+)
+@settings(max_examples=20, deadline=None)
+def test_intrinsic_delaunay_weights_on_ellipsoids(axes, subdivisions, seed):
+    # rotated, relabelled ellipsoids up to 1:1:2, most with negative cotan
+    # weights before the flips
+    mesh = generate_ellipsoid(1.0, *axes, subdivisions)
+    rng = np.random.default_rng(seed)
+    verts, new_id = _relabel(mesh, rng)
+    cells = _rotate_rows(new_id[mesh.cells], rng.integers(0, 3, mesh.n_cells), 3)
+    other = MeshComplex(verts @ _rotation(rng).T, cells)
+    raw = oracle.assemble_dec(other.vertices, other.cells)[3]
+    ops = assemble_dec(other)
+    assert ops.star1.min() >= -FLIP_TOL * np.median(np.abs(raw))
+    assert (ops.star0 > 0).all()
+    assert (ops.d1 @ ops.d0).count_nonzero() == 0
+    area = other.area()
+    assert abs(ops.star0.sum() - area) < 1e-12 * area
+    assert abs((1.0 / ops.star2).sum() - area) < 1e-12 * area
 
 
 @given(seed=seeds)
