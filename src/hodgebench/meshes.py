@@ -680,10 +680,15 @@ def _parse_obj(text) -> MeshComplex:
             if len(refs) != 3:
                 raise MeshError("bad_format", "only triangular faces supported", i)
             try:
-                # "f 1/uv/nrm 2 3" -> geometry index before the first slash
-                faces.append(np.array([int(r.split("/")[0]) - 1 for r in refs], dtype=np.int64))
+                # "f 1/uv/nrm 2 3" -> geometry index before the first slash;
+                # a negative index counts back from the last vertex read
+                idx = [int(r.split("/")[0]) for r in refs]
+                face = np.array([j - 1 if j > 0 else len(verts) + j for j in idx], dtype=np.int64)
             except (ValueError, OverflowError):
                 raise MeshError("parse", "bad face line", i) from None
+            if 0 in idx:
+                raise MeshError("parse", "face index 0 (OBJ indices start at 1)", i)
+            faces.append(face)
         # all other directives (vt, vn, usemtl, ...) are ignored
     if not verts or not faces:
         raise MeshError("parse", "no geometry found in OBJ", 1)

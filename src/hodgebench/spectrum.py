@@ -4,10 +4,12 @@ Cochains live on the vertices, edges and faces of the surface's intrinsic
 Delaunay triangulation (IDT), with signed incidence matrices as the exterior
 derivative and diagonal (circumcentric, cotangent-weighted) Hodge stars,
 which the IDT makes nonnegative.  The degree-0 Laplacian is the classical
-cotan Laplacian of the IDT (Bobenko & Springborn, DCG 2007); degree-1
-and degree-2 Laplacians come from the same operators, and the nonzero
-1-form spectrum splits into the exact family (shared with functions) and
-the coexact family (shared with 2-forms).
+cotan Laplacian of the IDT (Bobenko & Springborn, DCG 2007).  The degree-2
+Laplacian comes from the same operators, with the two faces of a zero dual
+edge merged into one dual vertex.  Since d1 d0 = 0 holds exactly, the
+nonzero 1-form spectrum is the union of the nonzero 0-form spectrum (the
+exact family) and the nonzero 2-form spectrum (the coexact family), and
+degree 1 is solved as that union.
 """
 
 from __future__ import annotations
@@ -34,15 +36,18 @@ __all__ = [
 ]
 
 # An interior edge is flipped while its cotan weight is below -FLIP_TOL times
-# the median weight magnitude of the input.  The diagonals of cocircular
-# quads (torus grid cells) have weights of about +-1e-16 of that scale,
-# which no flip improves; the tolerance leaves them where they are.
+# the median weight magnitude of the input.  The diagonals of quads whose
+# four vertices lie on one circle (torus grid cells) have weights of about
+# +-1e-16 of that scale, which no flip improves; the tolerance leaves them
+# where they are.
 FLIP_TOL = 1e-12
 # Relative to the pencil scale: eigenvalues below ZERO_TOL are harmonic, and
 # an eigenpair residual above it fails the solve, as it could move an
 # eigenvalue across that line.  Residuals of valid Lanczos pairs are about
 # 1e-15, but reach 3.1e-10 where k cuts a degenerate cluster of a small mesh
 # (icosphere(1), degree 0, k=3) and 2.3e-9 on rotated, relabelled copies.
+# Relative to the median weight magnitude, a cotan weight at or below
+# ZERO_TOL is a zero dual edge, which the degree-2 pencil merges across.
 ZERO_TOL = 1e-8
 
 
@@ -75,31 +80,43 @@ class DecOperators:
     faces: np.ndarray  # (F, 3) counter-clockwise vertex triples
 
     def laplacian_matrices(self, degree: int):
-        """Stiffness/mass pair (A, B) of the degree-p Hodge Laplacian.
+        """Stiffness/mass pair (A, B) of the degree-0 or degree-2 Hodge
+        Laplacian; degree 1 is their union (see ``spectrum``).
 
-        The generalized problem A x = lambda B x is symmetric with B the
-        diagonal Hodge star of the degree.
+        The generalized problem A x = lambda B x is symmetric with B
+        diagonal.  For degree 0, B is the Hodge star star0.  For degree 2,
+        the faces joined by zero dual edges (weights at or below ZERO_TOL
+        times the median weight magnitude) share a dual vertex and become
+        one unknown, with B the inverse of its summed area; a face of a
+        zero-weight boundary edge is pinned to zero, and so is its group.
+        Without zero dual edges B is star2 and A is built exactly as
+        ``star2 d1 star1^-1 d1^T star2``.
         """
-        s0 = sparse.diags(self.star0)
-        s1 = sparse.diags(self.star1)
-        s2 = sparse.diags(self.star2)
         if degree == 0:
-            return (self.d0.T @ s1 @ self.d0).tocsr(), self.star0
-        if degree == 1:
-            inv0 = sparse.diags(1.0 / self.star0)
-            a = s1 @ self.d0 @ inv0 @ self.d0.T @ s1 + self.d1.T @ s2 @ self.d1
-            return a.tocsr(), self.star1
-        if degree == 2:
-            zero = int((self.star1 <= FLIP_TOL * np.median(np.abs(self.star1))).sum())
-            if zero:
-                raise SolverError(
-                    f"the degree-2 pencil divides by the cotan weights, and {zero} of them "
-                    "are zero to rounding (cocircular quads)"
-                )
-            inv1 = sparse.diags(1.0 / self.star1)
-            a = s2 @ self.d1 @ inv1 @ self.d1.T @ s2
+            return (self.d0.T @ sparse.diags(self.star1) @ self.d0).tocsr(), self.star0
+        if degree != 2:
+            raise ValueError("laplacian_matrices builds degrees 0 and 2")
+        zero = self.star1 <= ZERO_TOL * np.median(np.abs(self.star1))
+        if not zero.any():
+            s2 = sparse.diags(self.star2)
+            a = s2 @ self.d1 @ sparse.diags(1.0 / self.star1) @ self.d1.T @ s2
             return a.tocsr(), self.star2
-        raise ValueError("degree must be 0, 1 or 2")
+        from scipy.sparse.csgraph import connected_components
+
+        inc = abs(self.d1[:, zero]).tocsc()  # faces x zero edges
+        _, group = connected_components(inc @ inc.T, directed=False)
+        one_sided = inc[:, np.diff(inc.indptr) == 1].indices
+        group[np.isin(group, group[one_sided])] = -1
+        free = np.flatnonzero(group >= 0)
+        if not free.size:
+            raise SolverError("every face is pinned to zero by a zero-weight boundary edge")
+        _, merged = np.unique(group[free], return_inverse=True)
+        p = sparse.csr_matrix((np.ones(free.size), (free, merged)), shape=(len(group), merged.max() + 1))
+        mass = 1.0 / (p.T @ (1.0 / self.star2))
+        g = self.d1[:, ~zero].T @ p
+        s = sparse.diags(mass)
+        a = s @ g.T @ sparse.diags(1.0 / self.star1[~zero]) @ g @ s
+        return a.tocsr(), mass
 
     def codifferential_1(self, x: np.ndarray) -> np.ndarray:
         """Codifferential of an edge cochain (vertex cochain result)."""
@@ -373,21 +390,19 @@ def _cluster(eigenvalues: np.ndarray, tol: float, scale: float):
 
 
 def _pencil_scale(a, b_diag) -> float:
-    # robust Rayleigh scale over the positive masses; zero dual edges
-    # (cocircular quads) have no Rayleigh quotient
-    pos = b_diag > 0
-    return float(np.median(a.diagonal()[pos] / b_diag[pos]))
+    # robust Rayleigh scale of the pencil
+    return float(np.median(a.diagonal() / b_diag))
 
 
 def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float):
-    """k smallest eigenpairs of the symmetric pencil (A, diag(b)).
+    """k smallest eigenvalues of the symmetric pencil (A, diag(b)) and the
+    solve method, 'dense' or 'shift-invert'.
 
     A full spectrum (k >= n) is solved densely, anything less by
     shift-invert Lanczos from a fixed start vector, with A - sigma*B
     factorized once by SuperLU and sigma = -1e-4*scale just below the
-    spectrum.  The dense Cholesky reduction needs a positive mass: a zero
-    Hodge weight ends in SolverError there, while A - sigma*B stays SPD for
-    sigma < 0 on the shift-invert path.  Every eigenpair must satisfy
+    spectrum.  The dense Cholesky reduction needs a positive mass; any
+    other ends in SolverError.  Every eigenpair must satisfy
     ||A x - lambda b*x|| <= ZERO_TOL * scale * ||b*x||, else SolverError.
     """
     n = a.shape[0]
@@ -432,16 +447,54 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
             f"{method} eigenpairs have relative residual {r:.3g} > {ZERO_TOL:g}",
             residuals={"max_rel_residual": r},
         )
-    return w, vecs, method
+    return w, method
 
 
-def _one_form_family(ops: DecOperators, x: np.ndarray) -> str:
-    """'exact' if the codifferential of x outweighs its differential."""
-    dx = ops.d1 @ x
-    d_norm = float(np.sqrt((ops.star2 * dx * dx).sum()))
-    cx = ops.codifferential_1(x)
-    c_norm = float(np.sqrt((ops.star0 * cx * cx).sum()))
-    return "exact" if d_norm <= c_norm else "coexact"
+def _check_harmonic(degree: int, w: np.ndarray, harmonic: int, betti: int, ztol: float):
+    """The harmonic count must equal b_p (capped at the values solved for)
+    and no eigenvalue may lie below -ztol; else SolverError."""
+    if harmonic != min(betti, len(w)) or w[0] < -ztol:
+        raise SolverError(
+            f"degree-{degree} spectrum has {harmonic} harmonic eigenvalues "
+            f"(lowest {w[0]:.6g}, zero tolerance {ztol:.3g}) but b{degree} = {betti}"
+        )
+
+
+def _pencil_values(ops: DecOperators, degree: int, k: int, betti: int):
+    """k smallest eigenvalues of the degree-0 or degree-2 pencil (all of
+    them if k exceeds its size), family tags, pencil scale and solve method;
+    checked by ``_check_harmonic``."""
+    a, b = ops.laplacian_matrices(degree)
+    scale = _pencil_scale(a, b)
+    w, method = _solve_pencil(a, b, k, scale)
+    ztol = ZERO_TOL * scale
+    nonzero = "coexact" if degree == 0 else "exact"
+    families = ["harmonic" if lam < ztol else nonzero for lam in w]
+    _check_harmonic(degree, w, families.count("harmonic"), betti, ztol)
+    return w, families, scale, method
+
+
+def _one_form_values(ops: DecOperators, k: int, betti: tuple):
+    """k smallest 1-form eigenvalues as the exact Hodge split: b1 zeros, then
+    the nonzero 0-form values (exact) and 2-form values (coexact), merged."""
+    if (ops.d1 @ ops.d0).count_nonzero():
+        raise SolverError("d1 d0 != 0: the operators are not a cochain complex")
+    nonzero = max(k - betti[1], 1)
+    (w0, f0, scale0, m0), (w2, f2, scale2, m2) = (
+        _pencil_values(ops, p, nonzero + betti[p], betti[p]) for p in (0, 2)
+    )
+    h0, h2 = f0.count("harmonic"), f2.count("harmonic")
+    values = np.concatenate([w0[h0:], w2[h2:]])
+    order = np.argsort(values, kind="stable")
+    tags = np.repeat(["exact", "coexact"], [len(w0) - h0, len(w2) - h2])[order].tolist()
+    (ne, nv), nf = ops.d0.shape, ops.d1.shape[0]
+    # dim ker = E - rank d0 - rank d1, each rank read off a sub-solve
+    harmonic = ne - (nv - h0) - (nf - h2)
+    w = np.concatenate([np.zeros(max(harmonic, 0)), values[order]])
+    scale = max(scale0, scale2)
+    _check_harmonic(1, w, harmonic, betti[1], ZERO_TOL * scale)
+    method = m0 if m0 == m2 else f"{m0}+{m2}"
+    return w[:k], (["harmonic"] * harmonic + tags)[:k], scale, method
 
 
 def spectrum(
@@ -453,33 +506,37 @@ def spectrum(
 ) -> SpectrumReport:
     """k smallest eigenvalues of the degree-p Hodge Laplacian, tagged by family.
 
-    Numerical zeros are harmonic.  Nonzero eigenvalues are coexact for
-    functions (their differentials are the exact 1-eigenforms) and exact for
-    2-forms; a 1-form eigenvector is classified by comparing the norms of
-    its discrete differential and codifferential.  The harmonic count must
-    equal the Betti number b_p of the surface (capped at k) and no
-    eigenvalue may lie below -zero_tol; otherwise the solve is not trusted
-    and SolverError is raised.
+    Numerical zeros (below ``zero_tol``, ZERO_TOL times the pencil scale)
+    are harmonic.  Nonzero eigenvalues are coexact for functions (their
+    differentials are the exact 1-eigenforms) and exact for 2-forms.  The
+    harmonic count must equal the Betti number b_p of the surface (capped
+    at k) and no eigenvalue may lie below -zero_tol; otherwise the solve is
+    not trusted and SolverError is raised.
+
+    Degree 1 builds no pencil of its own.  After checking that d1 d0 is
+    exactly zero, it solves the degree-0 and degree-2 pencils for
+    max(k - b1, 1) + b_p eigenpairs each (capped at the pencil size), each
+    with its own checks.  It returns min(b1, k) harmonic values, reported
+    as 0.0, then the smallest of the union of their nonzero values, tagged
+    exact (from degree 0) or coexact (from degree 2).  Its harmonic count
+    E - (V - h0) - (F - h2), from the sub-solves' counts h0 and h2, is
+    checked against b1.  ``zero_tol`` is the larger of the two sub-solves'
+    tolerances; ``method`` is their shared method, or both joined by '+'
+    (degree 0 first) when they differ.  A full 1-form spectrum (k >= E)
+    holds E - m finite values, m being the number of faces the degree-2
+    pencil merges away or pins (the number of zero dual edges when these
+    close no loop); the direct 1-form pencil's other m values are infinite.
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    if degree not in (0, 1, 2):
+        raise ValueError("degree must be 0, 1 or 2")
     ops = dec or assemble_dec(mesh)
-    a, b = ops.laplacian_matrices(degree)
-    scale = _pencil_scale(a, b)
-    w, vecs, method = _solve_pencil(a, b, k, scale)
-    ztol = ZERO_TOL * scale
-    nonzero = ("coexact", None, "exact")[degree]
-    families = [
-        "harmonic" if lam < ztol else nonzero or _one_form_family(ops, vecs[:, i])
-        for i, lam in enumerate(w)
-    ]
-    betti = mesh.betti_numbers()[degree]
-    harmonic = families.count("harmonic")
-    if harmonic != min(betti, len(w)) or w[0] < -ztol:
-        raise SolverError(
-            f"degree-{degree} spectrum has {harmonic} harmonic eigenvalues "
-            f"(lowest {w[0]:.6g}, zero tolerance {ztol:.3g}) but b{degree} = {betti}"
-        )
+    betti = mesh.betti_numbers()
+    if degree == 1:
+        w, families, scale, method = _one_form_values(ops, k, betti)
+    else:
+        w, families, scale, method = _pencil_values(ops, degree, k, betti[degree])
     clusters, ids = _cluster(w, cluster_tol, 1e-6 * scale)
     return SpectrumReport(
         degree=degree,
@@ -488,7 +545,7 @@ def spectrum(
         clusters=clusters,
         cluster_ids=ids,
         mesh_meta=mesh.report(),
-        zero_tol=ztol,
+        zero_tol=ZERO_TOL * scale,
         cluster_tol=cluster_tol,
         method=method,
     )

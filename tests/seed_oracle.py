@@ -6,12 +6,16 @@ These are the original per-simplex Python loops (dict edge lookup, row-wise
 array code on int64 keys.  They are kept only as a test oracle: the
 equivalence tests require the array code to reproduce them bit for bit
 (topology, generators, DEC tables) or to rounding (quadric fits).
+
+``one_form_spectrum`` is the direct degree-1 pencil that ``spectrum`` replaced
+with the exact Hodge split (the union of the degree-0 and degree-2 spectra).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 from hodgebench.exterior import tangent_frame
 from hodgebench.meshes import MeshError
@@ -89,6 +93,28 @@ def assemble_dec(vertices, faces):
     e2 = v[f[:, 2]] - v[f[:, 0]]
     star2 = 1.0 / (np.linalg.norm(np.cross(e1, e2), axis=1) / 2.0)
     return d0, d1, star0, star1, star2
+
+
+def one_form_spectrum(dec, k):
+    """(k smallest finite eigenvalues, scale) of the direct degree-1 pencil
+    (star1 d0 star0^-1 d0^T star1 + d1^T star2 d1, star1) on E unknowns.
+
+    Dense shift-invert: with A - sigma*B = L L^T for sigma = -1e-4*scale
+    just below the spectrum, each eigenvalue nu of L^-1 B L^-T gives
+    lambda = sigma + 1/nu.  A zero dual edge has zero mass, nu = 0 and an
+    infinite lambda, so the k largest nu are the k smallest finite values.
+    The scale is the median Rayleigh quotient over the positive masses.
+    """
+    s1 = sparse.diags(dec.star1)
+    a = s1 @ dec.d0 @ sparse.diags(1.0 / dec.star0) @ dec.d0.T @ s1
+    a = (a + dec.d1.T @ sparse.diags(dec.star2) @ dec.d1).toarray()
+    pos = dec.star1 > 0
+    scale = float(np.median(np.diag(a)[pos] / dec.star1[pos]))
+    sigma = -1e-4 * scale
+    low = cholesky(a - sigma * np.diag(dec.star1), lower=True)
+    c = solve_triangular(low, solve_triangular(low, np.diag(dec.star1), lower=True).T, lower=True)
+    nu = eigh((c + c.T) / 2.0, eigvals_only=True)[::-1][:k]
+    return sigma + 1.0 / nu, scale
 
 
 # ---------------------------------------------------------------------------

@@ -90,19 +90,32 @@ def test_spectrum_invalid_mesh_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_spectrum_solver_failure_exit_code(tmp_path, capsys):
-    from hodgebench.cli import EXIT_SOLVER
+def test_spectrum_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a negative dual area makes the degree-0 mass indefinite, which the
+    # dense eigensolve refuses
+    module = importlib.import_module("hodgebench.spectrum")
+    real = module.assemble_dec
 
-    torus = generate_torus(8, 6)
-    off = tmp_path / "torus.off"
-    torus.save_off(off)
-    # the torus's zero cotan weights make the degree-1 mass singular, which
-    # the dense eigensolve refuses
-    code = main(
-        ["spectrum", "--mesh", str(off), "--p", "1", "--k", str(torus.n_edges), "--out", str(tmp_path)]
-    )
+    def negative_dual_area(mesh):
+        dec = real(mesh)
+        dec.star0 = dec.star0.copy()
+        dec.star0[0] = -1.0
+        return dec
+
+    monkeypatch.setattr(module, "assemble_dec", negative_dual_area)
+    code = main(["spectrum", "--geometry", "icosphere:1", "--k", "42", "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("geometry", ["torus:24,12", "torus:48,24"])
+def test_spectrum_torus_two_forms_exit_ok(tmp_path, geometry):
+    # the zero dual edges of the grid quads' diagonals are merged across
+    code = main(["spectrum", "--geometry", geometry, "--p", "2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert data["families"].count("harmonic") == 1
 
 
 def test_reilly_command_classical(tmp_path, capsys):

@@ -298,6 +298,36 @@ f 1/1/1 4/1/1 3/1/1
     assert mesh.euler_characteristic() == 2
 
 
+def test_obj_relative_indices(tmp_path):
+    # a negative index counts back from the last vertex read so far
+    content = """
+v 0 0 0
+v 1 0 0
+v 0 1 0
+f -3 -1 -2
+v 0 0 1
+f 1 -3 -1
+f -3 3 -1
+f -4 -1 -2
+"""
+    path = tmp_path / "tet.obj"
+    path.write_text(content)
+    mesh = load_mesh(path)
+    assert mesh.cells.tolist() == [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+    assert mesh.euler_characteristic() == 2
+
+
+@pytest.mark.parametrize("face, code", [("f 0 2 3", "parse"), ("f -5 2 3", "bad_index")])
+def test_obj_index_out_of_range(tmp_path, face, code):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n{face}\n")
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert err.value.code == code
+    if code == "parse":
+        assert err.value.line == 5
+
+
 def test_tet_format_roundtrip(tmp_path):
     ball = generate_ball(1)
     path = tmp_path / "ball.tet"

@@ -1,5 +1,6 @@
 """Parser fuzz: malformed OFF, OBJ and tet texts end in MeshError, never a traceback."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,11 +54,15 @@ def malformed(draw):
         # (for OBJ: at least one face, so an odd count is left or no face)
         text = text[: draw(st.integers(0, text.rindex("\n", 0, len(text) - 1)))]
     elif kind in ("negative", "huge") and fmt == "obj":
-        # OBJ has no counts: a face index below 1 or beyond int64
+        # OBJ has no counts: a face index of 0, one counting back past the
+        # first vertex (all vertex lines come first), or one beyond int64
         row = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("f ")]))
         toks = lines[row].split()
+        nv = sum(line.startswith("v ") for line in lines)
         toks[draw(st.integers(1, 3))] = str(
-            draw(st.integers(-(10**30), 0)) if kind == "negative" else draw(st.integers(2**63, 10**30))
+            draw(st.integers(-(10**30), -nv - 1) | st.just(0))
+            if kind == "negative"
+            else draw(st.integers(2**63, 10**30))
         )
         lines[row] = " ".join(toks)
         text = "\n".join(lines) + "\n"
@@ -88,6 +93,39 @@ def test_fuzz_bases_are_valid(tmp_path):
         path = tmp_path / f"ok.{fmt}"
         path.write_text(text)
         load_mesh(path)
+
+
+@st.composite
+def interleaved_obj(draw):
+    """(text, cells) of icosphere(0) as OBJ with every face placed somewhere
+    after its last vertex line and each index absolute or relative."""
+    mesh = generate_icosphere(0)
+    nv = mesh.n_vertices
+    placed = []
+    for face in mesh.cells.tolist():
+        read = draw(st.integers(max(face) + 1, nv))  # vertex lines before the face
+        refs = [str(j + 1) if draw(st.booleans()) else str(j - read) for j in face]
+        placed.append((read, "f " + " ".join(refs)))
+    order = sorted(range(len(placed)), key=lambda t: placed[t][0])
+    lines, at = [], 0
+    for t in order:
+        read, line = placed[t]
+        lines += ["v " + " ".join(repr(float(c)) for c in v) for v in mesh.vertices[at:read]]
+        lines.append(line)
+        at = read
+    lines += ["v " + " ".join(repr(float(c)) for c in v) for v in mesh.vertices[at:]]
+    return "\n".join(lines) + "\n", mesh.cells[order]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=interleaved_obj())
+def test_relative_obj_indices_resolve_to_the_same_mesh(tmp_path_factory, case):
+    text, cells = case
+    path = tmp_path_factory.mktemp("obj") / "mesh.obj"
+    path.write_text(text)
+    mesh = load_mesh(path)
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.vertices, generate_icosphere(0).vertices)
 
 
 @settings(max_examples=200, deadline=None)

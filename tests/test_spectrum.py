@@ -70,13 +70,21 @@ def test_torus_cocircular_diagonals_stay_unflipped():
     scale = np.median(np.abs(raw))
     assert dec.star1.min() >= -FLIP_TOL * scale
     assert (np.abs(dec.star1) <= FLIP_TOL * scale).sum() == torus.n_cells // 2
-    # the 2-form pencil divides by those weights and refuses them
-    with pytest.raises(SolverError, match="cocircular"):
-        spectrum(torus, 2, 6)
+    # the 2-form pencil merges the two faces of each such diagonal and
+    # solves on the 288 merged faces
+    a, b = dec.laplacian_matrices(2)
+    assert a.shape == (torus.n_cells // 2,) * 2
+    # the generator lists the two triangles of each grid quad in a row
+    assert np.allclose(1.0 / b, 1.0 / dec.star2[0::2] + 1.0 / dec.star2[1::2])
+    rep = spectrum(torus, 2, 8, dec=dec)
+    assert rep.families == ["harmonic"] + ["exact"] * 7
+    want = [0.25745, 0.25745, 0.93611, 0.93611, 1.87652, 1.87652, 2.06926]
+    assert np.allclose(rep.eigenvalues[1:], want, rtol=0, atol=1e-5)
+    assert [m for _, m in rep.clusters] == [1, 2, 2, 2, 1]
 
 
 def test_degree_one_torus_without_zero_division():
-    # the torus's degree-1 mass holds exact zeros; the pencil scale skips them
+    # the torus's zero weights are merged across, never divided by
     torus = generate_torus(48, 24)
     assert (assemble_dec(torus).star1 == 0).any()
     with np.errstate(divide="raise", invalid="raise"):
@@ -201,18 +209,10 @@ def test_full_spectrum_family_counts():
         assert np.allclose(sorted(nonzero0), sorted(exact1), rtol=1e-8, atol=1e-8)
 
 
-def test_full_spectrum_with_zero_weights_fails_in_eigh():
-    # the torus's zero cotan weights make the degree-1 mass singular, which
-    # the dense Cholesky reduction refuses
-    torus = generate_torus(8, 6)
-    with pytest.raises(SolverError, match="dense eigensolve failed"):
-        spectrum(torus, 1, torus.n_edges)
-
-
 def test_full_spectrum_matches_shift_invert():
     # k = n is the dense full spectrum, k = n - 1 goes through shift-invert
     mesh = generate_icosphere(0, 1.0)
-    for degree, n in ((0, mesh.n_vertices), (1, mesh.n_edges), (2, mesh.n_cells)):
+    for degree, n in ((0, mesh.n_vertices), (2, mesh.n_cells)):
         full = spectrum(mesh, degree, n)
         part = spectrum(mesh, degree, n - 1)
         assert (full.method, part.method) == ("dense", "shift-invert")

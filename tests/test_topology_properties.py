@@ -16,7 +16,7 @@ from hodgebench.meshes import (
     generate_torus,
     merge_meshes,
 )
-from hodgebench.spectrum import FLIP_TOL, SolverError, assemble_dec, spectrum
+from hodgebench.spectrum import FLIP_TOL, assemble_dec, spectrum
 from test_topology_equivalence import _rotation
 
 _ico0 = generate_icosphere(0)
@@ -61,16 +61,9 @@ def test_surface_invariants_under_relabelling_and_rotation(name, seed):
     assert (ops.d1 @ ops.d0).count_nonzero() == 0
 
 
-def _spectrum_or_refusal(mesh, degree):
-    try:
-        return spectrum(mesh, degree, k=6)
-    except SolverError:
-        return None  # the torus's zero cotan weights leave no 2-form pencil
-
-
 @lru_cache(maxsize=None)
 def _base_spectrum(name, degree):
-    return _spectrum_or_refusal(SURFACES[name], degree)
+    return spectrum(SURFACES[name], degree, k=6)
 
 
 @given(name=st.sampled_from(sorted(SURFACES)), degree=st.sampled_from([0, 1, 2]), seed=seeds)
@@ -80,14 +73,12 @@ def test_spectrum_invariant_under_relabelling_and_rotation(name, degree, seed):
     rng = np.random.default_rng(seed)
     verts, new_id = _relabel(mesh, rng)
     cells = _rotate_rows(new_id[mesh.cells], rng.integers(0, 3, mesh.n_cells), 3)
-    got = _spectrum_or_refusal(MeshComplex(verts, cells), degree)
+    got = spectrum(MeshComplex(verts, cells), degree, k=6)
     want = _base_spectrum(name, degree)
-    assert (got is None) == (want is None)
-    if want is not None:
-        # relative to the spectrum's scale: harmonic zeros have none of their own
-        scale = np.abs(want.eigenvalues).max()
-        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-10 * scale)
-        assert got.count("harmonic") == want.count("harmonic")
+    # relative to the spectrum's scale: harmonic zeros have none of their own
+    scale = np.abs(want.eigenvalues).max()
+    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-10 * scale)
+    assert got.count("harmonic") == want.count("harmonic")
 
 
 @given(
