@@ -289,8 +289,9 @@ def induced_endomorphism(base, degree: int, sym_tol: float = 1e-10):
 
     The operator acts on a p-form by substituting ``base`` into each slot
     in turn; its eigenvalues are all p-fold sums of eigenvalues of ``base``.
-    Built as sum_(a,b) base[a, b] e_b ^ i_(e_a) from the structure stacks,
-    not by eigen-decomposition, so it is exact for non-diagonal input.
+    The matrix is sum_(a,b) base[a, b] e_b ^ i_(e_a), scattered from the
+    nonzeros of :func:`induced_generator_stack` rather than found by
+    eigen-decomposition, so it is exact for non-diagonal input.
     """
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
@@ -305,12 +306,13 @@ def induced_endomorphism(base, degree: int, sym_tol: float = 1e-10):
         raise ValueError(f"degree {degree} out of range for dim {n}")
     matrix = np.zeros((comb(n, degree), comb(n, degree)))
     if degree > 0:
-        wedges = wedge_basis_stack(n, degree - 1)
-        interiors = interior_basis_stack(n, degree)
-        # each term has one nonzero summand per entry; summing over ascending b
-        # makes the diagonal the ascending sum of base[i, i] (at top degree, the trace)
-        for b in range(n):
-            matrix += wedges[b] @ np.tensordot(base[:, b], interiors, axes=1)
+        rows, cols, a, b, sign, diagonal = _induced_scatter(n, degree)
+        # each off-diagonal entry has exactly one term; the diagonal is the
+        # ascending sum of base[i, i] over the multi-index (at top degree, the
+        # trace).  Adding onto zeros makes a zero entry +0.0, never -0.0.
+        matrix[rows, cols] += sign * base[a, b]
+        i = np.arange(len(matrix))
+        matrix[i, i] += np.cumsum(base.diagonal()[diagonal], axis=1)[:, -1]
     return InducedEndomorphism(base=base, degree=degree, matrix=matrix)
 
 
@@ -487,6 +489,47 @@ def induced_generator_stack(dim: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _induced_scatter(dim: int, degree: int) -> tuple:
+    """Nonzeros of the generator stack as a scatter table for S^[p].
+
+    Returns (rows, cols, a, b, sign, diagonal): off-diagonal entry
+    [rows, cols] of S^[p] is sign * S[a, b], and row I of ``diagonal`` lists
+    the multi-index I, whose S[i, i] sum to the diagonal entry [I, I].
+    """
+    stack = induced_generator_stack(dim, degree)
+    rows, cols, a, b = np.nonzero(stack)
+    sign = stack[rows, cols, a, b]
+    off = a != b
+    # np.nonzero runs in C order: the diagonal terms of row I come in ascending i
+    diagonal = a[~off].reshape(-1, degree)
+    table = (rows[off], cols[off], a[off], b[off], sign[off], diagonal)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _derivative_matrix(dim: int, degree: int, which: str) -> np.ndarray:
+    """K with (d or delta of the form)[m] = jac[m].reshape(-1) @ K, one column per output.
+
+    Row c * dim + k holds the stack entries that pair coefficient c with
+    direction k.  A single output column is padded with a zero column: the
+    matrix product then sums each row in the same sequence as the per-point
+    contraction, which a matrix-vector product does not.
+    """
+    if which == "d":
+        stack = wedge_basis_stack(dim, degree)
+    else:
+        stack = -interior_basis_stack(dim, degree)
+    out = stack.transpose(2, 0, 1).reshape(comb(dim, degree) * dim, -1)
+    if out.shape[1] == 1:
+        out = np.column_stack([out, np.zeros(out.shape[0])])
+    out = np.ascontiguousarray(out)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _face_ranks(dim: int, degree: int) -> np.ndarray:
     """Ranks of the degree-p multi-indices that avoid the last axis, in lex order."""
     return np.array(
@@ -539,10 +582,14 @@ def _batch_shape(coeffs, shape_world, degree):
 def _batch_d(jac, degree, dim):
     if degree == dim:
         return np.zeros((jac.shape[0], 1))
-    stack = wedge_basis_stack(dim, degree)
-    return np.einsum("kDc,mck->mD", stack, jac)
+    return _batch_derivative(jac, degree, dim, "d")
 
 
 def _batch_delta(jac, degree, dim):
-    stack = interior_basis_stack(dim, degree)
-    return -np.einsum("kDc,mck->mD", stack, jac)
+    return _batch_derivative(jac, degree, dim, "delta")
+
+
+def _batch_derivative(jac, degree, dim, which):
+    k = _derivative_matrix(dim, degree, which)
+    n_out = comb(dim, degree + 1 if which == "d" else degree - 1)
+    return (jac.reshape(jac.shape[0], k.shape[0]) @ k)[:, :n_out]

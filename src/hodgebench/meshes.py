@@ -80,6 +80,16 @@ def _pair_keys(u, w, n):
     return np.minimum(u, w) * n + np.maximum(u, w)
 
 
+def _tet_determinants(vertices, tets) -> np.ndarray:
+    """Six times the signed volume of each tet: (v1 - v0) . ((v2 - v0) x (v3 - v0))."""
+    v = vertices
+    return np.einsum(
+        "ij,ij->i",
+        v[tets[:, 1]] - v[tets[:, 0]],
+        np.cross(v[tets[:, 2]] - v[tets[:, 0]], v[tets[:, 3]] - v[tets[:, 0]]),
+    )
+
+
 def _find(sorted_keys, keys):
     """Position of each key in a sorted key array, and whether it is there."""
     pos = np.searchsorted(sorted_keys, keys)
@@ -131,6 +141,7 @@ class MeshComplex:
         self.metadata = dict(metadata or {})
         self._edges = None
         self._edge_keys = None
+        self._tet_dets = None
         if self.kind == "solid":
             if boundary_faces is None:
                 boundary_faces, _ = self._extract_boundary(self._sorted_edge_keys())
@@ -158,6 +169,16 @@ class MeshComplex:
             self._edge_keys = self._sorted_edge_keys()
             self._edges = np.column_stack(np.divmod(self._edge_keys, self.n_vertices))
         return self._edges
+
+    @property
+    def tet_determinants(self) -> np.ndarray:
+        """Six times the signed volume of each tet (solids only), computed once."""
+        if self._tet_dets is None:
+            if self.kind != "solid":
+                raise MeshError("bad_kind", "tet determinants require a solid mesh")
+            self._tet_dets = _tet_determinants(self.vertices, self.cells)
+            self._tet_dets.flags.writeable = False
+        return self._tet_dets
 
     def _sorted_edge_keys(self) -> np.ndarray:
         c = self.cells
@@ -230,15 +251,9 @@ class MeshComplex:
 
     def volume(self) -> float:
         """Signed volume: of the solid, or enclosed by a closed surface."""
-        v = self.vertices
         if self.kind == "solid":
-            t = self.cells
-            d = np.einsum(
-                "ij,ij->i",
-                v[t[:, 1]] - v[t[:, 0]],
-                np.cross(v[t[:, 2]] - v[t[:, 0]], v[t[:, 3]] - v[t[:, 0]]),
-            )
-            return float(d.sum() / 6.0)
+            return float(self.tet_determinants.sum() / 6.0)
+        v = self.vertices
         f = self.cells
         d = np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]]))
         return float(d.sum() / 6.0)
@@ -310,14 +325,7 @@ class MeshComplex:
             )
 
     def _validate_solid(self) -> None:
-        v = self.vertices
-        t = self.cells
-        d = np.einsum(
-            "ij,ij->i",
-            v[t[:, 1]] - v[t[:, 0]],
-            np.cross(v[t[:, 2]] - v[t[:, 0]], v[t[:, 3]] - v[t[:, 0]]),
-        )
-        bad = np.flatnonzero(d <= 0)
+        bad = np.flatnonzero(self.tet_determinants <= 0)
         if bad.size:
             raise MeshError(
                 "inconsistent_orientation",
@@ -525,12 +533,7 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     bottoms = 1 + nv * np.arange(layers - 1)
     tets = np.vstack([cone, (prism + bottoms[:, None, None, None]).reshape(-1, 4)])
     # orient every tet positively (the split table does not track handedness)
-    d = np.einsum(
-        "ij,ij->i",
-        verts[tets[:, 1]] - verts[tets[:, 0]],
-        np.cross(verts[tets[:, 2]] - verts[tets[:, 0]], verts[tets[:, 3]] - verts[tets[:, 0]]),
-    )
-    flip = d < 0
+    flip = _tet_determinants(verts, tets) < 0
     tets[flip] = tets[flip][:, [0, 2, 1, 3]]
 
     boundary = cells + 1 + (layers - 1) * nv

@@ -131,21 +131,22 @@ def _resolve_surface(mesh: MeshComplex, shape_source):
 
 
 def _tet_quadrature(mesh: MeshComplex, order: int):
-    v = mesh.vertices[mesh.cells]  # (T, 4, 3)
-    vols = (
-        np.einsum(
-            "ij,ij->i",
-            v[:, 1] - v[:, 0],
-            np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]),
-        )
-        / 6.0
-    )
+    vols = mesh.tet_determinants / 6.0
     if order <= 1:
         bary = np.full((1, 4), 0.25)
     else:
         bary = np.full((4, 4), _TET4_B)
         np.fill_diagonal(bary, _TET4_A)
-    pts = np.einsum("qk,tkc->tqc", bary, v).reshape(-1, 3)
+    # summed from zero corner by corner, in corner order, which fixes each
+    # point's rounding; a BLAS product (fused multiply-adds) rounds differently
+    corners = [mesh.vertices[mesh.cells[:, k]] for k in range(4)]
+    pts = np.empty((mesh.n_cells, bary.shape[0], 3))
+    for q, weights in enumerate(bary):
+        acc = np.zeros((mesh.n_cells, 3))
+        for weight, corner in zip(weights, corners):
+            acc += weight * corner
+        pts[:, q] = acc
+    pts = pts.reshape(-1, 3)
     w = np.repeat(vols / bary.shape[0], bary.shape[0])
     return pts, w
 
@@ -163,6 +164,19 @@ def _tri_quadrature(vertices, faces, order: int):
     face_ids = np.repeat(np.arange(len(faces)), bary.shape[0])
     bary_all = np.tile(bary, (len(faces), 1))
     return pts, w, face_ids, bary_all
+
+
+def _row_square_sums(a) -> np.ndarray:
+    """(a**2).sum(axis=(1, 2)), squaring 4096 rows at a time.
+
+    Same numbers as the one-shot expression, without its full-size
+    temporary (68 MB for a ball(4) Jacobian).
+    """
+    block = 4096
+    out = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], block):
+        out[start : start + block] = (a[start : start + block] ** 2).sum(axis=(1, 2))
+    return out
 
 
 def _diameter(mesh: MeshComplex) -> float:
@@ -306,14 +320,14 @@ def evaluate_reilly(
         mesh, [form], order, shape_source, nodes, fd_step, allow_fd
     )
 
-    # interior terms
-    coeffs = form.value(pts)
+    # interior terms; per-point arrays die as soon as their sums are taken (peak memory)
+    form_l2 = float(wts @ (form.value(pts) ** 2).sum(axis=1))
+    curvature_term = w_scalar * form_l2
     jac = form.jacobian(pts, h=h)
-    d_co = _batch_d(jac, p, 3)
-    delta_co = _batch_delta(jac, p, 3)
-    lhs = float(wts @ ((d_co**2).sum(axis=1) + (delta_co**2).sum(axis=1)))
-    dirichlet = float(wts @ (jac**2).sum(axis=(1, 2)))
-    curvature_term = w_scalar * float(wts @ (coeffs**2).sum(axis=1))
+    lhs = float(
+        wts @ ((_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1))
+    )
+    dirichlet = float(wts @ _row_square_sums(jac))
 
     # boundary terms
     cb = form.value(epts)
@@ -350,7 +364,7 @@ def evaluate_reilly(
         "boundary_shape_term": boundary,
         "boundary_shape_term_star_form": boundary_star,
         "boundary_forms_max_gap": gap,
-        "form_l2_norm_sq": float(wts @ (coeffs**2).sum(axis=1)),
+        "form_l2_norm_sq": form_l2,
     }
     if include_dec:
         terms["dec_cross_term"] = _dec_cross_term(mesh, form, surface, h)

@@ -59,6 +59,10 @@ class SolverError(Exception):
         self.residuals = residuals
 
 
+class _EveryFacePinned(SolverError):
+    """The degree-2 pencil has no unknowns: every face is pinned to zero."""
+
+
 @dataclass
 class DecOperators:
     """Signed incidence matrices and diagonal Hodge stars of a surface mesh,
@@ -109,7 +113,7 @@ class DecOperators:
         group[np.isin(group, group[one_sided])] = -1
         free = np.flatnonzero(group >= 0)
         if not free.size:
-            raise SolverError("every face is pinned to zero by a zero-weight boundary edge")
+            raise _EveryFacePinned("every face is pinned to zero by a zero-weight boundary edge")
         _, merged = np.unique(group[free], return_inverse=True)
         p = sparse.csr_matrix((np.ones(free.size), (free, merged)), shape=(len(group), merged.max() + 1))
         mass = 1.0 / (p.T @ (1.0 / self.star2))
@@ -480,9 +484,12 @@ def _one_form_values(ops: DecOperators, k: int, betti: tuple):
     if (ops.d1 @ ops.d0).count_nonzero():
         raise SolverError("d1 d0 != 0: the operators are not a cochain complex")
     nonzero = max(k - betti[1], 1)
-    (w0, f0, scale0, m0), (w2, f2, scale2, m2) = (
-        _pencil_values(ops, p, nonzero + betti[p], betti[p]) for p in (0, 2)
-    )
+    w0, f0, scale0, m0 = _pencil_values(ops, 0, nonzero + betti[0], betti[0])
+    try:
+        w2, f2, scale2, m2 = _pencil_values(ops, 2, nonzero + betti[2], betti[2])
+    except _EveryFacePinned:
+        # no 2-form unknowns, so no coexact values; rank d1 is still F - h2 with h2 = 0
+        w2, f2, scale2, m2 = np.zeros(0), [], 0.0, m0
     h0, h2 = f0.count("harmonic"), f2.count("harmonic")
     values = np.concatenate([w0[h0:], w2[h2:]])
     order = np.argsort(values, kind="stable")
@@ -518,7 +525,9 @@ def spectrum(
     max(k - b1, 1) + b_p eigenpairs each (capped at the pencil size), each
     with its own checks.  It returns min(b1, k) harmonic values, reported
     as 0.0, then the smallest of the union of their nonzero values, tagged
-    exact (from degree 0) or coexact (from degree 2).  Its harmonic count
+    exact (from degree 0) or coexact (from degree 2); a degree-2 pencil
+    whose every face is pinned adds no values (asked for alone, it raises
+    SolverError).  Its harmonic count
     E - (V - h0) - (F - h2), from the sub-solves' counts h0 and h2, is
     checked against b1.  ``zero_tol`` is the larger of the two sub-solves'
     tolerances; ``method`` is their shared method, or both joined by '+'

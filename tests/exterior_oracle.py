@@ -2,10 +2,11 @@
 
 These are the original per-form Python loops (the coefficient-by-coefficient
 wedge, the slot-substitution derivation matrix, the C(m,p)^2-determinant
-compound matrix) and the per-point boundary identity checks that walked
-``AlternatingForm`` objects one sample point at a time.  ``hodgebench``
-replaced them with contractions of cached structure stacks and with array
-code over all points; they are kept only as a test oracle.
+compound matrix), the per-point boundary identity checks that walked
+``AlternatingForm`` objects one sample point at a time, and the batched d and
+delta as einsum contractions.  ``hodgebench`` replaced them with contractions
+of cached structure stacks, matrix products and array code over all points;
+they are kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 
 from hodgebench.exterior import (
     AlternatingForm,
-    _batch_d,
-    _batch_delta,
     interior_basis_stack,
     multi_index_rank,
     multi_indices,
     tangent_frame,
+    wedge_basis_stack,
 )
 from hodgebench.fields import FormField
 from hodgebench.reilly import SphereSurface, sphere_sample_points
@@ -229,6 +229,19 @@ def _surface_d_delta(form, surface, q, method, h, fd_field_h):
     return delta_t, d_v
 
 
+def batch_d(jac, degree, dim):
+    """d of a p-form at M points from its (M, C(dim, p), dim) Jacobian, as
+    the per-point contraction with the wedge stack."""
+    if degree == dim:
+        return np.zeros((jac.shape[0], 1))
+    return np.einsum("kDc,mck->mD", wedge_basis_stack(dim, degree), jac)
+
+
+def batch_delta(jac, degree, dim):
+    """delta of a p-form at M points, as the per-point contraction with the interior stack."""
+    return -np.einsum("kDc,mck->mD", interior_basis_stack(dim, degree), jac)
+
+
 def check_commutation(form, surface, points, h=1e-4, fd_field_h=None, method="fd"):
     p = form.degree
     res1 = res2 = 0.0
@@ -240,14 +253,14 @@ def check_commutation(form, surface, points, h=1e-4, fd_field_h=None, method="fd
         v = interior_product(n_vec, val)
         t = tangential_part(val, n_vec)
         n_mean = float(np.trace(s_world))
-        delta_w = AlternatingForm(form.dim, p - 1, _batch_delta(jac[None], p, form.dim)[0])
+        delta_w = AlternatingForm(form.dim, p - 1, batch_delta(jac[None], p, form.dim)[0])
         grad_n = AlternatingForm(form.dim, p, jac @ n_vec)
         shape_v = AlternatingForm(form.dim, p - 1, derivation_matrix(s_world, p - 1) @ v.coeffs)
         rhs1 = tangential_part(delta_w, n_vec) + interior_product(n_vec, grad_n) + shape_v - n_mean * v
         if p == form.dim:
             i_n_dw = AlternatingForm.zero(form.dim, p)
         else:
-            d_w = AlternatingForm(form.dim, p + 1, _batch_d(jac[None], p, form.dim)[0])
+            d_w = AlternatingForm(form.dim, p + 1, batch_d(jac[None], p, form.dim)[0])
             i_n_dw = interior_product(n_vec, d_w)
         shape_t = AlternatingForm(form.dim, p, derivation_matrix(s_world, p) @ t.coeffs)
         rhs2 = -1.0 * i_n_dw + tangential_part(grad_n, n_vec) - shape_t

@@ -9,6 +9,11 @@ equivalence tests require the array code to reproduce them bit for bit
 
 ``one_form_spectrum`` is the direct degree-1 pencil that ``spectrum`` replaced
 with the exact Hodge split (the union of the degree-0 and degree-2 spectra).
+
+``tet_determinants`` and ``tet_quadrature`` are the tet-volume expression that
+four call sites once evaluated separately, and the per-tet contraction that
+placed the tet quadrature points; volumes, weights and points must still
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -325,3 +330,28 @@ def quadric_shapes(vertices, normals, rings):
         shape_world[i] = frame @ s @ frame.T
         principal[i] = np.linalg.eigvalsh(s)
     return frames, shapes, shape_world, principal
+
+
+# ---------------------------------------------------------------------------
+# tet volumes and quadrature
+
+
+def tet_determinants(vertices, tets) -> np.ndarray:
+    """Six times each tet's signed volume, the expression the generator, the
+    validator, ``volume()`` and the tet quadrature each evaluated on their own."""
+    v = vertices
+    t = tets
+    return np.einsum(
+        "ij,ij->i",
+        v[t[:, 1]] - v[t[:, 0]],
+        np.cross(v[t[:, 2]] - v[t[:, 0]], v[t[:, 3]] - v[t[:, 0]]),
+    )
+
+
+def tet_quadrature(vertices, tets, bary):
+    """Points and weights of a tet rule with barycentric rows ``bary``, as one
+    per-tet contraction."""
+    v = vertices[tets]
+    vols = np.einsum("ij,ij->i", v[:, 1] - v[:, 0], np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0])) / 6.0
+    pts = np.einsum("qk,tkc->tqc", bary, v).reshape(-1, 3)
+    return pts, np.repeat(vols / bary.shape[0], bary.shape[0])

@@ -91,11 +91,25 @@ def test_zero_weight_boundary_edges_pin_their_faces():
     assert (rep.count("exact"), rep.count("coexact")) == (fan.n_vertices - 1, 1)
 
 
-def test_every_face_pinned_is_solver_error():
+def _pinned_square():
+    """The fan's first four triangles: every face has a zero-weight boundary edge."""
     fan = _right_angle_fan()
-    square = MeshComplex(fan.vertices[:5], fan.cells[:4], require_closed=False)
+    return MeshComplex(fan.vertices[:5], fan.cells[:4], require_closed=False)
+
+
+def test_every_face_pinned_is_solver_error():
     with pytest.raises(SolverError, match="pinned"):
-        spectrum(square, 2, 2)
+        spectrum(_pinned_square(), 2, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_every_face_pinned_one_forms_are_the_nonzero_function_spectrum(k):
+    square = _pinned_square()
+    rep = _assert_matches_direct_pencil(square, k)
+    assert rep.count("harmonic") == 0 and rep.count("coexact") == 0
+    assert np.allclose(rep.eigenvalues, [4.0, 4.0, 4.0, 8.0][:k], rtol=0, atol=1e-9)
+    functions = spectrum(square, 0, k + 1)
+    assert np.allclose(rep.eigenvalues, functions.eigenvalues[1:], rtol=0, atol=1e-9)
 
 
 def _sign_flipped(mesh):
