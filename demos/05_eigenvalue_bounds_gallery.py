@@ -17,13 +17,13 @@ from hodgebench import (
     generate_ball,
     generate_torus,
     main_lower_bound,
-    parallel_restriction_check,
     special_killing_relation,
     upper_bound_degree_one,
     upper_bound_degree_p,
     xia_bound,
 )
 from hodgebench.bounds import verdict_table
+from hodgebench.reilly import restriction_identity_residuals
 
 verdicts = []
 
@@ -58,7 +58,7 @@ for c, p, n in [(1.0, 1, 2), (1.0, 2, 5), (0.25, 1, 3)]:
 
 # parallel restriction identities on round spheres, analytic residuals
 xi = AlternatingForm(3, 2, [1.0, 0.0, 0.0])
-res = parallel_restriction_check(1.0, xi)
+res = restriction_identity_residuals(xi, radius=1.0)
 print(f"\nrestriction identities on S^2 for dx1^dx2: residuals {res[0]:.2e}, {res[1]:.2e}")
 
 # equality case: the volume ratio of a ball determines the curvature sums

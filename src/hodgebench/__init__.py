@@ -63,7 +63,6 @@ from .bounds import (
     GeometryCase,
     equality_case_diagnostics,
     main_lower_bound,
-    parallel_restriction_check,
     special_killing_relation,
     upper_bound_degree_one,
     upper_bound_degree_p,

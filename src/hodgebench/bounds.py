@@ -15,9 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .curvature import lowest_p_curvature_global
-from .exterior import AlternatingForm
 from .meshes import MeshComplex, discrete_shape, generate_ellipsoid
-from .reilly import restriction_identity_residuals
 from .spectrum import spectrum, sphere_hodge_oracle
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "upper_bound_degree_p",
     "minimal_upper_bound_constant",
     "special_killing_relation",
-    "parallel_restriction_check",
     "equality_case_diagnostics",
     "EqualityDiagnostics",
     "verdict_table",
@@ -121,7 +118,8 @@ class GeometryCase:
 
     Analytic spheres know their curvatures and spectra in closed form; mesh
     cases compute them from the quadric-fitted shape operator and the DEC
-    Laplacian, lazily and cached.
+    Laplacian, lazily and cached.  Every interior is flat Euclidean, so the
+    curvature term of the lower bound never turns it inapplicable.
     """
 
     def __init__(
@@ -139,7 +137,6 @@ class GeometryCase:
         self.radius = radius
         self.mesh = mesh
         self.label = label or kind
-        self.ambient_w_nonneg = True  # flat Euclidean interiors throughout
         self._shape = None
         self._spectrum0 = None
 
@@ -247,10 +244,6 @@ def main_lower_bound(case: GeometryCase, p: int, tol: float | None = None) -> Bo
     if not 1 <= p <= (n + 1) / 2:
         return _inapplicable(
             "p_form_lower_bound", formula, geometry, f"requires 1 <= p <= (n+1)/2, got p={p}", tol
-        )
-    if not case.ambient_w_nonneg:
-        return _inapplicable(
-            "p_form_lower_bound", formula, geometry, "curvature term of the domain not known nonnegative", tol
         )
     sigma_p = case.sigma(p)
     if sigma_p <= 0:
@@ -368,12 +361,6 @@ def special_killing_relation(c: float, p: int, n: int, tol: float = ANALYTIC_TOL
     return value, verdict
 
 
-def parallel_restriction_check(radius: float, xi: AlternatingForm, points=None):
-    """Residual pair of the two parallel-form restriction identities on the
-    round sphere of the given radius (totally umbilical, H = 1/radius)."""
-    return restriction_identity_residuals(xi, radius=radius, points=points)
-
-
 # ---------------------------------------------------------------------------
 # equality-case diagnostics
 
@@ -399,16 +386,14 @@ class EqualityDiagnostics:
         }
 
 
-def equality_case_diagnostics(
-    ball, p: int = 1, radius: float = 1.0, n: int | None = None, tol: float | None = None
-) -> EqualityDiagnostics:
+def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> EqualityDiagnostics:
     """Check vol(boundary)/vol(domain) = sigma_p + sigma_(n-p+1) = (n+1)/r
     and H = ratio/(n+1), on an analytic ball or a solid ball mesh."""
     checks = []
     if isinstance(ball, MeshComplex):
         if ball.kind != "solid":
             raise ValueError("equality diagnostics needs a solid mesh or analytic data")
-        tol = tol if tol is not None else 2e-2
+        tol = 2e-2
         n = 2
         r = ball.metadata.get("radius", radius)
         ratio = ball.area() / ball.volume()
@@ -420,8 +405,8 @@ def equality_case_diagnostics(
         h_mean = float(sh.mean.mean())
         geometry = {"label": "mesh-ball", "metadata": ball.metadata, "p": p}
     else:
-        tol = tol if tol is not None else ANALYTIC_TOL
-        n = int(ball) if n is None else n
+        tol = ANALYTIC_TOL
+        n = int(ball)
         if not 1 <= p <= n:
             raise ValueError(f"p={p} out of range 1..{n}")
         r = radius

@@ -50,7 +50,7 @@ from .meshes import (
     generate_torus,
     load_mesh,
 )
-from .reilly import evaluate_classical_reilly, evaluate_reilly
+from .reilly import evaluate_ledger, run_reilly_levels
 from .spectrum import SolverError, spectrum
 
 EXIT_OK = 0
@@ -160,38 +160,33 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_reilly(cfg: RunConfig) -> int:
-    if cfg.mesh:
-        levels = [0]  # a file mesh is evaluated once; levels refine generated balls
-    elif ".." in cfg.levels:
-        lo, hi = cfg.levels.split("..")
-        levels = list(range(int(lo), int(hi) + 1))
+    if cfg.field in SCALAR_FIELD_NAMES:
+        field = named_scalar_field(cfg.field)
+    elif cfg.field in FORM_FIELD_NAMES:
+        field = named_form_field(cfg.field)
     else:
-        levels = [int(tok) for tok in cfg.levels.split(",")]
-    scalar = cfg.field in SCALAR_FIELD_NAMES
-    if not scalar and cfg.field not in FORM_FIELD_NAMES:
         raise ValueError(
             f"unknown field {cfg.field!r}; scalars: {SCALAR_FIELD_NAMES}, forms: {FORM_FIELD_NAMES}"
         )
+    if cfg.mesh:
+        # a file mesh is evaluated once; levels refine generated balls
+        ledger = evaluate_ledger(load_mesh(cfg.mesh), field, cfg.order)
+        ledger.meta["level"] = 0
+        ledgers = [ledger]
+    else:
+        if ".." in cfg.levels:
+            lo, hi = cfg.levels.split("..")
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(tok) for tok in cfg.levels.split(",")]
+        if not levels:
+            raise ValueError(f"no refinement levels in {cfg.levels!r}")
+        ledgers = run_reilly_levels(levels, field, cfg.order)
     rows = []
-    ledgers = []
-    for level in levels:
-        if cfg.mesh:
-            mesh = load_mesh(cfg.mesh)
-        else:
-            mesh = generate_ball(level)
-        if scalar:
-            ledger = evaluate_classical_reilly(mesh, named_scalar_field(cfg.field), order=cfg.order)
-        else:
-            ledger = evaluate_reilly(mesh, named_form_field(cfg.field), order=cfg.order)
-        ledger.meta["level"] = level
-        ledgers.append(ledger)
-        rows.append(
-            [level, mesh.n_vertices, f"{ledger.residual:.16g}", f"{ledger.relative_residual:.16g}"]
-        )
-        print(
-            f"level {level}: residual {ledger.residual:+.6e} "
-            f"(relative {ledger.relative_residual:.3e})"
-        )
+    for ledger in ledgers:
+        level, residual, relative = ledger.meta["level"], ledger.residual, ledger.relative_residual
+        rows.append([level, ledger.meta["mesh"]["n_vertices"], f"{residual:.16g}", f"{relative:.16g}"])
+        print(f"level {level}: residual {residual:+.6e} (relative {relative:.3e})")
     ledgers[-1].to_json(_out_path(cfg, "reilly.json"), extra=_stamp(cfg))
     _write_csv(
         _out_path(cfg, "reilly_convergence.csv"),
@@ -309,30 +304,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="spectral-geometry workbench: spectra, identity ledgers, bound reports",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="JSON file with default option values")
+    parser.add_argument(
+        "--config", help="JSON file of option values for the subcommand; flags given on the line win"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--geometry", help="geometry spec, e.g. icosphere:4 or ball:3")
-        sp.add_argument("--mesh", help="path to an OFF/OBJ/tet mesh file")
-        sp.add_argument("--out", default=os.environ.get("HODGEBENCH_OUT", "."))
-        sp.add_argument("--tol", type=float, default=None)
+    out_default = os.environ.get("HODGEBENCH_OUT", ".")
 
     sp = sub.add_parser("spectrum", help="Hodge-Laplacian eigenvalues of a surface mesh")
-    common(sp)
+    sp.add_argument("--geometry", help="surface geometry spec, e.g. icosphere:4 or torus:24,12")
+    sp.add_argument("--mesh", help="path to an OFF/OBJ surface mesh file")
+    sp.add_argument("--out", default=out_default)
     sp.add_argument("--p", type=int, default=0, choices=(0, 1, 2), help="form degree")
     sp.add_argument("--k", type=int, default=10, help="number of eigenvalues")
     sp.add_argument("--cluster-tol", type=float, default=1e-3, dest="cluster_tol")
 
     sp = sub.add_parser("reilly", help="energy-identity ledgers over refinement levels")
-    common(sp)
+    sp.add_argument("--mesh", help="path to a tet mesh file, evaluated once instead of generated balls")
+    sp.add_argument("--out", default=out_default)
     sp.add_argument("--field", default="linear-x1",
                     help=f"scalars: {', '.join(SCALAR_FIELD_NAMES)}; forms: {', '.join(FORM_FIELD_NAMES)}")
     sp.add_argument("--levels", default="1..3", help="e.g. 1..3 or 2,3")
     sp.add_argument("--order", type=int, default=2, choices=(1, 2), help="quadrature order")
 
     sp = sub.add_parser("bounds", help="eigenvalue bound verdicts on geometry suites")
-    common(sp)
+    sp.add_argument("--geometry", help="geometry spec, e.g. sphere:3 or ellipsoid:1,1,1.2")
+    sp.add_argument("--out", default=out_default)
+    sp.add_argument("--tol", type=float, default=None, help="relative tolerance of the verdicts")
     sp.add_argument("--suite", choices=("spheres", "ellipsoids", "balls"))
     sp.add_argument("--theorem", default="all",
                     choices=("all", "lower-p", "xia", "upper-1", "upper-p", "killing"))
@@ -340,19 +337,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if args.config:
-        # config supplies defaults; flags given explicitly on the line win
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        for key, value in defaults.items():
-            dest = key.replace("-", "_")
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv and hasattr(args, dest):
-                setattr(args, dest, value)
+        # config values become the subcommand's defaults, so a flag on the line wins
+        try:
+            with open(args.config) as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        if not isinstance(values, dict):
+            parser.error(f"--config {args.config}: expected a JSON object")
+        sp = _subparsers(parser)[args.command]
+        defaults = {key.replace("-", "_"): value for key, value in values.items()}
+        options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
+        unknown = sorted(set(defaults) - options)
+        if unknown:
+            sp.error(f"config keys that are not {args.command} options: {', '.join(unknown)}")
+        sp.set_defaults(**defaults)
+        args = parser.parse_args(argv)
     # options a subcommand does not define keep the RunConfig defaults
     cfg = RunConfig(
         **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}

@@ -39,7 +39,6 @@ __all__ = [
     "duality_identity_residual",
     "tangent_frame",
     "tangential_part",
-    "normal_part",
     "star_matrix",
     "wedge_basis_stack",
     "interior_basis_stack",
@@ -388,11 +387,6 @@ def tangential_part(a: AlternatingForm, normal) -> AlternatingForm:
     return AlternatingForm(
         a.dim, a.degree, _batch_tangential(a.coeffs[None], n_vec[None], a.degree)[0]
     )
-
-
-def normal_part(a: AlternatingForm, normal) -> AlternatingForm:
-    """Ambient representative of the normal component i_n a (tangential itself)."""
-    return interior_product(normal, a)
 
 
 def duality_identity_residual(shape_matrix, degree: int) -> float:

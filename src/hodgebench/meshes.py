@@ -391,8 +391,9 @@ class MeshComplex:
         if self.kind == "surface":
             stats["area"] = self.area()
             stats["euler_characteristic"] = self.euler_characteristic()
-            stats["components"] = self.connected_components()
-            stats["first_betti_number"] = self.first_betti_number()
+            b0, b1, _ = self.betti_numbers()  # one adjacency pass for both
+            stats["components"] = b0
+            stats["first_betti_number"] = b1
         else:
             stats["volume"] = self.volume()
             stats["boundary_faces"] = int(self.boundary_faces.shape[0])

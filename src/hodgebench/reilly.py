@@ -38,7 +38,7 @@ from .exterior import (
     tangent_frame,
 )
 from .fields import FormField, ScalarField
-from .meshes import MeshComplex, MeshError, discrete_shape
+from .meshes import MeshComplex, MeshError, discrete_shape, generate_ball
 
 __all__ = [
     "ReillyLedger",
@@ -46,6 +46,7 @@ __all__ = [
     "MeshBoundarySurface",
     "evaluate_reilly",
     "evaluate_classical_reilly",
+    "evaluate_ledger",
     "check_commutation",
     "check_derivative_formulas",
     "check_stokes",
@@ -111,9 +112,7 @@ class MeshBoundarySurface:
         return n, (s + s.transpose(0, 2, 1)) / 2.0
 
 
-def _resolve_surface(mesh: MeshComplex, shape_source):
-    if not isinstance(shape_source, str):
-        return shape_source  # caller-supplied surface object
+def _resolve_surface(mesh: MeshComplex, shape_source: str):
     gen = mesh.metadata.get("generator")
     if shape_source == "auto":
         shape_source = "analytic" if gen == "ball" else "discrete"
@@ -185,30 +184,31 @@ def _diameter(mesh: MeshComplex) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def _ledger_setup(mesh, fields, order, shape_source, nodes, fd_step, allow_fd=True):
+def _ledger_setup(mesh, fields, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
-    Returns (fd_step, surface, nodes, pts, wts, bpts, bw, normals,
-    shape_world): the FD step (defaulted when a field lacks analytic
-    derivatives), the boundary surface, the resolved node mode, the tet
-    quadrature, and the boundary quadrature with its surface data.
+    Returns (fd_step, surface, pts, wts, bpts, bw, normals, shape_world):
+    the FD step (1e-5 of the mesh diameter when a field lacks analytic
+    derivatives, else None), the boundary surface, the tet quadrature, and
+    the boundary quadrature with its surface data.  Boundary nodes are
+    projected onto an analytic surface.
     """
+    fd_step = None
     if not all(f.has_analytic_derivatives for f in fields):
-        if not allow_fd:
-            raise ValueError("field lacks analytic derivatives and FD is disabled")
-        if fd_step is None:
-            fd_step = 1e-5 * _diameter(mesh)
+        fd_step = 1e-5 * _diameter(mesh)
     surface = _resolve_surface(mesh, shape_source)
     pts, wts = _tet_quadrature(mesh, order)
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    if nodes == "auto":
-        nodes = "projected" if getattr(surface, "analytic", False) else "flat"
-    if nodes == "projected":
-        if not hasattr(surface, "project"):
-            raise ValueError("projected boundary nodes require an analytic surface")
+    if surface.analytic:
         bpts = surface.project(bpts)
     normals, shape_world = surface.quadrature_data(bpts, fids, bary)
-    return fd_step, surface, nodes, pts, wts, bpts, bw, normals, shape_world
+    return fd_step, surface, pts, wts, bpts, bw, normals, shape_world
+
+
+def _surface_meta(surface) -> dict:
+    if surface.analytic:
+        return {"nodes": "projected", "shape_source": "analytic"}
+    return {"nodes": "flat", "shape_source": "discrete"}
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +294,17 @@ def evaluate_reilly(
     mesh: MeshComplex,
     form: FormField,
     order: int = 2,
-    shape_source="auto",
+    shape_source: str = "auto",
     curvature: CurvatureTerm | None = None,
-    nodes: str = "auto",
-    fd_step: float | None = None,
     include_dec: bool = False,
-    allow_fd: bool = True,
 ) -> ReillyLedger:
     """Integrate every term of the p-form energy identity on a solid mesh.
 
     ``shape_source`` picks where boundary normals/shape operators come from:
-    'analytic' (generated balls), 'discrete' (quadric-fitted boundary shape),
-    'auto', or a surface object.  ``nodes='projected'`` evaluates boundary
-    integrands at points projected onto the analytic surface (default for
-    balls).  ``include_dec`` adds a DEC evaluation of the cross term as a
-    diagnostic column.
+    'analytic' (generated balls, boundary integrands evaluated at nodes
+    projected onto the sphere), 'discrete' (quadric-fitted boundary shape)
+    or 'auto' (analytic exactly for generated balls).  ``include_dec`` adds
+    a DEC evaluation of the cross term as a diagnostic column.
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "p-form ledger requires a solid mesh")
@@ -316,8 +312,8 @@ def evaluate_reilly(
     if not 1 <= p <= 3:
         raise ValueError("form degree must be 1, 2 or 3")
     w_scalar = _check_curvature(curvature, p)
-    h, surface, nodes, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
-        mesh, [form], order, shape_source, nodes, fd_step, allow_fd
+    h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
+        mesh, [form], order, shape_source
     )
 
     # interior terms; per-point arrays die as soon as their sums are taken (peak memory)
@@ -367,14 +363,13 @@ def evaluate_reilly(
         "form_l2_norm_sq": form_l2,
     }
     if include_dec:
-        terms["dec_cross_term"] = _dec_cross_term(mesh, form, surface, h)
+        terms["dec_cross_term"] = _dec_cross_term(mesh, form, surface)
 
     meta = {
         "field": form.name,
         "degree": p,
         "order": order,
-        "nodes": nodes,
-        "shape_source": "analytic" if getattr(surface, "analytic", False) else "discrete",
+        **_surface_meta(surface),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -391,23 +386,21 @@ def evaluate_classical_reilly(
     mesh: MeshComplex,
     f: ScalarField,
     order: int = 2,
-    shape_source="auto",
+    shape_source: str = "auto",
     curvature: CurvatureTerm | None = None,
-    nodes: str = "auto",
-    fd_step: float | None = None,
-    allow_fd: bool = True,
 ) -> ReillyLedger:
     """Integrate the classical (function) form of the identity.
 
     The ledger holds int (Lap f)^2 on the left and the Hessian energy, the
     Ricci term (zero on flat solids) and the three boundary integrals
     2 f_N Lap^S f, <S grad^S f, grad^S f>, nH f_N^2 on the right.
+    ``shape_source`` is as for :func:`evaluate_reilly`.
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "classical ledger requires a solid mesh")
     ric_scalar = _check_curvature(curvature, 1)
-    h, surface, nodes, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
-        mesh, [f], order, shape_source, nodes, fd_step, allow_fd
+    h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
+        mesh, [f], order, shape_source
     )
 
     hess = f.hessian(pts, h=h)
@@ -439,8 +432,7 @@ def evaluate_classical_reilly(
     meta = {
         "field": f.name,
         "order": order,
-        "nodes": nodes,
-        "shape_source": "analytic" if getattr(surface, "analytic", False) else "discrete",
+        **_surface_meta(surface),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -453,27 +445,18 @@ def evaluate_classical_reilly(
     )
 
 
-def run_reilly_levels(
-    levels,
-    field,
-    order: int = 2,
-    shape_source="auto",
-    **kwargs,
-):
-    """Evaluate the appropriate ledger on generated balls over refinement levels."""
-    from .meshes import generate_ball
+def evaluate_ledger(mesh: MeshComplex, field, order: int = 2) -> ReillyLedger:
+    """The classical ledger of a scalar field, the p-form ledger of a form field."""
+    if isinstance(field, ScalarField):
+        return evaluate_classical_reilly(mesh, field, order=order)
+    return evaluate_reilly(mesh, field, order=order)
 
+
+def run_reilly_levels(levels, field, order: int = 2):
+    """:func:`evaluate_ledger` on generated balls, one refinement level at a time."""
     ledgers = []
     for level in levels:
-        mesh = generate_ball(level)
-        if isinstance(field, ScalarField):
-            ledger = evaluate_classical_reilly(
-                mesh, field, order=order, shape_source=shape_source, **kwargs
-            )
-        else:
-            ledger = evaluate_reilly(
-                mesh, field, order=order, shape_source=shape_source, **kwargs
-            )
+        ledger = evaluate_ledger(generate_ball(level), field, order)
         ledger.meta["level"] = level
         ledgers.append(ledger)
     return ledgers
@@ -483,27 +466,24 @@ def run_reilly_levels(
 # DEC diagnostic path for the cross term
 
 
-def _dec_cross_term(mesh: MeshComplex, form: FormField, surface, h):
+def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     from .spectrum import assemble_dec
 
     p = form.degree
     if p == 3:
         return 0.0  # J* of a top-degree ambient form vanishes on the surface
-    if isinstance(surface, MeshBoundarySurface) and surface.mesh is mesh:
+    if surface.analytic:
+        surf, _ = mesh.boundary_mesh()
+        normals_v = surface.normals(surf.vertices)
+    else:
         surf = surface.surface
         normals_v = surface.shape.normals
-    else:
-        surf, _ = mesh.boundary_mesh()
-        if getattr(surface, "analytic", False):
-            normals_v = surface.normals(surf.vertices)
-        else:
-            normals_v = discrete_shape(surf).normals
     # cochains live on the intrinsic Delaunay complex; flipped edges and
     # faces are sampled on the chords and flat triangles of their vertices
     ops = assemble_dec(surf)
     edges = ops.edges
     mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
-    if getattr(surface, "analytic", False):
+    if surface.analytic:
         n_mid = surface.normals(mids)
     else:
         n_mid = normals_v[edges[:, 0]] + normals_v[edges[:, 1]]
@@ -525,7 +505,7 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface, h):
     b = np.einsum("ek,ek->e", v_mid, edge_vec)
     f = ops.faces
     centroids = surf.vertices[f].mean(axis=1)
-    if getattr(surface, "analytic", False):
+    if surface.analytic:
         n_cent = surface.normals(centroids)
     else:
         n_cent = normals_v[f].sum(axis=1)
@@ -721,8 +701,7 @@ def check_stokes(
     omega: FormField,
     phi: FormField,
     order: int = 2,
-    shape_source="auto",
-    fd_step: float | None = None,
+    shape_source: str = "auto",
 ):
     """Residual of  int <d w, phi> = int <w, delta phi> - int_bnd <J*w, i_N phi>.
 
@@ -733,8 +712,8 @@ def check_stokes(
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
-    h, _, _, pts, wts, epts, bw, normals, _ = _ledger_setup(
-        mesh, [omega, phi], order, shape_source, "auto", fd_step
+    h, _, pts, wts, epts, bw, normals, _ = _ledger_setup(
+        mesh, [omega, phi], order, shape_source
     )
 
     d_omega = _batch_d(omega.jacobian(pts, h=h), omega.degree, 3)

@@ -6,7 +6,6 @@ from hodgebench.bounds import (
     equality_case_diagnostics,
     main_lower_bound,
     minimal_upper_bound_constant,
-    parallel_restriction_check,
     special_killing_relation,
     upper_bound_degree_one,
     upper_bound_degree_p,
@@ -16,6 +15,7 @@ from hodgebench.bounds import (
 )
 from hodgebench.exterior import AlternatingForm
 from hodgebench.meshes import generate_ball, generate_torus
+from hodgebench.reilly import restriction_identity_residuals
 from hodgebench.spectrum import sphere_hodge_oracle
 
 
@@ -125,13 +125,13 @@ def test_special_killing_rejects_negative_number():
 
 
 # ---------------------------------------------------------------------------
-# parallel restriction identities (delegated check)
+# parallel restriction identities on round spheres
 
 
 def test_parallel_restriction_on_spheres():
     xi = AlternatingForm(3, 2, [1.0, -2.0, 0.5])
     for radius in (1.0, 2.0):
-        res1, res2 = parallel_restriction_check(radius, xi)
+        res1, res2 = restriction_identity_residuals(xi, radius=radius)
         assert res1 <= 1e-8
         assert res2 <= 1e-8
 

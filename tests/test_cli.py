@@ -10,12 +10,17 @@ from hodgebench.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
+    _subparsers,
+    build_parser,
     main,
     parse_geometry,
 )
 from hodgebench.bounds import GeometryCase
-from hodgebench.meshes import MeshComplex, generate_torus
+from hodgebench.fields import named_scalar_field
+from hodgebench.meshes import MeshComplex, generate_ball, generate_torus, load_mesh, save_tet
+from hodgebench.reilly import evaluate_classical_reilly
 from test_spectrum import _cut_dec
+from test_topology_equivalence import _relabelled
 
 
 def test_parse_geometry_specs():
@@ -203,6 +208,62 @@ def test_bounds_ball_suite(tmp_path, capsys):
     assert all(d["satisfied"] for d in data["equality_diagnostics"])
 
 
+def test_reilly_loaded_tet_mesh_scalar_field_matches_library(tmp_path):
+    path = tmp_path / "ball.tet"
+    save_tet(_relabelled(generate_ball(2), 71), path)
+    code = main(["reilly", "--mesh", str(path), "--field", "radial-sq", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "reilly.json").read_text())
+    want = evaluate_classical_reilly(load_mesh(path), named_scalar_field("radial-sq"))
+    assert data["kind"] == "classical"
+    assert data["terms"] == want.terms
+    assert data["lhs"] == want.lhs
+    assert data["residual"] == want.residual
+    assert data["meta"]["level"] == 0
+    rows = (tmp_path / "reilly_convergence.csv").read_text().splitlines()[2:]
+    assert rows == [f"0,{want.meta['mesh']['n_vertices']},{want.residual:.16g},{want.relative_residual:.16g}"]
+
+
+def test_reilly_empty_level_range(tmp_path, capsys):
+    code = main(["reilly", "--levels", "3..1", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "no refinement levels" in capsys.readouterr().err
+    assert not (tmp_path / "reilly.json").exists()
+
+
+# every option has a reader: a new one must be added here on purpose
+SUBCOMMAND_OPTIONS = {
+    "spectrum": {"--geometry", "--mesh", "--out", "--p", "--k", "--cluster-tol"},
+    "reilly": {"--mesh", "--out", "--field", "--levels", "--order"},
+    "bounds": {"--geometry", "--out", "--tol", "--suite", "--theorem", "--p"},
+}
+
+
+def test_subcommand_option_sets():
+    got = {
+        name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sp in _subparsers(build_parser()).items()
+    }
+    assert got == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--geometry", "icosphere:1", "--tol", "1"],
+        ["reilly", "--field", "linear-x1", "--levels", "1", "--tol", "1"],
+        ["reilly", "--field", "linear-x1", "--levels", "1", "--geometry", "icosphere:3"],
+        ["bounds", "--suite", "spheres", "--mesh", "torus.off"],
+    ],
+    ids=["spectrum-tol", "reilly-tol", "reilly-geometry", "bounds-mesh"],
+)
+def test_option_of_another_subcommand_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"geometry": "icosphere:1", "k": 4}))
@@ -210,6 +271,49 @@ def test_config_file_defaults(tmp_path):
     assert code == EXIT_OK
     data = json.loads((tmp_path / "spectrum.json").read_text())
     assert len(data["eigenvalues"]) == 4
+
+
+def test_config_yields_to_equals_spelled_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": "icosphere:1", "k": 4}))
+    out = tmp_path / "run"
+    code = main(["--config", str(cfg), "spectrum", "--k=6", "--out", str(out)])
+    assert code == EXIT_OK
+    data = json.loads((out / "spectrum.json").read_text())
+    assert len(data["eigenvalues"]) == 6
+    assert data["config"]["k"] == 6
+
+
+def test_config_yields_to_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": "icosphere:2", "k": 4}))
+    out = tmp_path / "run"
+    code = main(["--config", str(cfg), "spectrum", "--geom", "icosphere:1", "--out", str(out)])
+    assert code == EXIT_OK
+    data = json.loads((out / "spectrum.json").read_text())
+    assert data["mesh"]["n_vertices"] == 42  # icosphere:1, not the config's icosphere:2
+    assert data["config"]["geometry"] == "icosphere:1"
+
+
+@pytest.mark.parametrize(
+    "values", [{"command": "bounds"}, {"tol": 1.0}, {"suite": "spheres"}, ["k", 4]]
+)
+def test_config_keys_outside_the_subcommand_are_usage_errors(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "spectrum", "--geometry", "icosphere:1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_missing_config_file_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "absent.json"), "bounds", "--suite", "spheres",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_outputs(tmp_path):

@@ -86,12 +86,6 @@ def test_classical_fd_matches_analytic():
         assert abs(analytic.terms[name] - fd.terms[name]) < 1e-5
 
 
-def test_fd_disabled_raises():
-    f = ScalarField(lambda p: p[:, 0], name="no-derivs")
-    with pytest.raises(ValueError):
-        evaluate_classical_reilly(BALL2, f, allow_fd=False)
-
-
 def test_discrete_shape_source():
     ledger = evaluate_classical_reilly(BALL3, named_scalar_field("radial-sq"), shape_source="discrete")
     assert ledger.relative_residual < 0.05
