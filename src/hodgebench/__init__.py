@@ -18,17 +18,7 @@ from .exterior import (
     split_at_boundary,
     wedge,
 )
-from .curvature import (
-    CurvatureTerm,
-    ShapeData,
-    bourguignon_w,
-    gallot_meyer_bound,
-    is_p_convex,
-    lowest_p_curvature,
-    lowest_p_curvature_global,
-    p_curvature_list,
-    sum_largest_squared_curvatures,
-)
+from .curvature import is_p_convex, lowest_p_curvature_global, p_curvature_list
 from .meshes import (
     DiscreteShape,
     MeshComplex,

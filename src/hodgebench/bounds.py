@@ -10,7 +10,7 @@ quadric-fitted shape operator and the DEC spectrum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "xia_bound",
     "upper_bound_degree_one",
     "upper_bound_degree_p",
-    "minimal_upper_bound_constant",
     "special_killing_relation",
     "equality_case_diagnostics",
     "EqualityDiagnostics",
@@ -320,21 +319,14 @@ def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -
     return _verdict("parallel_upper_bound_degree_p", lhs, rhs, -1, formula, tol, geometry)
 
 
-def minimal_upper_bound_constant(n: int, p: int) -> float:
-    """Improved constant for minimal hypersurfaces:
-    max(p(n-p), (p-1)(n-p+1)) / n."""
-    if not 1 <= p <= n:
-        raise ValueError(f"p={p} out of range 1..{n}")
-    return max(p * (n - p), (p - 1) * (n - p + 1)) / n
-
-
-def special_killing_relation(c: float, p: int, n: int, tol: float = ANALYTIC_TOL):
+def special_killing_relation(c: float, p: int, n: int, tol: float | None = None):
     """Eigenvalue c(p+1)(n-p) of the coclosed eigenform built from a special
     Killing p-form with number c, plus the verdict that it matches the
     exact (p+1)-form eigenvalue of the round sphere of curvature c.
 
     Returns (eigenvalue, BoundVerdict).
     """
+    tol = tol if tol is not None else ANALYTIC_TOL
     if c < 0:
         raise ValueError("special Killing number c must be >= 0")
     if not 1 <= p + 1 <= n:

@@ -4,7 +4,6 @@ Geometry specs are ``name:param,param`` strings::
 
     icosphere:SUBDIV[,RADIUS]      closed sphere mesh
     ellipsoid:A,B,C[,SUBDIV]       scaled icosphere
-    ball:SUBDIV                    solid unit-ball tet mesh
     torus:NU,NV[,R,r]              genus-1 surface
     sphere:N[,RADIUS]              analytic round sphere (bounds only)
 
@@ -95,9 +94,6 @@ def parse_geometry(spec: str):
             raise ValueError("ellipsoid needs a,b,c[,subdivisions]")
         sub = int(params[3]) if len(params) > 3 else 3
         return generate_ellipsoid(params[0], params[1], params[2], sub)
-    if name == "ball":
-        sub = int(params[0]) if params else 3
-        return generate_ball(sub)
     if name == "torus":
         nu = int(params[0]) if params else 24
         nv = int(params[1]) if len(params) > 1 else 12
@@ -217,7 +213,7 @@ def _sphere_suite(tol):
             for p in range(2, n):
                 verdicts.append(upper_bound_degree_p(case, p, tol))
         for p in range(0, n):
-            _, verdict = special_killing_relation(1.0, p, n)
+            _, verdict = special_killing_relation(1.0, p, n, tol)
             verdicts.append(verdict)
     return verdicts
 
@@ -240,6 +236,16 @@ def _ellipsoid_suite(tol, p=1):
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
+    if cfg.suite and cfg.geometry:  # argparse sees only the line, not --config values
+        raise ValueError("give --suite or --geometry, not both")
+    # a suite refuses the settings it does not read
+    unread = {
+        "spheres": {"--p": cfg.p is not None},
+        "balls": {"--tol": cfg.tol is not None, "--theorem": cfg.theorem != "all"},
+    }.get(cfg.suite, {})
+    given = [flag for flag, is_set in unread.items() if is_set]
+    if given:
+        raise ValueError(f"--suite {cfg.suite} does not read {', '.join(given)}")
     verdicts = []
     reports = []
     if cfg.suite == "spheres":
@@ -327,10 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=2, choices=(1, 2), help="quadrature order")
 
     sp = sub.add_parser("bounds", help="eigenvalue bound verdicts on geometry suites")
-    sp.add_argument("--geometry", help="geometry spec, e.g. sphere:3 or ellipsoid:1,1,1.2")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--geometry", help="geometry spec, e.g. sphere:3 or ellipsoid:1,1,1.2")
+    which.add_argument("--suite", choices=("spheres", "ellipsoids", "balls"))
     sp.add_argument("--out", default=out_default)
     sp.add_argument("--tol", type=float, default=None, help="relative tolerance of the verdicts")
-    sp.add_argument("--suite", choices=("spheres", "ellipsoids", "balls"))
     sp.add_argument("--theorem", default="all",
                     choices=("all", "lower-p", "xia", "upper-1", "upper-p", "killing"))
     sp.add_argument("--p", type=int, default=None)

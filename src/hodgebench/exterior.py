@@ -17,7 +17,6 @@ stacks to coefficient arrays of many points at once.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -30,7 +29,6 @@ __all__ = [
     "SplitForm",
     "multi_indices",
     "multi_index_rank",
-    "multi_index_unrank",
     "wedge",
     "hodge_star",
     "interior_product",
@@ -71,24 +69,6 @@ def multi_index_rank(dim: int, index: tuple) -> int:
             rank += comb(dim - 1 - v, p - 1 - j)
         prev = i
     return rank
-
-
-def multi_index_unrank(dim: int, degree: int, rank: int) -> tuple:
-    """Inverse of :func:`multi_index_rank`."""
-    out = []
-    prev = -1
-    r = rank
-    for j in range(degree):
-        v = prev + 1
-        while True:
-            block = comb(dim - 1 - v, degree - 1 - j)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -192,32 +172,9 @@ class AlternatingForm:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def wedge(self, other) -> "AlternatingForm":
-        return wedge(self, other)
-
-    def star(self) -> "AlternatingForm":
-        return hodge_star(self)
-
-    def interior(self, v) -> "AlternatingForm":
-        return interior_product(v, self)
-
-    def split(self, normal) -> "SplitForm":
-        return split_at_boundary(self, normal)
-
     def _check_same_space(self, other):
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError("forms live in different spaces")
-
-    # serialization --------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.dim, "degree": self.degree, "coeffs": self.coeffs.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, payload) -> "AlternatingForm":
-        data = json.loads(payload) if isinstance(payload, str) else payload
-        return cls(data["dim"], data["degree"], data["coeffs"])
 
     def __repr__(self):
         return f"AlternatingForm(dim={self.dim}, degree={self.degree}, coeffs={self.coeffs})"

@@ -36,7 +36,6 @@ each edge midpoint by the edge's first use in face order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +50,6 @@ __all__ = [
     "generate_ellipsoid",
     "generate_ball",
     "generate_torus",
-    "merge_meshes",
     "load_mesh",
     "discrete_shape",
     "ellipsoid_shape_world",
@@ -201,20 +199,6 @@ class MeshComplex:
             raise MeshError("bad_kind", "Euler characteristic defined for surfaces here")
         return self.n_vertices - self.n_edges + self.n_cells
 
-    def connected_components(self) -> int:
-        from scipy.sparse.csgraph import connected_components
-
-        n, _ = connected_components(_adjacency(self), directed=False)
-        return int(n)
-
-    def genus(self) -> int:
-        """Genus of a closed connected orientable surface."""
-        chi = self.euler_characteristic()
-        comps = self.connected_components()
-        if comps != 1:
-            raise MeshError("bad_topology", "genus requires a connected surface")
-        return (2 - chi) // 2
-
     def betti_numbers(self) -> tuple:
         """(b0, b1, b2) of an orientable surface.
 
@@ -316,12 +300,43 @@ class MeshComplex:
                 "inconsistent_orientation",
                 f"faces {h1 // 3} and {h2 // 3} traverse edge {key} the same way",
             )
+        self._validate_vertex_fans(faces, first[count == 2], second[count == 2])
         p = self.vertices[faces]
         flat = np.flatnonzero(~np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).any(axis=1))
         if flat.size:
             raise MeshError(
                 "degenerate_face",
                 f"{flat.size} faces have zero area (first: {flat[:5].tolist()})",
+            )
+
+    def _validate_vertex_fans(self, faces, h1, h2) -> None:
+        """The faces at each vertex must form one fan, or one open path on a
+        boundary; two fans that share only the vertex pinch the surface.
+
+        Corner k is the use of vertex ``faces.flat[k]`` in face k // 3, where
+        half-edge k starts.  The half-edges h1 (a -> b) and h2 (b -> a) of a
+        two-face edge join the corners of a in its two faces, and those of b.
+        Every component of the corner graph then belongs to one vertex, and a
+        vertex must own exactly one.
+        """
+        from scipy.sparse.csgraph import connected_components
+
+        n = faces.size
+        end1 = h1 - h1 % 3 + (h1 + 1) % 3  # the corner where half-edge h1 ends
+        end2 = h2 - h2 % 3 + (h2 + 1) % 3
+        rows = np.r_[h1, end1]
+        cols = np.r_[end2, h2]
+        graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        n_fans, labels = connected_components(graph, directed=False)
+        owner = np.empty(n_fans, dtype=np.int64)
+        owner[labels] = faces.reshape(-1)
+        fans = np.bincount(owner, minlength=self.n_vertices)
+        pinched = np.flatnonzero(fans > 1)
+        if pinched.size:
+            v = int(pinched[0])
+            raise MeshError(
+                "non_manifold_vertex",
+                f"the faces at vertex {v} form {fans[v]} fans that share only the vertex",
             )
 
     def _validate_solid(self) -> None:
@@ -399,10 +414,6 @@ class MeshComplex:
             stats["boundary_faces"] = int(self.boundary_faces.shape[0])
             stats["boundary_area"] = self.area()
         return stats
-
-    def save_report(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.report(), fh, indent=2)
 
     def save_off(self, path) -> None:
         if self.kind != "surface":
@@ -577,15 +588,6 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
             "small_radius": small_radius,
         },
     )
-
-
-def merge_meshes(a: MeshComplex, b: MeshComplex) -> MeshComplex:
-    """Disjoint union of two surface meshes."""
-    if a.kind != "surface" or b.kind != "surface":
-        raise MeshError("bad_kind", "merge supports surface meshes")
-    verts = np.vstack([a.vertices, b.vertices])
-    cells = np.vstack([a.cells, b.cells + a.n_vertices])
-    return MeshComplex(verts, cells, metadata={"generator": "merge"})
 
 
 # ---------------------------------------------------------------------------

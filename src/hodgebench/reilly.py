@@ -9,7 +9,8 @@ On a flat solid mesh with boundary, the energy of a p-form field splits as
 with N the inner unit normal, J* the tangential restriction, delta^S the
 surface codifferential and B a shape-operator boundary term with two
 equivalent expressions.  Every term is integrated separately and the
-residual of the identity is reported.
+residual of the identity is reported.  The curvature term <W w, w> of the
+ambient domain vanishes on a flat solid, so the ledger records it as 0.
 
 The surface codifferential in the cross term is evaluated through the
 commutation identity (see :func:`check_commutation`, which tests that
@@ -21,11 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from math import comb
 
 import numpy as np
 
-from .curvature import CurvatureTerm
 from .exterior import (
     AlternatingForm,
     _batch_d,
@@ -233,9 +232,6 @@ class ReillyLedger:
     relative_residual: float
     meta: dict = dataclass_field(default_factory=dict)
 
-    def __getitem__(self, name):
-        return self.terms[name]
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -277,25 +273,11 @@ def _finish_ledger(kind, degree, lhs, terms, rhs_names, meta):
     )
 
 
-def _check_curvature(curvature, degree):
-    if curvature is None:
-        return 0.0
-    if not isinstance(curvature, CurvatureTerm):
-        raise TypeError("curvature must be a CurvatureTerm or None")
-    if curvature.kind != "constant_curvature":
-        raise ValueError(
-            "only flat solids (None) and the constant-curvature scalar rule "
-            f"are supported here, got {curvature.kind!r}"
-        )
-    return curvature.scalar(degree, 3)
-
-
 def evaluate_reilly(
     mesh: MeshComplex,
     form: FormField,
     order: int = 2,
     shape_source: str = "auto",
-    curvature: CurvatureTerm | None = None,
     include_dec: bool = False,
 ) -> ReillyLedger:
     """Integrate every term of the p-form energy identity on a solid mesh.
@@ -311,14 +293,12 @@ def evaluate_reilly(
     p = form.degree
     if not 1 <= p <= 3:
         raise ValueError("form degree must be 1, 2 or 3")
-    w_scalar = _check_curvature(curvature, p)
     h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
         mesh, [form], order, shape_source
     )
 
     # interior terms; per-point arrays die as soon as their sums are taken (peak memory)
     form_l2 = float(wts @ (form.value(pts) ** 2).sum(axis=1))
-    curvature_term = w_scalar * form_l2
     jac = form.jacobian(pts, h=h)
     lhs = float(
         wts @ ((_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1))
@@ -355,7 +335,7 @@ def evaluate_reilly(
 
     terms = {
         "dirichlet_energy": dirichlet,
-        "curvature_energy": curvature_term,
+        "curvature_energy": 0.0,  # <W w, w> vanishes on a flat solid
         "normal_cross_term": cross,
         "boundary_shape_term": boundary,
         "boundary_shape_term_star_form": boundary_star,
@@ -387,7 +367,6 @@ def evaluate_classical_reilly(
     f: ScalarField,
     order: int = 2,
     shape_source: str = "auto",
-    curvature: CurvatureTerm | None = None,
 ) -> ReillyLedger:
     """Integrate the classical (function) form of the identity.
 
@@ -398,17 +377,14 @@ def evaluate_classical_reilly(
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "classical ledger requires a solid mesh")
-    ric_scalar = _check_curvature(curvature, 1)
     h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
         mesh, [f], order, shape_source
     )
 
     hess = f.hessian(pts, h=h)
-    grad = f.gradient(pts, h=h)
     lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
     lhs = float(wts @ lap**2)
     hessian_energy = float(wts @ (hess**2).sum(axis=(1, 2)))
-    ricci = ric_scalar * float(wts @ (grad**2).sum(axis=1))
 
     gb = f.gradient(epts, h=h)
     hb = f.hessian(epts, h=h)
@@ -424,7 +400,7 @@ def evaluate_classical_reilly(
 
     terms = {
         "hessian_energy": hessian_energy,
-        "ricci_term": ricci,
+        "ricci_term": 0.0,  # Ric(grad f, grad f) vanishes on a flat solid
         "boundary_normal_laplacian": boundary_normal_lap,
         "boundary_shape_gradient": boundary_shape_grad,
         "boundary_mean_normal_sq": boundary_mean_sq,

@@ -5,7 +5,6 @@ from hodgebench.bounds import (
     GeometryCase,
     equality_case_diagnostics,
     main_lower_bound,
-    minimal_upper_bound_constant,
     special_killing_relation,
     upper_bound_degree_one,
     upper_bound_degree_p,
@@ -74,10 +73,6 @@ def test_upper_bound_degree_p_alpha():
 def test_upper_bound_degree_p_range_error():
     with pytest.raises(ValueError):
         upper_bound_degree_p(GeometryCase.sphere(4, 1.0), 1)
-
-
-def test_minimal_variant_constant():
-    assert np.isclose(minimal_upper_bound_constant(3, 2), 2.0 / 3.0)
 
 
 def test_convex_lower_bound_dominates_isotropic():

@@ -17,23 +17,51 @@ from hodgebench.cli import (
 )
 from hodgebench.bounds import GeometryCase
 from hodgebench.fields import named_scalar_field
-from hodgebench.meshes import MeshComplex, generate_ball, generate_torus, load_mesh, save_tet
+from hodgebench.meshes import (
+    MeshComplex,
+    generate_ball,
+    generate_icosphere,
+    generate_torus,
+    load_mesh,
+    save_tet,
+)
 from hodgebench.reilly import evaluate_classical_reilly
 from test_spectrum import _cut_dec
-from test_topology_equivalence import _relabelled
+from test_meshes import glue_at_vertex
+from test_topology_equivalence import _relabelled, _write_off
 
 
 def test_parse_geometry_specs():
     assert parse_geometry("icosphere:2").n_vertices == 162
     assert parse_geometry("icosphere:1,2.0").vertices.max() > 1.5
-    assert parse_geometry("ball:1").kind == "solid"
     assert parse_geometry("ellipsoid:1,1,1.2").metadata["semi_axes"] == [1.0, 1.0, 1.2]
-    assert parse_geometry("torus:12,8").genus() == 1
+    assert parse_geometry("torus:12,8").betti_numbers() == (1, 2, 1)
     case = parse_geometry("sphere:3,2.0")
     assert isinstance(case, GeometryCase)
     assert case.radius == 2.0
-    with pytest.raises(ValueError):
-        parse_geometry("klein:1")
+    for spec in ("klein:1", "ball:1"):  # no subcommand takes a solid
+        with pytest.raises(ValueError, match="unknown geometry"):
+            parse_geometry(spec)
+
+
+def test_ball_spec_is_unknown_geometry(tmp_path, capsys):
+    code = main(["spectrum", "--geometry", "ball:1", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "unknown geometry 'ball'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_spectrum_pinched_mesh_exit_2(tmp_path, capsys, p):
+    # at p = 0 this wrote a negative first Betti number; at p = 1, 2 it was a solver error
+    sphere = generate_icosphere(1)
+    path = tmp_path / "pinched.off"
+    _write_off(path, *glue_at_vertex(sphere, 0, sphere, 0))
+    out = tmp_path / "out"
+    code = main(["spectrum", "--mesh", str(path), "--p", str(p), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "[non_manifold_vertex]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -206,6 +234,45 @@ def test_bounds_ball_suite(tmp_path, capsys):
     data = json.loads((tmp_path / "bounds.json").read_text())
     assert len(data["equality_diagnostics"]) == 2
     assert all(d["satisfied"] for d in data["equality_diagnostics"])
+
+
+def test_sphere_suite_reads_tol(tmp_path):
+    code = main(["bounds", "--suite", "spheres", "--tol", "0.5", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    data = json.loads((tmp_path / "bounds.json").read_text())
+    # the special-Killing verdicts too, which stamped 1e-12 whatever --tol said
+    assert {v["tolerance"] for v in data["verdicts"]} == {0.5}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage error
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "spheres", "--p", "2"],
+        ["--suite", "balls", "--tol", "0.1"],
+        ["--suite", "balls", "--theorem", "xia"],
+        ["--suite", "spheres", "--geometry", "sphere:3"],
+    ],
+    ids=["spheres-p", "balls-tol", "balls-theorem", "suite-and-geometry"],
+)
+def test_bounds_settings_the_run_does_not_read_exit_2(tmp_path, argv):
+    assert _exit_code(["bounds", *argv, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_suite_with_line_geometry_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "spheres"}))
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "bounds", "--geometry", "sphere:3", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_reilly_loaded_tet_mesh_scalar_field_matches_library(tmp_path):

@@ -1,20 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from hodgebench.curvature import (
-    CurvatureTerm,
-    ShapeData,
-    bourguignon_w,
-    gallot_meyer_bound,
-    is_p_convex,
-    lowest_p_curvature,
-    lowest_p_curvature_global,
-    p_curvature_list,
-    sum_largest_squared_curvatures,
-    write_vertex_curvature_csv,
-)
+from hodgebench.bounds import GeometryCase
+from hodgebench.curvature import is_p_convex, lowest_p_curvature_global, p_curvature_list
 from hodgebench.exterior import induced_endomorphism
 
 rng = np.random.default_rng(20240818)
@@ -27,21 +15,21 @@ def random_symmetric(n):
 
 def test_p_curvature_enumeration():
     assert np.allclose(p_curvature_list([-1, 0, 2], 2), [-1, 1, 2])
-    assert lowest_p_curvature([-1, 0, 2], 2) == -1
+    assert lowest_p_curvature_global([[-1, 0, 2]], 2) == -1
 
 
 def test_unit_sphere_p_curvatures():
     for n in range(1, 7):
         eta = np.ones(n)
         for p in range(1, n + 1):
-            assert lowest_p_curvature(eta, p) == p
+            assert lowest_p_curvature_global([eta], p) == p
 
 
 def test_radius_scaling():
     r = 2.5
     eta = np.ones(4) / r
     for p in range(1, 5):
-        assert np.isclose(lowest_p_curvature(eta, p), p / r)
+        assert np.isclose(lowest_p_curvature_global([eta], p), p / r)
 
 
 def test_p_curvatures_match_induced_spectrum():
@@ -58,16 +46,14 @@ def test_monotonicity_sigma_over_p():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         eta = rng.standard_normal(n)
-        sig = [lowest_p_curvature(eta, p) for p in range(1, n + 1)]
+        sig = [lowest_p_curvature_global([eta], p) for p in range(1, n + 1)]
         for p in range(1, n + 1):
             for q in range(p, n + 1):
                 assert sig[p - 1] / p <= sig[q - 1] / q + 1e-12
 
 
 def test_global_minimum():
-    a = ShapeData.from_principal([1.0, 1.0])
-    b = ShapeData.from_principal([0.2, 0.3])
-    assert lowest_p_curvature_global([a, b], 2) == 0.5
+    assert lowest_p_curvature_global([np.array([1.0, 1.0]), np.array([0.3, 0.2])], 2) == 0.5
     assert lowest_p_curvature_global([np.ones(2)], 1) == 1.0
     # an (M, n) array of principal curvatures, rows unsorted
     assert lowest_p_curvature_global(np.array([[1.0, 1.0], [0.3, 0.2]]), 2) == 0.5
@@ -98,43 +84,32 @@ def test_p_convex_implies_q_convex():
                     assert is_p_convex(pts, q)
 
 
+def top_p_squared(eta, p):
+    """Sum of the p largest squared principal curvatures, |S|_p^2."""
+    return np.sort(np.asarray(eta) ** 2)[-p:].sum()
+
+
 def test_sum_largest_squared():
-    assert sum_largest_squared_curvatures([3.0, -1.0, 2.0], 2) == 13.0
-    for p in range(1, 5):
-        eta = np.ones(2 * p - 1)  # unit odd sphere
-        assert sum_largest_squared_curvatures(eta, p) == p
-    eta = rng.standard_normal(5)
-    assert np.isclose(sum_largest_squared_curvatures(eta, 5), (eta**2).sum())
+    # the bounds' area average of |S|_p^2 over an ellipsoid mesh
+    case = GeometryCase.ellipsoid(1.0, 1.1, 1.3, subdivisions=2)
+    shape = case.shape()
+    for p in (1, 2):
+        want = sum(a * top_p_squared(eta, p) for a, eta in zip(shape.areas, shape.principal))
+        assert np.isclose(case.mean_shape_norm_sq(p), want / shape.areas.sum(), rtol=1e-13)
+    # at p = n the partial sum is the full squared norm
+    assert np.isclose(case.mean_shape_norm_sq(2), case.mean_shape_norm_sq(), rtol=1e-13)
+    for n in (1, 3, 5):
+        sphere = GeometryCase.sphere(n, 2.0)
+        for p in range(1, n + 1):
+            assert sphere.mean_shape_norm_sq(p) == p / 4.0
 
 
 def test_shape_norm_monotone_in_p():
-    eta = rng.standard_normal(6)
-    vals = [sum_largest_squared_curvatures(eta, p) for p in range(1, 7)]
-    assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
-
-
-def test_gallot_meyer_values():
-    assert gallot_meyer_bound(0.0, 5, 2) == 0.0
-    assert gallot_meyer_bound(1.0, 4, 2) == 4.0
-    term = CurvatureTerm.constant(1.0)
-    assert term.scalar(2, 4) == gallot_meyer_bound(1.0, 4, 2)
-
-
-def test_bourguignon_values():
-    assert bourguignon_w(0.0, 3) == 0.0
-    assert bourguignon_w(2.0, 1) == 1.0
-    # round 4-sphere: scalar curvature 12, middle degree 2 matches the
-    # constant-curvature value p(m-p)kappa = 4
-    assert np.isclose(bourguignon_w(12.0, 2), gallot_meyer_bound(1.0, 4, 2))
-
-
-def test_curvature_term_kinds():
-    with pytest.raises(ValueError):
-        CurvatureTerm("weird", 1.0)
-    lcf = CurvatureTerm.conformally_flat(12.0)
-    assert np.isclose(lcf.scalar(2, 4), 4.0)
-    with pytest.raises(ValueError):
-        lcf.scalar(1, 4)  # only the middle degree
+    case = GeometryCase.sphere(6, 1.5)
+    vals = [case.mean_shape_norm_sq(p) for p in range(1, 7)]
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+    mesh_case = GeometryCase.ellipsoid(0.9, 1.0, 1.2, subdivisions=2)
+    assert mesh_case.mean_shape_norm_sq(1) <= mesh_case.mean_shape_norm_sq(2)
 
 
 def test_cauchy_schwarz_operator_bounds():
@@ -149,7 +124,7 @@ def test_cauchy_schwarz_operator_bounds():
         phi = rng.standard_normal(comb(n, p))
         ext = induced_endomorphism(s, p).matrix
         lhs = float(((ext @ phi) ** 2).sum())
-        bound = p * sum_largest_squared_curvatures(eta, p) * float((phi**2).sum())
+        bound = p * top_p_squared(eta, p) * float((phi**2).sum())
         assert lhs <= bound + 1e-10 * max(1.0, bound)
 
         s0 = s - np.trace(s) / n * np.eye(n)
@@ -159,27 +134,3 @@ def test_cauchy_schwarz_operator_bounds():
         if p < n:
             bound0 = p * (n - p) / n * float((eta0**2).sum()) * float((phi**2).sum())
             assert lhs0 <= bound0 + 1e-10 * max(1.0, bound0)
-
-
-def test_shape_data_fields():
-    s = random_symmetric(3)
-    sd = ShapeData.from_matrix(s)
-    assert np.allclose(sd.sigma, np.cumsum(sd.principal))
-    assert np.isclose(sd.mean, np.trace(s) / 3)
-    assert np.isclose(sd.sigma[-1], 3 * sd.mean)
-    assert np.allclose(np.linalg.eigvalsh(sd.shape_matrix), sd.principal)
-
-
-def test_shape_data_rejects_mismatch():
-    with pytest.raises(ValueError):
-        ShapeData(principal=[5.0, 7.0], shape_matrix=np.eye(2))
-
-
-def test_csv_export(tmp_path):
-    shapes = [ShapeData.from_principal([0.5, 1.5]), ShapeData.from_principal([1.0, 1.0])]
-    path = tmp_path / "curv.csv"
-    write_vertex_curvature_csv(path, shapes)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "vertex,eta1,eta2,H,sigma1,sigma2"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,0.5,1.5,1,0.5,2")

@@ -11,7 +11,6 @@ from hodgebench.meshes import (
     generate_icosphere,
     generate_torus,
     load_mesh,
-    merge_meshes,
     save_tet,
 )
 
@@ -101,16 +100,50 @@ def test_ball_validates():
 def test_torus_topology():
     torus = generate_torus(16, 8)
     assert torus.euler_characteristic() == 0
-    assert torus.genus() == 1
+    assert torus.betti_numbers() == (1, 2, 1)  # genus 1
     assert torus.first_betti_number() == 2
+
+
+def disjoint_union(a, b):
+    """Two surface meshes as one mesh with two components."""
+    return MeshComplex(np.vstack([a.vertices, b.vertices]), np.vstack([a.cells, b.cells + a.n_vertices]))
 
 
 def test_merge_components():
     a = generate_icosphere(1, 1.0)
     b = MeshComplex(a.vertices + np.array([5.0, 0.0, 0.0]), a.cells)
-    both = merge_meshes(a, b)
-    assert both.connected_components() == 2
+    both = disjoint_union(a, b)
+    assert both.betti_numbers() == (2, 0, 2)
     assert both.first_betti_number() == 0
+
+
+def glue_at_vertex(a, i, b, j):
+    """Vertices and faces of surfaces a and b with b's vertex j merged into
+    a's vertex i (b translated to touch a there): a pinched surface."""
+    keep = np.arange(b.n_vertices) != j
+    new_id = np.empty(b.n_vertices, dtype=np.int64)
+    new_id[keep] = a.n_vertices + np.arange(b.n_vertices - 1)
+    new_id[j] = i
+    moved = b.vertices - b.vertices[j] + a.vertices[i]
+    return np.vstack([a.vertices, moved[keep]]), np.vstack([a.cells, new_id[b.cells]])
+
+
+def test_pinched_spheres_are_non_manifold_vertex():
+    # every edge borders two faces, but vertex 0 has two separate fans
+    a = generate_icosphere(1)
+    verts, faces = glue_at_vertex(a, 0, a, 0)
+    with pytest.raises(MeshError) as err:
+        MeshComplex(verts, faces)
+    assert str(err.value) == "[non_manifold_vertex] the faces at vertex 0 form 2 fans that share only the vertex"
+
+
+def test_open_bowtie_is_non_manifold_vertex():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
+    with pytest.raises(MeshError) as err:
+        MeshComplex(verts, [[0, 1, 2], [0, 3, 4]], require_closed=False)
+    assert err.value.code == "non_manifold_vertex"
+    # one open path of faces around the vertex is a valid boundary vertex
+    MeshComplex(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 4]], require_closed=False)
 
 
 def sphere_zone(keep):
@@ -374,11 +407,9 @@ def test_report_and_json(tmp_path):
     rep = mesh.report()
     assert rep["kind"] == "surface"
     assert rep["euler_characteristic"] == 2
-    path = tmp_path / "report.json"
-    mesh.save_report(path)
     import json
 
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(rep))  # reports go into the ledger JSON
     assert data["n_vertices"] == mesh.n_vertices
 
     ball = generate_ball(1)

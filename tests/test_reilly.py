@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hodgebench.curvature import CurvatureTerm
 from hodgebench.exterior import AlternatingForm
 from hodgebench.fields import FormField, ScalarField, named_form_field, named_scalar_field
 from hodgebench.meshes import generate_ball
@@ -141,19 +140,6 @@ def test_top_degree_field_balances():
     assert abs(ledger.terms["normal_cross_term"]) < 1e-12
     assert abs(ledger.terms["boundary_shape_term"]) < 1e-12
     assert ledger.relative_residual < 1e-10
-
-
-def test_constant_curvature_term_enters_ledger():
-    kappa = 0.7
-    ledger = evaluate_reilly(
-        BALL2, named_form_field("x2dx1"), curvature=CurvatureTerm.constant(kappa)
-    )
-    want = 1 * (3 - 1) * kappa * ledger.terms["form_l2_norm_sq"]
-    assert abs(ledger.terms["curvature_energy"] - want) < 1e-12
-    with pytest.raises(ValueError):
-        evaluate_reilly(
-            BALL2, named_form_field("x2dx1"), curvature=CurvatureTerm.operator_bound(0.5)
-        )
 
 
 def test_pform_discrete_shape_source():

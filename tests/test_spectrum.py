@@ -13,7 +13,6 @@ from hodgebench.meshes import (
     generate_ellipsoid,
     generate_icosphere,
     generate_torus,
-    merge_meshes,
 )
 from hodgebench.spectrum import (
     FLIP_TOL,
@@ -23,7 +22,7 @@ from hodgebench.spectrum import (
     spectrum,
     sphere_hodge_oracle,
 )
-from test_meshes import sphere_zone
+from test_meshes import disjoint_union, sphere_zone
 
 
 def shifted_copy(mesh, offset):
@@ -143,7 +142,7 @@ def test_sphere_radius_scaling_law():
 
 def test_disjoint_spheres_zero_multiplicity():
     a = generate_icosphere(2, 1.0)
-    both = merge_meshes(a, shifted_copy(a, [5.0, 0.0, 0.0]))
+    both = disjoint_union(a, shifted_copy(a, [5.0, 0.0, 0.0]))
     rep = spectrum(both, 0, 4)
     assert rep.families[:2] == ["harmonic", "harmonic"]
     assert rep.count("harmonic") == 2

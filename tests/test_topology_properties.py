@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,9 @@ from hodgebench.meshes import (
     generate_ellipsoid,
     generate_icosphere,
     generate_torus,
-    merge_meshes,
 )
 from hodgebench.spectrum import FLIP_TOL, assemble_dec, spectrum
+from test_meshes import disjoint_union, glue_at_vertex
 from test_topology_equivalence import _rotation
 
 _ico0 = generate_icosphere(0)
@@ -25,7 +26,7 @@ SURFACES = {
     "ico2": generate_icosphere(2),
     "torus": generate_torus(9, 5),
     "ellipsoid-1-1-2": generate_ellipsoid(1.0, 1.0, 2.0, 2),  # 52 edges flipped
-    "two-spheres": merge_meshes(_ico0, MeshComplex(_ico0.vertices + 3.0, _ico0.cells)),
+    "two-spheres": disjoint_union(_ico0, MeshComplex(_ico0.vertices + 3.0, _ico0.cells)),
 }
 BALL = generate_ball(1)
 
@@ -59,6 +60,26 @@ def test_surface_invariants_under_relabelling_and_rotation(name, seed):
     assert np.array_equal(other.edges, oracle.edges(cells))
     ops = assemble_dec(other)
     assert (ops.d1 @ ops.d0).count_nonzero() == 0
+
+
+@given(names=st.tuples(*[st.sampled_from(sorted(SURFACES))] * 2), data=st.data(), seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_gluing_two_valid_surfaces_at_a_vertex_is_non_manifold_vertex(names, data, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for name in names:
+        mesh = SURFACES[name]
+        verts, new_id = _relabel(mesh, rng)
+        cells = _rotate_rows(new_id[mesh.cells], rng.integers(0, 3, mesh.n_cells), 3)
+        parts.append(MeshComplex(verts @ _rotation(rng).T, cells))  # valid: no error
+    a, b = parts
+    i = data.draw(st.integers(0, a.n_vertices - 1))
+    j = data.draw(st.integers(0, b.n_vertices - 1))
+    verts, faces = glue_at_vertex(a, i, b, j)
+    with pytest.raises(MeshError) as err:
+        MeshComplex(verts, faces)
+    assert err.value.code == "non_manifold_vertex"
+    assert f"at vertex {i} form 2 fans" in str(err.value)
 
 
 @lru_cache(maxsize=None)
