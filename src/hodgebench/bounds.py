@@ -9,8 +9,7 @@ quadric-fitted shape operator and the DEC spectrum.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,23 +59,12 @@ class BoundVerdict:
         return self.status != "inapplicable"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "formula": self.formula,
-            "slack": self.slack,
-            "tightness": self.tightness,
-            "tolerance": self.tolerance,
-            "geometry": self.geometry,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _verdict(name, lhs, rhs, orient, formula, tol, geometry, note=""):
-    """orient=+1: lhs >= rhs must hold; orient=-1: lhs <= rhs."""
-    slack = orient * (lhs - rhs)
+    """orient=+1: lhs >= rhs must hold; orient=-1: lhs <= rhs; orient=0: lhs == rhs."""
+    slack = orient * (lhs - rhs) if orient else -abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     status = "satisfied" if slack >= -tol * scale else "violated"
     return BoundVerdict(
@@ -336,21 +324,7 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
     formula = "lambda''_1,p = lambda'_1,p+1 = c(p+1)(n-p)"
     lam_unit, _ = sphere_hodge_oracle(n, p + 1)
     sphere_value = lam_unit * c  # radius 1/sqrt(c); zero for c = 0
-    slack = -abs(value - sphere_value)
-    scale = max(abs(value), abs(sphere_value), 1e-300)
-    status = "satisfied" if abs(value - sphere_value) <= tol * scale else "violated"
-    verdict = BoundVerdict(
-        name="special_killing_eigenvalue",
-        status=status,
-        lhs=float(value),
-        rhs=float(sphere_value),
-        formula=formula,
-        slack=float(slack),
-        tightness=float(abs(value - sphere_value) / scale),
-        tolerance=tol,
-        geometry=geometry,
-    )
-    return value, verdict
+    return value, _verdict("special_killing_eigenvalue", value, sphere_value, 0, formula, tol, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +430,3 @@ def verdict_table(verdicts) -> str:
     for r in rows:
         lines.append("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def verdicts_to_json(verdicts, path=None, extra=None) -> str:
-    payload = {"verdicts": [v.to_dict() for v in verdicts]}
-    if extra:
-        payload.update(extra)
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

@@ -31,7 +31,6 @@ from .bounds import (
     upper_bound_degree_one,
     upper_bound_degree_p,
     verdict_table,
-    verdicts_to_json,
     xia_bound,
 )
 from .fields import (
@@ -128,9 +127,17 @@ def _stamp(cfg: RunConfig) -> dict:
     return {"version": __version__, "config": cfg.to_dict()}
 
 
-def _write_csv(path, header, rows, cfg):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# version={__version__} config={json.dumps(cfg.to_dict())}\n")
+def _write_json(cfg: RunConfig, filename: str, payload: dict, tail: dict | None = None) -> None:
+    """Every JSON report: the keys of ``payload``, the stamp, then those of ``tail``."""
+    text = json.dumps({**payload, **_stamp(cfg), **(tail or {})}, indent=2)
+    _out_path(cfg, filename).write_text(text)
+
+
+def _write_csv(cfg: RunConfig, filename: str, header: list, rows: list) -> None:
+    """Every CSV report: a ``# version=... config=...`` line, the header, the rows."""
+    stamp = _stamp(cfg)
+    with open(_out_path(cfg, filename), "w", newline="") as fh:
+        fh.write(f"# version={stamp['version']} config={json.dumps(stamp['config'])}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -144,8 +151,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     mesh = _resolve_mesh(cfg)
     degree = cfg.p if cfg.p is not None else 0
     report = spectrum(mesh, degree, cfg.k, cluster_tol=cfg.cluster_tol)
-    report.to_json(_out_path(cfg, "spectrum.json"), extra=_stamp(cfg))
-    report.to_csv(_out_path(cfg, "spectrum.csv"))
+    _write_json(cfg, "spectrum.json", report.to_dict())
+    rows = [
+        [f"{lam:.16g}", fam, int(cid)]
+        for lam, fam, cid in zip(report.eigenvalues, report.families, report.cluster_ids)
+    ]
+    _write_csv(cfg, "spectrum.csv", ["value", "family", "cluster"], rows)
     first = report.clusters[0] if report.clusters else (float("nan"), 0)
     print(
         f"degree-{degree} spectrum of {mesh.metadata.get('generator', 'mesh')}: "
@@ -183,12 +194,9 @@ def cmd_reilly(cfg: RunConfig) -> int:
         level, residual, relative = ledger.meta["level"], ledger.residual, ledger.relative_residual
         rows.append([level, ledger.meta["mesh"]["n_vertices"], f"{residual:.16g}", f"{relative:.16g}"])
         print(f"level {level}: residual {residual:+.6e} (relative {relative:.3e})")
-    ledgers[-1].to_json(_out_path(cfg, "reilly.json"), extra=_stamp(cfg))
+    _write_json(cfg, "reilly.json", ledgers[-1].to_dict())
     _write_csv(
-        _out_path(cfg, "reilly_convergence.csv"),
-        ["level", "n_vertices", "residual", "relative_residual"],
-        rows,
-        cfg,
+        cfg, "reilly_convergence.csv", ["level", "n_vertices", "residual", "relative_residual"], rows
     )
     rel = [l.relative_residual for l in ledgers]
     for prev, cur in zip(rel, rel[1:]):
@@ -281,10 +289,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
             raise ValueError(f"unknown theorem id {cfg.theorem!r}")
         verdicts = [v for v in verdicts if v.name == keep]
 
-    extra = _stamp(cfg)
-    if reports:
-        extra["equality_diagnostics"] = [r.to_dict() for r in reports]
-    verdicts_to_json(verdicts, _out_path(cfg, "bounds.json"), extra=extra)
+    tail = {"equality_diagnostics": [r.to_dict() for r in reports]} if reports else None
+    _write_json(cfg, "bounds.json", {"verdicts": [v.to_dict() for v in verdicts]}, tail)
     if verdicts:
         print(verdict_table(verdicts))
     for rep in reports:

@@ -240,14 +240,15 @@ def interior_product(v, a: AlternatingForm) -> AlternatingForm:
     )
 
 
-def induced_endomorphism(base, degree: int, sym_tol: float = 1e-10):
+def induced_endomorphism(base, degree: int):
     """Canonical derivation extension of a symmetric map to Lambda^degree.
 
     The operator acts on a p-form by substituting ``base`` into each slot
     in turn; its eigenvalues are all p-fold sums of eigenvalues of ``base``.
     The matrix is sum_(a,b) base[a, b] e_b ^ i_(e_a), scattered from the
     nonzeros of :func:`induced_generator_stack` rather than found by
-    eigen-decomposition, so it is exact for non-diagonal input.
+    eigen-decomposition, so it is exact for non-diagonal input.  ``base``
+    must be symmetric to 1e-10 of max(1, max |base|).
     """
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
@@ -255,7 +256,7 @@ def induced_endomorphism(base, degree: int, sym_tol: float = 1e-10):
     if not np.isfinite(base).all():
         raise ValueError("base matrix must be finite")
     scale = max(1.0, float(np.abs(base).max()))
-    if np.abs(base - base.T).max() > sym_tol * scale:
+    if np.abs(base - base.T).max() > 1e-10 * scale:
         raise ValueError("base matrix must be symmetric")
     n = base.shape[0]
     if not 0 <= degree <= n:

@@ -139,6 +139,7 @@ class MeshComplex:
         self.metadata = dict(metadata or {})
         self._edges = None
         self._edge_keys = None
+        self._n_edges = None
         self._tet_dets = None
         if self.kind == "solid":
             if boundary_faces is None:
@@ -191,8 +192,10 @@ class MeshComplex:
         return np.searchsorted(self._edge_keys, _pair_keys(u, w, self.n_vertices))
 
     @property
-    def n_edges(self):
-        return self.edges.shape[0]
+    def n_edges(self) -> int:
+        if self._n_edges is None:  # a validated solid counted them without the table
+            self._n_edges = self.edges.shape[0]
+        return self._n_edges
 
     def euler_characteristic(self) -> int:
         if self.kind != "surface":
@@ -350,6 +353,7 @@ class MeshComplex:
         # that outlive validation land among its temporaries and keep that
         # heap resident (about 14 MB more peak RSS for ball(4) ledgers).
         edge_keys = self._sorted_edge_keys()
+        self._n_edges = edge_keys.size
         _, extracted = self._extract_boundary(edge_keys)
         stored = self._face_keys(self.boundary_faces, edge_keys)
         if not np.array_equal(np.sort(extracted), np.sort(stored)):
@@ -385,10 +389,13 @@ class MeshComplex:
         used = np.unique(self.boundary_faces.reshape(-1))
         remap = -np.ones(self.n_vertices, dtype=np.int64)
         remap[used] = np.arange(used.size)
+        # validation already checked these faces as a closed surface, and
+        # ``used`` holds exactly the finite vertices they reference
         surf = MeshComplex(
             self.vertices[used],
             remap[self.boundary_faces],
             metadata={**self.metadata, "boundary_of": self.metadata.get("generator")},
+            validate=False,
         )
         return surf, used
 
@@ -594,15 +601,15 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
 # file IO
 
 
-def load_mesh(path, fmt: str | None = None) -> MeshComplex:
+def load_mesh(path) -> MeshComplex:
     """Load an OFF/OBJ triangle surface or an ASCII tet mesh.
 
-    The format is inferred from the extension unless ``fmt`` is given
-    ('off', 'obj' or 'tet').  Raises MeshError with a line number on parse
-    failures and with a distinct code on validation failures.
+    The format is the file extension ('.off', '.obj' or '.tet', any case).
+    Raises MeshError with a line number on parse failures and with a
+    distinct code on validation failures.
     """
     path = Path(path)
-    fmt = (fmt or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     text = path.read_text()
     if fmt == "off":
         return _parse_off(text)
@@ -814,11 +821,11 @@ def _vertex_normals(mesh: MeshComplex) -> np.ndarray:
     return -(acc / norms[:, None])
 
 
-def discrete_shape(mesh: MeshComplex, ring_depth: int = 2) -> DiscreteShape:
+def discrete_shape(mesh: MeshComplex) -> DiscreteShape:
     """Per-vertex shape operator by osculating-quadric least squares.
 
     Heights over the tangent plane (along the inner normal) of the
-    ``ring_depth``-ring neighbours are fit with a full quadratic; the shape
+    two-ring neighbours are fit with a full quadratic; the shape
     operator is the symmetric first-fundamental-form correction
     I^{-1/2} II I^{-1/2} of the fitted Hessian, so a unit sphere yields
     principal curvatures +1.
@@ -831,7 +838,7 @@ def discrete_shape(mesh: MeshComplex, ring_depth: int = 2) -> DiscreteShape:
     nv = mesh.n_vertices
     normals = _vertex_normals(mesh)
     frames = tangent_frame(normals)
-    rings = _vertex_rings(mesh, ring_depth)
+    rings = _vertex_rings(mesh)
     size = np.diff(rings.indptr)
 
     # Fit the full quadratic h(u,w) = a u^2 + b u w + c w^2 + d u + e w + g

@@ -20,7 +20,6 @@ path is available as a diagnostic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -237,22 +236,12 @@ class ReillyLedger:
             "kind": self.kind,
             "degree": self.degree,
             "lhs": self.lhs,
-            "terms": {k: float(v) for k, v in self.terms.items() if v is not None},
+            "terms": {k: float(v) for k, v in self.terms.items()},
             "rhs_terms": list(self.rhs_terms),
             "residual": self.residual,
             "relative_residual": self.relative_residual,
             "meta": self.meta,
         }
-
-    def to_json(self, path=None, extra=None) -> str:
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def _finish_ledger(kind, degree, lhs, terms, rhs_names, meta):

@@ -14,8 +14,6 @@ degree 1 is solved as that union.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from math import comb, hypot, sqrt
 
@@ -356,23 +354,6 @@ class SpectrumReport:
             "cluster_tol": self.cluster_tol,
             "method": self.method,
         }
-
-    def to_json(self, path=None, extra=None) -> str:
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "family", "cluster"])
-            for lam, fam, cid in zip(self.eigenvalues, self.families, self.cluster_ids):
-                writer.writerow([f"{lam:.16g}", fam, int(cid)])
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float, scale: float):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from hodgebench.bounds import (
     upper_bound_degree_one,
     upper_bound_degree_p,
     verdict_table,
-    verdicts_to_json,
     xia_bound,
 )
 from hodgebench.exterior import AlternatingForm
@@ -223,17 +224,16 @@ def test_verdict_semantics():
     assert d["status"] == "satisfied"
 
 
-def test_verdict_table_and_json(tmp_path):
+def test_verdict_table_and_json():
     verdicts = [
         xia_bound(GeometryCase.sphere(2, 1.0)),
         upper_bound_degree_one(GeometryCase.sphere(2, 1.0)),
     ]
     table = verdict_table(verdicts)
     assert "xia_bound" in table and "satisfied" in table
-    path = tmp_path / "verdicts.json"
-    verdicts_to_json(verdicts, path, extra={"run": 1})
-    import json
-
-    data = json.loads(path.read_text())
-    assert len(data["verdicts"]) == 2
-    assert data["run"] == 1
+    data = [json.loads(json.dumps(v.to_dict())) for v in verdicts]
+    assert data == [v.to_dict() for v in verdicts]
+    assert list(data[0]) == [
+        "name", "status", "lhs", "rhs", "formula", "slack", "tightness", "tolerance", "geometry", "note",
+    ]
+    assert [d["name"] for d in data] == ["xia_bound", "parallel_upper_bound_degree_one"]

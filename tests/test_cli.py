@@ -1,15 +1,18 @@
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hodgebench import __version__
 from hodgebench.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
+    RunConfig,
     _subparsers,
     build_parser,
     main,
@@ -73,8 +76,10 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(data["eigenvalues"]) == 6
     lam1 = sorted(v for v in data["eigenvalues"] if v > 1e-6)[0]
     assert abs(lam1 - 2.0) < 0.1
-    csv_text = (tmp_path / "spectrum.csv").read_text()
-    assert csv_text.startswith("value,family,cluster")
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0].startswith("# version=")
+    assert lines[1] == "value,family,cluster"
+    assert len(lines) == 8
     out = capsys.readouterr().out
     assert "first cluster" in out
 
@@ -232,6 +237,7 @@ def test_bounds_ball_suite(tmp_path, capsys):
     code = main(["bounds", "--suite", "balls", "--out", str(tmp_path)])
     assert code == EXIT_OK
     data = json.loads((tmp_path / "bounds.json").read_text())
+    assert list(data) == ["verdicts", "version", "config", "equality_diagnostics"]
     assert len(data["equality_diagnostics"]) == 2
     assert all(d["satisfied"] for d in data["equality_diagnostics"])
 
@@ -392,6 +398,54 @@ def test_deterministic_outputs(tmp_path):
     assert main(args) == EXIT_OK
     second = (out / "spectrum.json").read_bytes()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# report files: the library's to_dict() keys, then the version and config stamp
+
+
+GOLDEN_BOUNDS = Path(__file__).parent / "data" / "golden_bounds_spheres.json"
+
+
+def _stamp_line(data):
+    return f"# version={data['version']} config={json.dumps(data['config'])}"
+
+
+def test_spectrum_report_keys_and_stamp(tmp_path):
+    assert main(["spectrum", "--geometry", "icosphere:1", "--k", "4", "--out", str(tmp_path)]) == EXIT_OK
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert list(data) == [
+        "degree", "eigenvalues", "families", "clusters", "cluster_ids", "mesh", "zero_tol",
+        "cluster_tol", "method", "version", "config",
+    ]
+    assert data["version"] == __version__
+    assert data["config"] == RunConfig("spectrum", geometry="icosphere:1", p=0, k=4, out=str(tmp_path)).to_dict()
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == _stamp_line(data)
+
+
+def test_reilly_report_keys_and_stamp(tmp_path):
+    argv = ["reilly", "--field", "linear-x1", "--levels", "1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    data = json.loads((tmp_path / "reilly.json").read_text())
+    assert list(data) == [
+        "kind", "degree", "lhs", "terms", "rhs_terms", "residual", "relative_residual", "meta",
+        "version", "config",
+    ]
+    assert data["version"] == __version__
+    assert data["config"] == RunConfig("reilly", levels="1", out=str(tmp_path)).to_dict()
+    lines = (tmp_path / "reilly_convergence.csv").read_text().splitlines()
+    assert lines[0] == _stamp_line(data)
+
+
+def test_bounds_sphere_suite_matches_golden(tmp_path):
+    """Byte for byte, with ``config.out`` as the placeholder ``<out>``.  Every
+    value of the sphere suite is a closed form, so no platform changes a byte."""
+    assert main(["bounds", "--suite", "spheres", "--out", str(tmp_path)]) == EXIT_OK
+    out = json.dumps(str(tmp_path)).encode()
+    written = (tmp_path / "bounds.json").read_bytes()
+    assert written.count(out) == 1
+    assert written.replace(out, b'"<out>"') == GOLDEN_BOUNDS.read_bytes()
 
 
 def test_version_flag(capsys):

@@ -85,6 +85,23 @@ def test_ball_boundary_matches_icosphere():
     assert np.array_equal(surf.cells, sphere.cells)
 
 
+def test_boundary_mesh_is_not_validated_again(monkeypatch):
+    # the solid's validation has already checked its boundary faces as a closed surface
+    ball = generate_ball(2)
+    checked = []
+    check = MeshComplex._validate_surface
+
+    def counted(self, faces, require_closed):
+        checked.append(len(faces))
+        return check(self, faces, require_closed)
+
+    monkeypatch.setattr(MeshComplex, "_validate_surface", counted)
+    surf, _ = ball.boundary_mesh()
+    assert checked == []
+    surf.validate()
+    assert checked == [surf.n_cells]
+
+
 def test_ball_volume_converges():
     vol = generate_ball(3).volume()
     assert abs(vol - 4 * np.pi / 3) / (4 * np.pi / 3) < 0.02

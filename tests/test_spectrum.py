@@ -333,19 +333,13 @@ def test_sphere_oracle_range_errors():
 # reports
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     rep = spectrum(generate_icosphere(1, 1.0), 0, 5)
-    jpath = tmp_path / "spec.json"
-    cpath = tmp_path / "spec.csv"
-    rep.to_json(jpath, extra={"note": "test"})
-    rep.to_csv(cpath)
-    data = json.loads(jpath.read_text())
+    data = json.loads(json.dumps(rep.to_dict()))
+    assert data == rep.to_dict()
     assert data["degree"] == 0
-    assert len(data["eigenvalues"]) == 5
-    assert data["note"] == "test"
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "value,family,cluster"
-    assert len(lines) == 6
+    assert data["eigenvalues"] == rep.eigenvalues.tolist()
+    assert len(data["families"]) == len(data["cluster_ids"]) == 5
 
 
 def test_solver_error_on_bad_k():
