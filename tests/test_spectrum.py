@@ -267,6 +267,85 @@ def test_inaccurate_eigenpairs_rejected(monkeypatch, solver, k):
     assert err.value.residuals["max_rel_residual"] > ZERO_TOL
 
 
+def _dense_values(mesh, degree):
+    a, b = assemble_dec(mesh).laplacian_matrices(degree)
+    return eigh(a.toarray(), np.diag(b), eigvals_only=True), float(np.median(a.diagonal() / b))
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_inertia_count_matches_dense_counts(degree):
+    module = importlib.import_module("hodgebench.spectrum")
+    mesh = generate_icosphere(2, 1.0)
+    a, b = assemble_dec(mesh).laplacian_matrices(degree)
+    want, scale = _dense_values(mesh, degree)
+    # just below each of the 20 smallest values, degenerate clusters included
+    for tau in want[1:21] - ZERO_TOL * scale:
+        assert module._count_below(a, b, tau) == int((want < tau).sum())
+
+
+def _lanczos_missing(module, monkeypatch, drop):
+    """eigsh that, on its first call, returns the k+1 smallest pairs less
+    the pair at index ``drop``: a Lanczos run that skipped one copy of a
+    degenerate eigenvalue and returned the next value instead."""
+    real, calls = module.eigsh, []
+
+    def missing(a, k, **kwargs):
+        calls.append(k)
+        if len(calls) > 1:
+            return real(a, k, **kwargs)
+        w, vecs = real(a, k + 1, **kwargs)
+        order = np.delete(np.argsort(w), drop)
+        return w[order], vecs[:, order]
+
+    monkeypatch.setattr(module, "eigsh", missing)
+    return calls
+
+
+@pytest.mark.parametrize("drop, passes", [(0, 2), (2, 2), (8, 2), (9, 1)])
+def test_missed_eigenpair_is_found_again(monkeypatch, drop, passes):
+    # icosphere(2), degree 0: 0, 2.0 x3, 5.86 x5, 11.13 x3, 11.49 x4;
+    # dropping index 9 brings in index 10, an equal value
+    module = importlib.import_module("hodgebench.spectrum")
+    mesh = generate_icosphere(2, 1.0)
+    want, scale = _dense_values(mesh, 0)
+    assert np.ptp(want[9:12]) < 1e-12 * scale and want[8] < want[9] - 1.0
+    calls = _lanczos_missing(module, monkeypatch, drop)
+    rep = spectrum(mesh, 0, 10)
+    assert len(calls) == passes and rep.method == "shift-invert"
+    assert np.abs(rep.eigenvalues - want[:10]).max() <= 1e-12 * scale
+
+
+def test_moved_icosphere_missed_copy_is_found_again():
+    # unpatched Lanczos returned four of the five copies of 5.488 here,
+    # and 9.283 in place of the fifth
+    from test_hodge_split import SURFACES, _moved
+
+    mesh = _moved(SURFACES["ico1"], np.random.default_rng(6387))
+    want, scale = _dense_values(mesh, 0)
+    rep = spectrum(mesh, 0, 13)
+    assert np.abs(rep.eigenvalues - want[:13]).max() <= 1e-12 * scale
+    assert [c[1] for c in rep.clusters] == [1, 3, 5, 3, 1]
+
+
+def test_count_no_pass_confirms_leaves_the_values(monkeypatch):
+    # an inertia count that a deflated Lanczos pass cannot confirm is
+    # doubted, and the first pass's values stand
+    module = importlib.import_module("hodgebench.spectrum")
+    mesh = generate_icosphere(2, 1.0)
+    plain = spectrum(mesh, 0, 10).eigenvalues
+    calls = []
+    real = module._lanczos
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_count_below", lambda a, b, tau: a.shape[0])
+    monkeypatch.setattr(module, "_lanczos", counted)
+    assert spectrum(mesh, 0, 10).eigenvalues.tolist() == plain.tolist()
+    assert len(calls) == 2
+
+
 def test_open_band_harmonic_counts():
     # a band has absolute Betti numbers (1, 1, 0); its spectra pass the self-check
     band = sphere_zone(lambda z: np.abs(z) < 0.4)
