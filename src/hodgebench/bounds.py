@@ -200,7 +200,7 @@ class GeometryCase:
             # n=1 is kept applicable: the circle attains the degree-one upper
             # bound with equality and serves as its sharpness case
             return True
-        return self.mesh.first_betti_number() == 0
+        return self.mesh.betti_numbers()[1] == 0
 
     def mean_shape_norm_sq(self, p: int | None = None) -> float:
         """Area-averaged |S|^2 (or top-p partial sum |S|_p^2)."""

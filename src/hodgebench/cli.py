@@ -138,7 +138,7 @@ def _write_csv(cfg: RunConfig, filename: str, header: list, rows: list) -> None:
     stamp = _stamp(cfg)
     with open(_out_path(cfg, filename), "w", newline="") as fh:
         fh.write(f"# version={stamp['version']} config={json.dumps(stamp['config'])}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 

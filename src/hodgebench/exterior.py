@@ -348,7 +348,8 @@ def tangential_part(a: AlternatingForm, normal) -> AlternatingForm:
 
 
 def duality_identity_residual(shape_matrix, degree: int) -> float:
-    """Operator-norm residual of star.S^[p] + S^[n-p].star - trace(S).star.
+    """Frobenius-norm residual of star.S^[p] + S^[n-p].star - trace(S).star,
+    an upper bound of its operator norm that needs no SVD.
 
     A self-test: the identity holds for every symmetric matrix, so the
     residual is numerical noise (<= 1e-10 for sane inputs).
@@ -361,7 +362,7 @@ def duality_identity_residual(shape_matrix, degree: int) -> float:
     s_p = induced_endomorphism(s, degree).matrix
     s_np = induced_endomorphism(s, n - degree).matrix
     residual = star @ s_p + s_np @ star - float(np.trace(s)) * star
-    return float(np.linalg.norm(residual, 2))
+    return float(np.linalg.norm(residual))
 
 
 def _vector_in(a: AlternatingForm, v, what: str = "vector") -> np.ndarray:

@@ -104,7 +104,7 @@ def _adjacency(mesh: MeshComplex) -> sparse.csr_matrix:
 
 
 class MeshComplex:
-    """A triangulated surface or a tetrahedral solid with boundary.
+    """A closed triangulated surface or a tetrahedral solid with boundary.
 
     Parameters
     ----------
@@ -116,10 +116,8 @@ class MeshComplex:
     metadata : dict, optional
         Generator provenance (kind, radius, ...), echoed into reports.
     validate : bool
-        Run the manifoldness/orientation validators on construction.
-    require_closed : bool
-        For surfaces, demand that every edge has exactly two incident
-        triangles.  Open patches are allowed with ``False``.
+        Run the manifoldness/orientation validators on construction; a
+        surface must be closed, every edge bordering exactly two triangles.
     """
 
     def __init__(
@@ -129,7 +127,6 @@ class MeshComplex:
         boundary_faces=None,
         metadata=None,
         validate=True,
-        require_closed=True,
     ):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
         self.cells = np.asarray(cells, dtype=np.int64)
@@ -148,7 +145,7 @@ class MeshComplex:
         else:
             self.boundary_faces = None
         if validate:
-            self.validate(require_closed=require_closed)
+            self.validate()
 
     # ------------------------------------------------------------------
     # derived tables
@@ -203,23 +200,12 @@ class MeshComplex:
         return self.n_vertices - self.n_edges + self.n_cells
 
     def betti_numbers(self) -> tuple:
-        """(b0, b1, b2) of an orientable surface.
-
-        b2 counts the components without boundary edges; b1 follows from
-        the Euler characteristic b0 - b1 + b2.
-        """
+        """(b0, b1, b2) of a closed orientable surface: b2 = b0, and b1
+        follows from the Euler characteristic b0 - b1 + b2."""
         from scipy.sparse.csgraph import connected_components
 
-        chi = self.euler_characteristic()
-        b0, labels = connected_components(_adjacency(self), directed=False)
-        f = self.cells
-        faces_per_edge = np.bincount(self.edge_ids(f, f[:, [1, 2, 0]]).ravel(), minlength=self.n_edges)
-        b2 = b0 - np.unique(labels[self.edges[faces_per_edge == 1, 0]]).size
-        return int(b0), int(b0 + b2 - chi), int(b2)
-
-    def first_betti_number(self) -> int:
-        """b1 of an orientable surface."""
-        return self.betti_numbers()[1]
+        b0, _ = connected_components(_adjacency(self), directed=False)
+        return int(b0), int(2 * b0 - self.euler_characteristic()), int(b0)
 
     # ------------------------------------------------------------------
     # measures
@@ -248,7 +234,7 @@ class MeshComplex:
     # ------------------------------------------------------------------
     # validation
 
-    def validate(self, require_closed=True) -> None:
+    def validate(self) -> None:
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshError(
@@ -273,11 +259,11 @@ class MeshComplex:
                 f"{missing.size} vertices unused (first: {missing[:5].tolist()})",
             )
         if self.kind == "surface":
-            self._validate_surface(self.cells, require_closed)
+            self._validate_surface(self.cells)
         else:
             self._validate_solid()
 
-    def _validate_surface(self, faces, require_closed) -> None:
+    def _validate_surface(self, faces) -> None:
         # half-edge k runs u[k] -> w[k] in face k // 3; a stable sort groups
         # the uses of each edge in face order, as a walk over the faces meets them
         u = faces.reshape(-1)
@@ -289,7 +275,7 @@ class MeshComplex:
         count = np.diff(np.r_[start, keys.size])
         first = order[start]
         second = order[np.minimum(start + 1, keys.size - 1)]
-        bad = (count > 2) | ((count == 1) & require_closed) | ((count == 2) & (u[first] == u[second]))
+        bad = (count != 2) | (u[first] == u[second])
         if bad.any():
             # report the offending edge whose first use comes earliest
             g = np.flatnonzero(bad)[np.argmin(first[bad])]
@@ -303,7 +289,7 @@ class MeshComplex:
                 "inconsistent_orientation",
                 f"faces {h1 // 3} and {h2 // 3} traverse edge {key} the same way",
             )
-        self._validate_vertex_fans(faces, first[count == 2], second[count == 2])
+        self._validate_vertex_fans(faces, first, second)
         p = self.vertices[faces]
         flat = np.flatnonzero(~np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).any(axis=1))
         if flat.size:
@@ -313,12 +299,12 @@ class MeshComplex:
             )
 
     def _validate_vertex_fans(self, faces, h1, h2) -> None:
-        """The faces at each vertex must form one fan, or one open path on a
-        boundary; two fans that share only the vertex pinch the surface.
+        """The faces at each vertex must form one fan; two fans that share
+        only the vertex pinch the surface.
 
         Corner k is the use of vertex ``faces.flat[k]`` in face k // 3, where
-        half-edge k starts.  The half-edges h1 (a -> b) and h2 (b -> a) of a
-        two-face edge join the corners of a in its two faces, and those of b.
+        half-edge k starts.  The half-edges h1 (a -> b) and h2 (b -> a) of an
+        edge join the corners of a in its two faces, and those of b.
         Every component of the corner graph then belongs to one vertex, and a
         vertex must own exactly one.
         """
@@ -360,7 +346,7 @@ class MeshComplex:
             raise MeshError(
                 "bad_boundary", "stored boundary faces do not match tet boundary"
             )
-        self._validate_surface(self.boundary_faces, require_closed=True)
+        self._validate_surface(self.boundary_faces)
 
     def _face_keys(self, faces, edge_keys) -> np.ndarray:
         """Key of each triangle as a vertex set; -1 where its two smallest

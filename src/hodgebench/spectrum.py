@@ -33,8 +33,8 @@ __all__ = [
     "sphere_hodge_oracle",
 ]
 
-# An interior edge is flipped while its cotan weight is below -FLIP_TOL times
-# the median weight magnitude of the input.  The diagonals of quads whose
+# An edge is flipped while its cotan weight is below -FLIP_TOL times the
+# median weight magnitude of the input.  The diagonals of quads whose
 # four vertices lie on one circle (torus grid cells) have weights of about
 # +-1e-16 of that scale, which no flip improves; the tolerance leaves them
 # where they are.
@@ -55,10 +55,6 @@ class SolverError(Exception):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals
-
-
-class _EveryFacePinned(SolverError):
-    """The degree-2 pencil has no unknowns: every face is pinned to zero."""
 
 
 @dataclass
@@ -89,9 +85,8 @@ class DecOperators:
         diagonal.  For degree 0, B is the Hodge star star0.  For degree 2,
         the faces joined by zero dual edges (weights at or below ZERO_TOL
         times the median weight magnitude) share a dual vertex and become
-        one unknown, with B the inverse of its summed area; a face of a
-        zero-weight boundary edge is pinned to zero, and so is its group.
-        Without zero dual edges B is star2 and A is built exactly as
+        one unknown, with B the inverse of its summed area.  Without zero
+        dual edges B is star2 and A is built exactly as
         ``star2 d1 star1^-1 d1^T star2``.
         """
         if degree == 0:
@@ -105,15 +100,10 @@ class DecOperators:
             return a.tocsr(), self.star2
         from scipy.sparse.csgraph import connected_components
 
-        inc = abs(self.d1[:, zero]).tocsc()  # faces x zero edges
-        _, group = connected_components(inc @ inc.T, directed=False)
-        one_sided = inc[:, np.diff(inc.indptr) == 1].indices
-        group[np.isin(group, group[one_sided])] = -1
-        free = np.flatnonzero(group >= 0)
-        if not free.size:
-            raise _EveryFacePinned("every face is pinned to zero by a zero-weight boundary edge")
-        _, merged = np.unique(group[free], return_inverse=True)
-        p = sparse.csr_matrix((np.ones(free.size), (free, merged)), shape=(len(group), merged.max() + 1))
+        inc = abs(self.d1[:, zero])  # faces x zero edges
+        n_groups, group = connected_components(inc @ inc.T, directed=False)
+        nf = len(group)
+        p = sparse.csr_matrix((np.ones(nf), (np.arange(nf), group)), shape=(nf, n_groups))
         mass = 1.0 / (p.T @ (1.0 / self.star2))
         g = self.d1[:, ~zero].T @ p
         s = sparse.diags(mass)
@@ -138,8 +128,8 @@ def _cotan_weights(face_edges, cots, ne) -> np.ndarray:
 
 
 def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, start, tol):
-    """Flip interior edges with cotan weight below -tol, starting from the
-    edges ``start``, until none is left.
+    """Flip edges with cotan weight below -tol, starting from the edges
+    ``start``, until none is left.
 
     Works in place on the edge and face tables (side k of face t runs from
     corner k to corner k + 1 and is edge ``face_edges[t, k]``; ``cots`` and
@@ -170,7 +160,7 @@ def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, star
     while stack:
         e = stack.pop()
         queued.discard(e)
-        if len(halves[e]) != 2 or weight(e) >= -tol:
+        if weight(e) >= -tol:
             continue
         h1, h2 = halves[e]
         t1, k1, t2, k2 = h1 // 3, h1 % 3, h2 // 3, h2 % 3
@@ -228,13 +218,12 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
     """Assemble incidence matrices and Hodge stars on the intrinsic Delaunay
     triangulation (IDT) of the surface.
 
-    Every interior edge whose cotan weight is below -FLIP_TOL times the
-    median weight magnitude is flipped until none is left; the IDT's cotan
-    weights are then >= 0 and its circumcentric dual areas positive
-    (Bobenko & Springborn, DCG 2007).  Faces that no flip touches keep the
-    3-D cotangent expression, so a Delaunay mesh gets exactly the operators
-    of its own triangulation.  A boundary edge cannot be flipped: one whose
-    weight stays negative raises MeshError('nonpositive_weight').
+    Every edge whose cotan weight is below -FLIP_TOL times the median
+    weight magnitude is flipped until none is left; the IDT's cotan weights
+    are then >= 0 and its circumcentric dual areas positive (Bobenko &
+    Springborn, DCG 2007).  Faces that no flip touches keep the 3-D
+    cotangent expression, so a Delaunay mesh gets exactly the operators of
+    its own triangulation.
     """
     if mesh.kind != "surface":
         raise MeshError("bad_kind", "DEC assembly requires a surface mesh")
@@ -268,19 +257,10 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
 
     star1 = _cotan_weights(face_edges, cots, ne)
     tol = FLIP_TOL * float(np.median(np.abs(star1)))
-    interior = np.bincount(face_edges.reshape(-1), minlength=ne) == 2
-    start = np.flatnonzero(interior & (star1 < -tol))
+    start = np.flatnonzero(star1 < -tol)
     if start.size:
         _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, face_areas, start.tolist(), tol)
         star1 = _cotan_weights(face_edges, cots, ne)
-    bad = np.flatnonzero(~interior & (star1 < -tol))
-    if bad.size:
-        i, j = (int(x) for x in edges[bad[0]])
-        raise MeshError(
-            "nonpositive_weight",
-            f"cotan weight {star1[bad[0]]:.3g} of boundary edge ({i}, {j}) is negative, "
-            "and a boundary edge cannot be flipped",
-        )
 
     rows = np.repeat(np.arange(ne), 2)
     d0 = sparse.csr_matrix((np.tile([-1.0, 1.0], ne), (rows, edges.reshape(-1))), shape=(ne, nv))
@@ -518,11 +498,7 @@ def _one_form_values(ops: DecOperators, k: int, betti: tuple):
         raise SolverError("d1 d0 != 0: the operators are not a cochain complex")
     nonzero = max(k - betti[1], 1)
     w0, f0, scale0, m0 = _pencil_values(ops, 0, nonzero + betti[0], betti[0])
-    try:
-        w2, f2, scale2, m2 = _pencil_values(ops, 2, nonzero + betti[2], betti[2])
-    except _EveryFacePinned:
-        # no 2-form unknowns, so no coexact values; rank d1 is still F - h2 with h2 = 0
-        w2, f2, scale2, m2 = np.zeros(0), [], 0.0, m0
+    w2, f2, scale2, m2 = _pencil_values(ops, 2, nonzero + betti[2], betti[2])
     h0, h2 = f0.count("harmonic"), f2.count("harmonic")
     values = np.concatenate([w0[h0:], w2[h2:]])
     order = np.argsort(values, kind="stable")
@@ -558,16 +534,14 @@ def spectrum(
     max(k - b1, 1) + b_p eigenpairs each (capped at the pencil size), each
     with its own checks.  It returns min(b1, k) harmonic values, reported
     as 0.0, then the smallest of the union of their nonzero values, tagged
-    exact (from degree 0) or coexact (from degree 2); a degree-2 pencil
-    whose every face is pinned adds no values (asked for alone, it raises
-    SolverError).  Its harmonic count
+    exact (from degree 0) or coexact (from degree 2).  Its harmonic count
     E - (V - h0) - (F - h2), from the sub-solves' counts h0 and h2, is
     checked against b1.  ``zero_tol`` is the larger of the two sub-solves'
     tolerances; ``method`` is their shared method, or both joined by '+'
     (degree 0 first) when they differ.  A full 1-form spectrum (k >= E)
     holds E - m finite values, m being the number of faces the degree-2
-    pencil merges away or pins (the number of zero dual edges when these
-    close no loop); the direct 1-form pencil's other m values are infinite.
+    pencil merges away (the number of zero dual edges when these close no
+    loop); the direct 1-form pencil's other m values are infinite.
     """
     if k < 1:
         raise ValueError("need k >= 1")

@@ -127,7 +127,7 @@ def one_form_spectrum(dec, k):
 # edge keys are printed as plain ints, as the array code prints them)
 
 
-def validate_surface(faces, require_closed=True) -> None:
+def validate_surface(faces) -> None:
     directed = {}
     for f_idx, (a, b, c) in enumerate(faces):
         for u, v in ((a, b), (b, c), (c, a)):
@@ -137,9 +137,7 @@ def validate_surface(faces, require_closed=True) -> None:
         if len(uses) > 2:
             raise MeshError("non_manifold_edge", f"edge {key} borders {len(uses)} faces")
         if len(uses) == 1:
-            if require_closed:
-                raise MeshError("not_closed", f"edge {key} borders a single face")
-            continue
+            raise MeshError("not_closed", f"edge {key} borders a single face")
         (u1, v1, f1), (u2, v2, f2) = uses
         if (u1, v1) == (u2, v2):
             raise MeshError(
@@ -175,7 +173,7 @@ def validate_solid(vertices, tets, boundary_faces) -> None:
         map(tuple, np.sort(boundary_faces, axis=1))
     ):
         raise MeshError("bad_boundary", "stored boundary faces do not match tet boundary")
-    validate_surface(boundary_faces, require_closed=True)
+    validate_surface(boundary_faces)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,16 @@ def test_reilly_report_keys_and_stamp(tmp_path):
     assert lines[0] == _stamp_line(data)
 
 
+def test_csv_lines_end_in_newline_alone(tmp_path):
+    # the stamp line and the csv rows share one line ending
+    assert main(["spectrum", "--geometry", "icosphere:1", "--k", "4", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["reilly", "--field", "linear-x1", "--levels", "1", "--out", str(tmp_path)]) == EXIT_OK
+    for name in ("spectrum.csv", "reilly_convergence.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data
+        assert data.endswith(b"\n") and data.count(b"\n") >= 3
+
+
 def test_bounds_sphere_suite_matches_golden(tmp_path):
     """Byte for byte, with ``config.out`` as the placeholder ``<out>``.  Every
     value of the sphere suite is a closed form, so no platform changes a byte."""

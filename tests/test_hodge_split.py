@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import seed_oracle as oracle
 from hodgebench.meshes import MeshComplex, generate_ellipsoid, generate_icosphere, generate_torus
 from hodgebench.spectrum import ZERO_TOL, SolverError, assemble_dec, spectrum
-from test_meshes import sphere_zone
 from test_topology_equivalence import _rotation
 from test_topology_properties import _relabel, _rotate_rows
 
@@ -19,7 +18,6 @@ SURFACES = {
     "ellipsoid-1-1-2": generate_ellipsoid(1.0, 1.0, 2.0, 2),  # 52 edges flipped
     "torus-8-6": generate_torus(8, 6),
     "torus-24-12": generate_torus(24, 12),
-    "band": sphere_zone(lambda z: np.abs(z) < 0.4),
 }
 
 
@@ -27,7 +25,7 @@ def _moved(mesh, rng):
     """The mesh rotated, with vertices relabelled and face rows cycled."""
     verts, new_id = _relabel(mesh, rng)
     cells = _rotate_rows(new_id[mesh.cells], rng.integers(0, 3, mesh.n_cells), 3)
-    return MeshComplex(verts @ _rotation(rng).T, cells, require_closed=False)
+    return MeshComplex(verts @ _rotation(rng).T, cells)
 
 
 def _assert_matches_direct_pencil(mesh, k):
@@ -67,49 +65,6 @@ def test_merged_two_forms_approach_functions_under_refinement():
         gaps.append(abs(two.first_positive() - spectrum(torus, 0, 3, dec=dec).first_positive()))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 2e-4
-
-
-def _right_angle_fan():
-    """Four right triangles around the origin with their hypotenuses on the
-    square's diagonals, plus a fifth right triangle across one of them.
-    Three hypotenuses are boundary edges of zero weight; the fourth, shared,
-    has zero weight as well."""
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 1, 0]], float)
-    cells = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [1, 5, 2]])
-    return MeshComplex(verts, cells, require_closed=False)
-
-
-def test_zero_weight_boundary_edges_pin_their_faces():
-    fan = _right_angle_fan()
-    dec = assemble_dec(fan)
-    assert (np.abs(dec.star1) < 1e-15).sum() == 4
-    a, b = dec.laplacian_matrices(2)
-    # three faces pinned to zero, two merged into one unknown of area 1
-    assert a.shape == (1, 1) and np.allclose(b, [1.0])
-    rep = _assert_matches_direct_pencil(fan, fan.n_edges)
-    assert len(rep.eigenvalues) == fan.n_edges - 4
-    assert (rep.count("exact"), rep.count("coexact")) == (fan.n_vertices - 1, 1)
-
-
-def _pinned_square():
-    """The fan's first four triangles: every face has a zero-weight boundary edge."""
-    fan = _right_angle_fan()
-    return MeshComplex(fan.vertices[:5], fan.cells[:4], require_closed=False)
-
-
-def test_every_face_pinned_is_solver_error():
-    with pytest.raises(SolverError, match="pinned"):
-        spectrum(_pinned_square(), 2, 2)
-
-
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_every_face_pinned_one_forms_are_the_nonzero_function_spectrum(k):
-    square = _pinned_square()
-    rep = _assert_matches_direct_pencil(square, k)
-    assert rep.count("harmonic") == 0 and rep.count("coexact") == 0
-    assert np.allclose(rep.eigenvalues, [4.0, 4.0, 4.0, 8.0][:k], rtol=0, atol=1e-9)
-    functions = spectrum(square, 0, k + 1)
-    assert np.allclose(rep.eigenvalues, functions.eigenvalues[1:], rtol=0, atol=1e-9)
 
 
 def _sign_flipped(mesh):

@@ -91,9 +91,9 @@ def test_boundary_mesh_is_not_validated_again(monkeypatch):
     checked = []
     check = MeshComplex._validate_surface
 
-    def counted(self, faces, require_closed):
+    def counted(self, faces):
         checked.append(len(faces))
-        return check(self, faces, require_closed)
+        return check(self, faces)
 
     monkeypatch.setattr(MeshComplex, "_validate_surface", counted)
     surf, _ = ball.boundary_mesh()
@@ -118,7 +118,6 @@ def test_torus_topology():
     torus = generate_torus(16, 8)
     assert torus.euler_characteristic() == 0
     assert torus.betti_numbers() == (1, 2, 1)  # genus 1
-    assert torus.first_betti_number() == 2
 
 
 def disjoint_union(a, b):
@@ -131,7 +130,6 @@ def test_merge_components():
     b = MeshComplex(a.vertices + np.array([5.0, 0.0, 0.0]), a.cells)
     both = disjoint_union(a, b)
     assert both.betti_numbers() == (2, 0, 2)
-    assert both.first_betti_number() == 0
 
 
 def glue_at_vertex(a, i, b, j):
@@ -152,39 +150,6 @@ def test_pinched_spheres_are_non_manifold_vertex():
     with pytest.raises(MeshError) as err:
         MeshComplex(verts, faces)
     assert str(err.value) == "[non_manifold_vertex] the faces at vertex 0 form 2 fans that share only the vertex"
-
-
-def test_open_bowtie_is_non_manifold_vertex():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-    with pytest.raises(MeshError) as err:
-        MeshComplex(verts, [[0, 1, 2], [0, 3, 4]], require_closed=False)
-    assert err.value.code == "non_manifold_vertex"
-    # one open path of faces around the vertex is a valid boundary vertex
-    MeshComplex(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 4]], require_closed=False)
-
-
-def sphere_zone(keep):
-    """Open patch of icosphere(2): the faces whose centroid height passes keep."""
-    sphere = generate_icosphere(2, 1.0)
-    faces = sphere.cells[keep(sphere.vertices[sphere.cells].mean(axis=1)[:, 2])]
-    used, faces = np.unique(faces, return_inverse=True)
-    return MeshComplex(sphere.vertices[used], faces.reshape(-1, 3), require_closed=False)
-
-
-def test_betti_numbers_with_boundary():
-    cap = sphere_zone(lambda z: z > 0.2)
-    band = sphere_zone(lambda z: np.abs(z) < 0.4)
-    assert cap.betti_numbers() == (1, 0, 0)
-    assert band.betti_numbers() == (1, 1, 0)
-    assert band.first_betti_number() == 1
-    far = generate_icosphere(1, 1.0)
-    both = MeshComplex(
-        np.vstack([cap.vertices, far.vertices + 5.0]),
-        np.vstack([cap.cells, far.cells + cap.n_vertices]),
-        require_closed=False,
-    )
-    assert both.betti_numbers() == (2, 0, 1)
-    assert generate_torus(16, 8).betti_numbers() == (1, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +195,7 @@ def test_ellipsoid_closed_form_at_pole():
 
 
 def test_flat_patch_zero_curvature():
-    # open grid patch; not closed, so validation is relaxed
+    # open grid patch: the quadric fit does not read closedness, so it is not validated
     k = 7
     xs, ys = np.meshgrid(np.arange(k), np.arange(k))
     verts = np.stack([xs.ravel(), ys.ravel(), np.zeros(k * k)], axis=1) * 0.3
@@ -240,7 +205,7 @@ def test_flat_patch_zero_curvature():
             a = i * k + j
             faces.append([a, a + 1, a + k])
             faces.append([a + 1, a + k + 1, a + k])
-    patch = MeshComplex(verts, np.asarray(faces), require_closed=False)
+    patch = MeshComplex(verts, np.asarray(faces), validate=False)
     shape = discrete_shape(patch)
     assert np.abs(shape.principal).max() < 1e-8
 

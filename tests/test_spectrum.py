@@ -22,7 +22,7 @@ from hodgebench.spectrum import (
     spectrum,
     sphere_hodge_oracle,
 )
-from test_meshes import disjoint_union, sphere_zone
+from test_meshes import disjoint_union
 
 
 def shifted_copy(mesh, offset):
@@ -346,11 +346,32 @@ def test_count_no_pass_confirms_leaves_the_values(monkeypatch):
     assert len(calls) == 2
 
 
-def test_open_band_harmonic_counts():
-    # a band has absolute Betti numbers (1, 1, 0); its spectra pass the self-check
-    band = sphere_zone(lambda z: np.abs(z) < 0.4)
-    counts = [spectrum(band, degree, 6).count("harmonic") for degree in (0, 1, 2)]
-    assert counts == [1, 1, 0]
+def _sliver_icosphere(eps):
+    """icosphere(2) with vertex a of face 0 moved to eps from the midpoint
+    of the opposite edge bc, on the side where a was: face 0 a sliver."""
+    mesh = generate_icosphere(2, 1.0)
+    verts = mesh.vertices.copy()
+    a, b, c = mesh.cells[0]
+    mid = (verts[b] + verts[c]) / 2.0
+    away = verts[a] - mid
+    verts[a] = mid + eps * away / np.linalg.norm(away)
+    return MeshComplex(verts, mesh.cells)
+
+
+def test_sliver_face_spectra_reach_their_limit():
+    # the IDT flips absorb the sliver: as eps -> 0 the five smallest values
+    # of each degree settle (they move 3.5e-8 relative from 1e-6 to 1e-14)
+    first = None
+    for eps in (1e-6, 1e-10, 1e-14):
+        mesh = _sliver_icosphere(eps)
+        reports = [spectrum(mesh, degree, 5) for degree in (0, 1, 2)]
+        assert [rep.count("harmonic") for rep in reports] == [1, 0, 1]
+        first = first or reports
+        for rep, ref in zip(reports, first):
+            assert rep.families == ref.families
+            nonzero = np.array(ref.families) != "harmonic"
+            w, w_ref = rep.eigenvalues[nonzero], ref.eigenvalues[nonzero]
+            assert (np.abs(w - w_ref) <= 1e-6 * w_ref).all()
 
 
 def _cut_dec(mesh):

@@ -143,7 +143,7 @@ def _flat_patch(k=7):
             a = i * k + j
             faces.append([a, a + 1, a + k])
             faces.append([a + 1, a + k + 1, a + k])
-    return MeshComplex(verts, np.asarray(faces), require_closed=False)
+    return MeshComplex(verts, np.asarray(faces), validate=False)  # open: the quadric fit does not read closedness
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -202,21 +202,20 @@ def _corrupted_faces():
     rotated_dup = np.vstack([base[:30], base[[5]][:, [1, 2, 0]], base[30:]])
     reversed_dup = np.vstack([base, base[[9]][:, ::-1]])
     return {
-        "flipped": (flipped, True),
-        "duplicated": (duplicated, True),
-        "rotated_duplicate": (rotated_dup, True),
-        "reversed_duplicate": (reversed_dup, True),
-        "open": (np.delete(base, [0, 50], axis=0), True),
-        "open_allowed": (np.delete(base, [0, 50], axis=0), False),
+        "flipped": flipped,
+        "duplicated": duplicated,
+        "rotated_duplicate": rotated_dup,
+        "reversed_duplicate": reversed_dup,
+        "open": np.delete(base, [0, 50], axis=0),
     }
 
 
 @pytest.mark.parametrize("case", list(_corrupted_faces()))
 def test_surface_messages_match_oracle(case):
-    faces, closed = _corrupted_faces()[case]
+    faces = _corrupted_faces()[case]
     mesh = generate_icosphere(1)
-    got = _verdict(MeshComplex, mesh.vertices, faces, require_closed=closed)
-    want = _verdict(oracle.validate_surface, faces, closed)
+    got = _verdict(MeshComplex, mesh.vertices, faces)
+    want = _verdict(oracle.validate_surface, faces)
     assert got == want
     if got is not None:
         assert "np.int64" not in got
@@ -311,11 +310,15 @@ def test_degenerate_solid_boundary_face():
     assert err.value.code == "degenerate_face"
 
 
-@pytest.mark.parametrize("kind", ["collapsed", "nan"])
+@pytest.mark.parametrize("kind", ["collapsed", "nan", "open"])
 def test_cli_degenerate_mesh_exit_2(tmp_path, capsys, kind):
     if kind == "collapsed":
         verts, faces = _collapsed_icosphere()
         code = "degenerate_face"
+    elif kind == "open":
+        mesh = generate_icosphere(2)
+        verts, faces = mesh.vertices, mesh.cells[1:]
+        code = "not_closed"
     else:
         mesh = generate_icosphere(2)
         verts, faces = mesh.vertices.copy(), mesh.cells
@@ -327,19 +330,6 @@ def test_cli_degenerate_mesh_exit_2(tmp_path, capsys, kind):
         rc = main(["spectrum", "--mesh", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"[{code}]" in capsys.readouterr().err
-
-
-def test_negative_boundary_weight_names_edge_with_plain_ints():
-    # an open fan whose triangle (0, 1, 2) is obtuse at vertex 2: its boundary
-    # edge (0, 1) keeps a negative weight, as no flip can reach it
-    verts = [(0, 0, 0), (1, 0, 0), (0.5, 0.1, 0), (0.5, 1, 0)]
-    mesh = MeshComplex(verts, [(0, 1, 2), (0, 2, 3)], require_closed=False)
-    with pytest.raises(MeshError) as err:
-        assemble_dec(mesh)
-    assert str(err.value) == (
-        "[nonpositive_weight] cotan weight -1.2 of boundary edge (0, 1) is negative, "
-        "and a boundary edge cannot be flipped"
-    )
 
 
 def test_flat_bipyramid_flips_to_parallel_edges():
