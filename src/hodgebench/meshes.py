@@ -137,6 +137,7 @@ class MeshComplex:
         self._edges = None
         self._edge_keys = None
         self._n_edges = None
+        self._betti = None
         self._tet_dets = None
         if self.kind == "solid":
             if boundary_faces is None:
@@ -201,11 +202,13 @@ class MeshComplex:
 
     def betti_numbers(self) -> tuple:
         """(b0, b1, b2) of a closed orientable surface: b2 = b0, and b1
-        follows from the Euler characteristic b0 - b1 + b2."""
-        from scipy.sparse.csgraph import connected_components
+        follows from the Euler characteristic b0 - b1 + b2; computed once."""
+        if self._betti is None:
+            from scipy.sparse.csgraph import connected_components
 
-        b0, _ = connected_components(_adjacency(self), directed=False)
-        return int(b0), int(2 * b0 - self.euler_characteristic()), int(b0)
+            b0, _ = connected_components(_adjacency(self), directed=False)
+            self._betti = int(b0), int(2 * b0 - self.euler_characteristic()), int(b0)
+        return self._betti
 
     # ------------------------------------------------------------------
     # measures

@@ -359,13 +359,23 @@ def _pencil_scale(a, b_diag) -> float:
     return float(np.median(a.diagonal() / b_diag))
 
 
+def _factor(a, b_diag, shift: float):
+    """SuperLU factor of A - shift*B in a symmetric minimum-degree order,
+    pivoting on the diagonal: P^T L D L^T P when it completes.  Raises
+    RuntimeError on a zero pivot."""
+    c = (a - shift * sparse.diags(b_diag)).tocsc()
+    return splu(c, "MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _lanczos(a, b_diag, k: int, sigma: float, seed: int = 7, locked=None):
     """k eigenpairs of (A, diag(b)) nearest above sigma, sorted: shift-invert
-    Lanczos from a seeded start vector on one SuperLU factor of A - sigma*B,
-    in the B-orthogonal complement of ``locked`` (B-orthonormal columns)."""
+    Lanczos from a seeded start vector on one ``_factor`` of A - sigma*B,
+    in the B-orthogonal complement of ``locked`` (B-orthonormal columns).
+    With sigma below the spectrum, A - sigma*B is positive definite, so its
+    diagonal pivots are safe."""
     n = a.shape[0]
     try:
-        lu = splu((a - sigma * sparse.diags(b_diag)).tocsc(), options={"SymmetricMode": True})
+        lu = _factor(a, b_diag, sigma)
     except RuntimeError as exc:
         raise SolverError(f"factorization of A - sigma*B failed: {exc}") from exc
     solve = lu.solve
@@ -394,12 +404,10 @@ def _lanczos(a, b_diag, k: int, sigma: float, seed: int = 7, locked=None):
 
 def _count_below(a, b_diag, tau: float):
     """Pencil eigenvalues below tau by Sylvester's law of inertia: negative
-    pivots of A - tau*B = P^T L D L^T P from SuperLU kept to the diagonal
-    (else None).  Minimum degree halves COLAMD's fill on icosphere(5), p=2,
-    so this factor and the L, U copy ``U`` makes fit in Lanczos's memory."""
-    c = (a - tau * sparse.diags(b_diag)).tocsc()
+    pivots of the ``_factor`` of A - tau*B, if SuperLU kept them to the
+    diagonal (else None)."""
     try:
-        lu = splu(c, "MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = _factor(a, b_diag, tau)
     except RuntimeError:  # a zero pivot
         return None
     diagonal = np.array_equal(lu.perm_r, lu.perm_c)
@@ -438,10 +446,11 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
 
     A full spectrum (k >= n) is solved densely, anything less by
     shift-invert Lanczos (``_lanczos``) with sigma = -1e-4*scale just below
-    the spectrum, completed by ``_fill_missed``.  The dense Cholesky
-    reduction needs a positive mass; any other ends in SolverError.  Every
-    eigenpair must satisfy ||A x - lambda b*x|| <= ZERO_TOL * scale *
-    ||b*x||, else SolverError.
+    the spectrum, completed by ``_fill_missed``, on the pencil renumbered in
+    reverse Cuthill-McKee order.  The dense Cholesky reduction needs a
+    positive mass; any other ends in SolverError.  Every eigenpair must
+    satisfy ||A x - lambda b*x|| <= ZERO_TOL * scale * ||b*x||, else
+    SolverError.
     """
     n = a.shape[0]
     if k >= n:
@@ -451,6 +460,12 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
             raise SolverError(f"dense eigensolve failed: {exc}") from exc
         method = "dense"
     else:
+        # a bandwidth-reducing pre-order: minimum degree alone fills badly
+        # on some input numberings (the generator's own, for icospheres)
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        a, b_diag = a[perm][:, perm], b_diag[perm]
         sigma = -1e-4 * scale
         w, vecs = _lanczos(a, b_diag, k, sigma)
         w, vecs = _fill_missed(a, b_diag, k, sigma, scale, w, vecs)

@@ -283,6 +283,26 @@ def test_inertia_count_matches_dense_counts(degree):
         assert module._count_below(a, b, tau) == int((want < tau).sum())
 
 
+@pytest.mark.parametrize("degree, max_per_row", [(0, 70), (2, 45)])
+def test_pencil_factors_share_one_sparse_symmetric_order(monkeypatch, degree, max_per_row):
+    # the Lanczos and inertia-count factors of icosphere(4) pencils, in the
+    # generator's own numbering: COLAMD filled 87 (degree 0) and 64
+    # (degree 2) entries per row, minimum degree alone 64 and 33
+    module = importlib.import_module("hodgebench.spectrum")
+    real, factors = module.splu, []
+
+    def recorded(c, *args, **kwargs):
+        lu = real(c, *args, **kwargs)
+        factors.append(((lu.L.nnz + lu.U.nnz) / c.shape[0], np.array_equal(lu.perm_r, lu.perm_c)))
+        return lu
+
+    monkeypatch.setattr(module, "splu", recorded)
+    spectrum(generate_icosphere(4), degree, 10)
+    assert len(factors) >= 2
+    for per_row, diagonal in factors:
+        assert per_row <= max_per_row and diagonal
+
+
 def _lanczos_missing(module, monkeypatch, drop):
     """eigsh that, on its first call, returns the k+1 smallest pairs less
     the pair at index ``drop``: a Lanczos run that skipped one copy of a
