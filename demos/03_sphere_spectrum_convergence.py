@@ -43,4 +43,4 @@ print("  duplicates it on the sphere (self-dual middle dimension)")
 print("\ntorus: harmonic 1-forms count the first Betti number")
 rep_t = spectrum(generate_torus(24, 12), 1, k=6)
 print(f"  harmonic eigenvalues found: {rep_t.count('harmonic')} (genus 1 -> b1 = 2)")
-print(f"  first positive eigenvalue: {rep_t.first_eigenvalue():.5f}")
+print(f"  first positive eigenvalue: {rep_t.first_positive():.5f}")

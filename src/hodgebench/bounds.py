@@ -130,6 +130,10 @@ class GeometryCase:
     # constructors ------------------------------------------------------
     @classmethod
     def sphere(cls, n: int, radius: float = 1.0) -> "GeometryCase":
+        if n < 1:
+            raise ValueError(f"sphere dimension must be >= 1, got n={n}")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ValueError(f"sphere radius must be finite and positive, got {radius}")
         return cls(
             "analytic-sphere", n, radius=radius, label=f"sphere(n={n}, r={radius:g})"
         )
@@ -220,13 +224,20 @@ class GeometryCase:
 # inequality checks
 
 
+def _default_tol(case: GeometryCase, tol: float | None) -> float:
+    """``tol``, or the default of the case's kind when it is None."""
+    if tol is not None:
+        return tol
+    return ANALYTIC_TOL if case.is_analytic else MESH_TOL
+
+
 def main_lower_bound(case: GeometryCase, p: int, tol: float | None = None) -> BoundVerdict:
     """Lower bound of the first exact p-form eigenvalue by the product of the
     extreme p- and (n-p+1)-curvatures, for p-convex boundaries of flat (or
     nonnegatively curved) domains."""
     n = case.boundary_dim
     formula = "lambda'_1,p >= sigma_p * sigma_(n-p+1)"
-    tol = tol if tol is not None else (ANALYTIC_TOL if case.is_analytic else MESH_TOL)
+    tol = _default_tol(case, tol)
     geometry = case.describe() | {"p": p}
     if not 1 <= p <= (n + 1) / 2:
         return _inapplicable(
@@ -247,7 +258,7 @@ def xia_bound(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
     principal curvatures >= c > 0."""
     n = case.boundary_dim
     formula = "lambda_1 >= n * c^2"
-    tol = tol if tol is not None else (ANALYTIC_TOL if case.is_analytic else MESH_TOL)
+    tol = _default_tol(case, tol)
     geometry = case.describe()
     c = case.sigma(1)
     if c <= 0:
@@ -264,7 +275,7 @@ def upper_bound_degree_one(case: GeometryCase, tol: float | None = None) -> Boun
     norm, for boundaries with trivial first cohomology in a flat ambient."""
     n = case.boundary_dim
     formula = "lambda_1 <= n * avg|S|^2"
-    tol = tol if tol is not None else (ANALYTIC_TOL if case.is_analytic else MESH_TOL)
+    tol = _default_tol(case, tol)
     geometry = case.describe()
     if not case.h1_trivial():
         return _inapplicable(
@@ -290,18 +301,10 @@ def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -
     n = case.boundary_dim
     alpha = max(p, n - p + 1)
     formula = "lambda'_1,p <= alpha(p) * avg|S|^2_alpha(p)"
-    tol = tol if tol is not None else (ANALYTIC_TOL if case.is_analytic else MESH_TOL)
+    tol = _default_tol(case, tol)
     geometry = case.describe() | {"p": p, "alpha": alpha}
     if not 2 <= p <= n - 1:
         raise ValueError(f"p={p} out of range 2..{n - 1}")
-    if not case.is_analytic:
-        return _inapplicable(
-            "parallel_upper_bound_degree_p",
-            formula,
-            geometry,
-            "only analytic cases carry p-form spectra in this range",
-            tol,
-        )
     lhs = case.lambda1_exact(p)
     rhs = alpha * case.mean_shape_norm_sq(alpha)
     return _verdict("parallel_upper_bound_degree_p", lhs, rhs, -1, formula, tol, geometry)

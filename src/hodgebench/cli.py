@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -76,34 +78,64 @@ class RunConfig:
     theorem: str = "all"
     cluster_tol: float = 1e-3
 
+    def __post_init__(self):
+        # flags and --config values alike: a NaN, infinite or non-positive
+        # tolerance would reach the verdicts and the reports
+        for flag, value in (("--tol", self.tol), ("--cluster-tol", self.cluster_tol)):
+            if value is None and flag == "--tol":
+                continue  # each verdict takes its own default
+            try:
+                ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+            except (TypeError, OverflowError):  # not a number, or an int beyond float
+                ok = False
+            if not ok:
+                raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
+
     def to_dict(self):
         return asdict(self)
 
 
+# per geometry name: the builder and its slots (name, type, default or None
+# when required), in the order of the spec
+_GEOMETRIES = {
+    "icosphere": (generate_icosphere, (("SUBDIV", int, 3), ("RADIUS", float, 1.0))),
+    "ellipsoid": (
+        generate_ellipsoid,
+        (("A", float, None), ("B", float, None), ("C", float, None), ("SUBDIV", int, 3)),
+    ),
+    "torus": (
+        generate_torus,
+        (("NU", int, 24), ("NV", int, 12), ("R", float, 2.0), ("r", float, 0.7)),
+    ),
+    "sphere": (GeometryCase.sphere, (("N", int, 2), ("RADIUS", float, 1.0))),
+}
+
+
 def parse_geometry(spec: str):
-    """Resolve a geometry spec string to a mesh or analytic case."""
+    """Resolve a geometry spec string to a mesh or analytic case.
+
+    Integer slots are read with ``int``, so ``2.7`` or ``1e400`` there is an
+    error rather than a truncated or overflowing value.
+    """
     name, _, rest = spec.partition(":")
-    params = [float(tok) for tok in rest.split(",") if tok] if rest else []
-    if name == "icosphere":
-        sub = int(params[0]) if params else 3
-        radius = params[1] if len(params) > 1 else 1.0
-        return generate_icosphere(sub, radius)
-    if name == "ellipsoid":
-        if len(params) < 3:
-            raise ValueError("ellipsoid needs a,b,c[,subdivisions]")
-        sub = int(params[3]) if len(params) > 3 else 3
-        return generate_ellipsoid(params[0], params[1], params[2], sub)
-    if name == "torus":
-        nu = int(params[0]) if params else 24
-        nv = int(params[1]) if len(params) > 1 else 12
-        big = params[2] if len(params) > 2 else 2.0
-        small = params[3] if len(params) > 3 else 0.7
-        return generate_torus(nu, nv, big, small)
-    if name == "sphere":
-        n = int(params[0]) if params else 2
-        radius = params[1] if len(params) > 1 else 1.0
-        return GeometryCase.sphere(n, radius)
-    raise ValueError(f"unknown geometry {name!r}")
+    if name not in _GEOMETRIES:
+        raise ValueError(f"unknown geometry {name!r}")
+    build, slots = _GEOMETRIES[name]
+    tokens = [tok for tok in rest.split(",") if tok] if rest else []
+    if len(tokens) > len(slots):
+        raise ValueError(f"{name} takes at most {len(slots)} parameters, got {spec!r}")
+    params = []
+    for (slot, kind, default), tok in itertools.zip_longest(slots, tokens):
+        if tok is None:
+            if default is None:
+                raise ValueError(f"{name} needs {slot}, got {spec!r}")
+            params.append(default)
+            continue
+        try:
+            params.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{name} {slot} must be {kind.__name__}, got {tok!r}") from None
+    return build(*params)
 
 
 def _resolve_mesh(cfg: RunConfig):
@@ -377,11 +409,11 @@ def main(argv=None) -> int:
             sp.error(f"config keys that are not {args.command} options: {', '.join(unknown)}")
         sp.set_defaults(**defaults)
         args = parser.parse_args(argv)
-    # options a subcommand does not define keep the RunConfig defaults
-    cfg = RunConfig(
-        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    )
     try:
+        # options a subcommand does not define keep the RunConfig defaults
+        cfg = RunConfig(
+            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+        )
         if cfg.command == "spectrum":
             return cmd_spectrum(cfg)
         if cfg.command == "reilly":

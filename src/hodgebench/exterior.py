@@ -28,7 +28,6 @@ __all__ = [
     "InducedEndomorphism",
     "SplitForm",
     "multi_indices",
-    "multi_index_rank",
     "wedge",
     "hodge_star",
     "interior_product",
@@ -36,7 +35,6 @@ __all__ = [
     "split_at_boundary",
     "duality_identity_residual",
     "tangent_frame",
-    "tangential_part",
     "star_matrix",
     "wedge_basis_stack",
     "interior_basis_stack",
@@ -54,21 +52,6 @@ def multi_indices(dim: int, degree: int) -> tuple:
     if not 0 <= degree <= dim:
         raise ValueError(f"degree {degree} out of range for dim {dim}")
     return tuple(itertools.combinations(range(dim), degree))
-
-
-def multi_index_rank(dim: int, index: tuple) -> int:
-    """Lexicographic rank of a strictly increasing multi-index.
-
-    Combinatorial number system; O(dim) without enumerating the basis.
-    """
-    p = len(index)
-    rank = 0
-    prev = -1
-    for j, i in enumerate(index):
-        for v in range(prev + 1, i):
-            rank += comb(dim - 1 - v, p - 1 - j)
-        prev = i
-    return rank
 
 
 @lru_cache(maxsize=None)
@@ -132,15 +115,12 @@ class AlternatingForm:
     def basis(cls, dim: int, index: tuple) -> "AlternatingForm":
         """Basis form e_I for the increasing multi-index ``index``."""
         index = tuple(index)
-        if list(index) != sorted(set(index)):
-            raise ValueError("basis multi-index must be strictly increasing")
+        rank = _rank_table(dim, len(index)).get(index)
+        if rank is None:
+            raise ValueError(f"basis multi-index must be strictly increasing in range({dim})")
         c = np.zeros(comb(dim, len(index)))
-        c[multi_index_rank(dim, index)] = 1.0
+        c[rank] = 1.0
         return cls(dim, len(index), c)
-
-    @classmethod
-    def volume(cls, dim: int) -> "AlternatingForm":
-        return cls.basis(dim, tuple(range(dim)))
 
     @classmethod
     def covector(cls, v) -> "AlternatingForm":
@@ -193,19 +173,6 @@ class SplitForm:
     normal: AlternatingForm
     frame: np.ndarray  # (dim, dim-1), columns orthonormal, perpendicular to normal_vector
     normal_vector: np.ndarray
-
-    def reconstruct(self) -> AlternatingForm:
-        """Reassemble the ambient form (exact inverse of the split)."""
-        m = self.frame.shape[0]
-        p = self.normal.degree + 1
-        q_mat = np.column_stack([self.frame, self.normal_vector])
-        # in the rotated basis the normal is e_(m-1): form = t + e_(m-1) ^ v
-        normal = np.zeros(comb(m, p - 1))
-        normal[_face_ranks(m, p - 1)] = self.normal.coeffs
-        rotated = wedge_basis_stack(m, p - 1)[m - 1] @ normal
-        if self.tangential.degree == p:
-            rotated[_face_ranks(m, p)] += self.tangential.coeffs
-        return AlternatingForm(m, p, _compound(q_mat, p) @ rotated)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +248,6 @@ class InducedEndomorphism:
     degree: int
     matrix: np.ndarray
 
-    def apply(self, form: AlternatingForm) -> AlternatingForm:
-        if form.degree != self.degree or form.dim != self.base.shape[0]:
-            raise ValueError("form does not match the extension's space")
-        return AlternatingForm(form.dim, form.degree, self.matrix @ form.coeffs)
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -336,14 +298,6 @@ def split_at_boundary(a: AlternatingForm, normal, tol: float = 1e-12) -> SplitFo
         normal=AlternatingForm(m - 1, p - 1, norm_coeffs),
         frame=frame,
         normal_vector=n_vec.copy(),
-    )
-
-
-def tangential_part(a: AlternatingForm, normal) -> AlternatingForm:
-    """Ambient representative of the restriction J*: a - n^* ^ (i_n a)."""
-    n_vec = _vector_in(a, normal)
-    return AlternatingForm(
-        a.dim, a.degree, _batch_tangential(a.coeffs[None], n_vec[None], a.degree)[0]
     )
 
 

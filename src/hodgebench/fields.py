@@ -1,9 +1,8 @@
 """Sampled fields: p-form and scalar fields over points of a Euclidean solid.
 
-Evaluators are vectorized over point batches.  Derivatives come from
-analytic callbacks when given, otherwise from central finite differences
-with a caller-supplied step (the identity checks want differentiation error
-separated from the identity error, so the step is explicit).
+Evaluators are vectorized over point batches.  Every field states its
+first derivatives (and a scalar field its Hessian) as analytic callbacks,
+so the identity checks measure no differentiation error.
 """
 
 from __future__ import annotations
@@ -31,13 +30,12 @@ class FormField:
     value : callable
         (M, dim) points -> (M, C(dim, degree)) coefficients over increasing
         multi-indices in lex order.
-    jacobian : callable, optional
+    jacobian : callable
         (M, dim) points -> (M, C, dim) with entry [m, c, k] the derivative
-        of coefficient c in direction k.  When omitted, finite differences
-        are used and a step must be passed to :meth:`jacobian`.
+        of coefficient c in direction k.
     """
 
-    def __init__(self, degree: int, value, jacobian=None, dim: int = 3, name: str = ""):
+    def __init__(self, degree: int, value, jacobian, dim: int = 3, name: str = ""):
         if not 0 <= degree <= dim:
             raise ValueError(f"degree {degree} out of range for dim {dim}")
         self.degree = degree
@@ -45,10 +43,6 @@ class FormField:
         self.name = name or f"form-p{degree}"
         self._value = value
         self._jacobian = jacobian
-
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return self._jacobian is not None
 
     @property
     def n_coeffs(self) -> int:
@@ -59,21 +53,10 @@ class FormField:
         out = np.asarray(self._value(pts), dtype=float).reshape(len(pts), self.n_coeffs)
         return out
 
-    def jacobian(self, points, h: float | None = None) -> np.ndarray:
+    def jacobian(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._jacobian is not None:
-            out = np.asarray(self._jacobian(pts), dtype=float)
-            return out.reshape(len(pts), self.n_coeffs, self.dim)
-        if h is None:
-            raise ValueError(
-                f"field {self.name!r} has no analytic derivatives and no FD step was given"
-            )
-        jac = np.empty((len(pts), self.n_coeffs, self.dim))
-        for k in range(self.dim):
-            step = np.zeros(self.dim)
-            step[k] = h
-            jac[:, :, k] = (self.value(pts + step) - self.value(pts - step)) / (2 * h)
-        return jac
+        out = np.asarray(self._jacobian(pts), dtype=float)
+        return out.reshape(len(pts), self.n_coeffs, self.dim)
 
     @classmethod
     def constant(cls, coeffs, degree: int, dim: int = 3, name: str = "") -> "FormField":
@@ -95,73 +78,26 @@ class FormField:
 
 
 class ScalarField:
-    """A scalar function on R^3 with optional analytic gradient/Hessian."""
+    """A scalar function on R^3 with its analytic gradient and Hessian."""
 
-    def __init__(self, value, gradient=None, hessian=None, dim: int = 3, name: str = ""):
+    def __init__(self, value, gradient, hessian, dim: int = 3, name: str = ""):
         self.dim = dim
         self.name = name or "scalar"
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
 
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return self._gradient is not None and self._hessian is not None
-
     def value(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.asarray(self._value(pts), dtype=float).reshape(len(pts))
 
-    def gradient(self, points, h: float | None = None) -> np.ndarray:
+    def gradient(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._gradient is not None:
-            return np.asarray(self._gradient(pts), dtype=float).reshape(len(pts), self.dim)
-        if h is None:
-            raise ValueError(f"field {self.name!r}: no analytic gradient and no FD step")
-        grad = np.empty((len(pts), self.dim))
-        for k in range(self.dim):
-            step = np.zeros(self.dim)
-            step[k] = h
-            grad[:, k] = (self.value(pts + step) - self.value(pts - step)) / (2 * h)
-        return grad
+        return np.asarray(self._gradient(pts), dtype=float).reshape(len(pts), self.dim)
 
-    def hessian(self, points, h: float | None = None) -> np.ndarray:
+    def hessian(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._hessian is not None:
-            return np.asarray(self._hessian(pts), dtype=float).reshape(
-                len(pts), self.dim, self.dim
-            )
-        if h is None:
-            raise ValueError(f"field {self.name!r}: no analytic hessian and no FD step")
-        hess = np.empty((len(pts), self.dim, self.dim))
-        f0 = self.value(pts)
-        eye = np.eye(self.dim)
-        for j in range(self.dim):
-            hj = h * eye[j]
-            hess[:, j, j] = (self.value(pts + hj) - 2 * f0 + self.value(pts - hj)) / h**2
-            for k in range(j + 1, self.dim):
-                hk = h * eye[k]
-                mixed = (
-                    self.value(pts + hj + hk)
-                    - self.value(pts + hj - hk)
-                    - self.value(pts - hj + hk)
-                    + self.value(pts - hj - hk)
-                ) / (4 * h**2)
-                hess[:, j, k] = mixed
-                hess[:, k, j] = mixed
-        return hess
-
-    def differential(self) -> FormField:
-        """The 1-form df (needs analytic derivatives)."""
-        if not self.has_analytic_derivatives:
-            raise ValueError("differential requires analytic derivatives")
-        return FormField(
-            1,
-            lambda pts: self.gradient(pts),
-            lambda pts: self.hessian(pts),
-            dim=self.dim,
-            name=f"d({self.name})",
-        )
+        return np.asarray(self._hessian(pts), dtype=float).reshape(len(pts), self.dim, self.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ ambient domain vanishes on a flat solid, so the ledger records it as 0.
 
 The surface codifferential in the cross term is evaluated through the
 commutation identity (see :func:`check_commutation`, which tests that
-identity itself against surface finite differences); a DEC-based second
-path is available as a diagnostic.
+identity itself against surface finite differences); for 1-forms a
+DEC-based second path is available as a diagnostic.
 """
 
 from __future__ import annotations
@@ -176,31 +176,20 @@ def _row_square_sums(a) -> np.ndarray:
     return out
 
 
-def _diameter(mesh: MeshComplex) -> float:
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    return float(np.linalg.norm(hi - lo))
-
-
-def _ledger_setup(mesh, fields, order, shape_source):
+def _ledger_setup(mesh, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
-    Returns (fd_step, surface, pts, wts, bpts, bw, normals, shape_world):
-    the FD step (1e-5 of the mesh diameter when a field lacks analytic
-    derivatives, else None), the boundary surface, the tet quadrature, and
-    the boundary quadrature with its surface data.  Boundary nodes are
-    projected onto an analytic surface.
+    Returns (surface, pts, wts, bpts, bw, normals, shape_world): the
+    boundary surface, the tet quadrature, and the boundary quadrature with
+    its surface data.  Boundary nodes are projected onto an analytic surface.
     """
-    fd_step = None
-    if not all(f.has_analytic_derivatives for f in fields):
-        fd_step = 1e-5 * _diameter(mesh)
     surface = _resolve_surface(mesh, shape_source)
     pts, wts = _tet_quadrature(mesh, order)
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
     if surface.analytic:
         bpts = surface.project(bpts)
     normals, shape_world = surface.quadrature_data(bpts, fids, bary)
-    return fd_step, surface, pts, wts, bpts, bw, normals, shape_world
+    return surface, pts, wts, bpts, bw, normals, shape_world
 
 
 def _surface_meta(surface) -> dict:
@@ -275,20 +264,20 @@ def evaluate_reilly(
     'analytic' (generated balls, boundary integrands evaluated at nodes
     projected onto the sphere), 'discrete' (quadric-fitted boundary shape)
     or 'auto' (analytic exactly for generated balls).  ``include_dec`` adds
-    a DEC evaluation of the cross term as a diagnostic column.
+    a DEC evaluation of the cross term of a 1-form as a diagnostic column.
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "p-form ledger requires a solid mesh")
     p = form.degree
     if not 1 <= p <= 3:
         raise ValueError("form degree must be 1, 2 or 3")
-    h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
-        mesh, [form], order, shape_source
-    )
+    if include_dec and p != 1:
+        raise ValueError(f"the DEC cross term is evaluated for 1-forms only, got degree {p}")
+    surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     # interior terms; per-point arrays die as soon as their sums are taken (peak memory)
     form_l2 = float(wts @ (form.value(pts) ** 2).sum(axis=1))
-    jac = form.jacobian(pts, h=h)
+    jac = form.jacobian(pts)
     lhs = float(
         wts @ ((_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1))
     )
@@ -296,7 +285,7 @@ def evaluate_reilly(
 
     # boundary terms
     cb = form.value(epts)
-    jb = form.jacobian(epts, h=h)
+    jb = form.jacobian(epts)
 
     v_part = _batch_interior(cb, normals, p)  # degree p-1
     t_part = cb - _batch_wedge_vec(v_part, normals, p - 1)
@@ -366,17 +355,15 @@ def evaluate_classical_reilly(
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "classical ledger requires a solid mesh")
-    h, surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(
-        mesh, [f], order, shape_source
-    )
+    surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
-    hess = f.hessian(pts, h=h)
+    hess = f.hessian(pts)
     lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
     lhs = float(wts @ lap**2)
     hessian_energy = float(wts @ (hess**2).sum(axis=(1, 2)))
 
-    gb = f.gradient(epts, h=h)
-    hb = f.hessian(epts, h=h)
+    gb = f.gradient(epts)
+    hb = f.hessian(epts)
     f_n = np.einsum("mk,mk->m", gb, normals)
     lap_b = -np.einsum("mii->m", hb)
     hess_nn = np.einsum("mi,mij,mj->m", normals, hb, normals)
@@ -432,19 +419,18 @@ def run_reilly_levels(levels, field, order: int = 2):
 
 
 def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
+    """2 int_bnd <i_N w, delta^S (J* w)> of a 1-form w, with delta^S the DEC
+    codifferential of the edge cochain of J* w."""
     from .spectrum import assemble_dec
 
-    p = form.degree
-    if p == 3:
-        return 0.0  # J* of a top-degree ambient form vanishes on the surface
     if surface.analytic:
         surf, _ = mesh.boundary_mesh()
         normals_v = surface.normals(surf.vertices)
     else:
         surf = surface.surface
         normals_v = surface.shape.normals
-    # cochains live on the intrinsic Delaunay complex; flipped edges and
-    # faces are sampled on the chords and flat triangles of their vertices
+    # cochains live on the intrinsic Delaunay complex; flipped edges are
+    # sampled on the chords of their vertices
     ops = assemble_dec(surf)
     edges = ops.edges
     mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
@@ -456,34 +442,13 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     edge_vec = surf.vertices[edges[:, 1]] - surf.vertices[edges[:, 0]]
 
     cm = form.value(mids)
-    v_mid = _batch_interior(cm, n_mid, p)
-    t_mid = cm - _batch_wedge_vec(v_mid, n_mid, p - 1)
-
-    if p == 1:
-        cv = form.value(surf.vertices)
-        v_vert = _batch_interior(cv, normals_v, 1)[:, 0]
-        a = np.einsum("ek,ek->e", t_mid, edge_vec)
-        delta_a = ops.codifferential_1(a)
-        return 2.0 * float((ops.star0 * v_vert * delta_a).sum())
-
-    # p == 2: edge cochain of the normal part, face cochain of the restriction
-    b = np.einsum("ek,ek->e", v_mid, edge_vec)
-    f = ops.faces
-    centroids = surf.vertices[f].mean(axis=1)
-    if surface.analytic:
-        n_cent = surface.normals(centroids)
-    else:
-        n_cent = normals_v[f].sum(axis=1)
-        n_cent /= np.linalg.norm(n_cent, axis=1)[:, None]
-    cc = form.value(centroids)
-    vc = _batch_interior(cc, n_cent, 2)
-    tc = cc - _batch_wedge_vec(vc, n_cent, 1)
-    u = surf.vertices[f[:, 1]] - surf.vertices[f[:, 0]]
-    w = surf.vertices[f[:, 2]] - surf.vertices[f[:, 0]]
-    iu = _batch_interior(tc, u, 2)
-    face_vals = np.einsum("mk,mk->m", iu, w) / 2.0
-    delta_c = ops.codifferential_2(face_vals)
-    return 2.0 * float((ops.star1 * b * delta_c).sum())
+    v_mid = _batch_interior(cm, n_mid, 1)
+    t_mid = cm - _batch_wedge_vec(v_mid, n_mid, 0)
+    cv = form.value(surf.vertices)
+    v_vert = _batch_interior(cv, normals_v, 1)[:, 0]
+    a = np.einsum("ek,ek->e", t_mid, edge_vec)
+    delta_a = ops.codifferential_1(a)
+    return 2.0 * float((ops.star0 * v_vert * delta_a).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +525,6 @@ def check_derivative_formulas(
     surface,
     points,
     h: float = 1e-4,
-    fd_field_h: float | None = None,
     seed: int = 11,
 ):
     """Residuals of the two tangential/normal derivative identities.
@@ -574,7 +538,7 @@ def check_derivative_formulas(
     pts = np.atleast_2d(points)
     p = form.degree
     normals, shape = surface.normals(pts), surface.shape_world(pts)
-    val, jac = form.value(pts), form.jacobian(pts, h=fd_field_h)
+    val, jac = form.value(pts), form.jacobian(pts)
     x = np.random.default_rng(seed).standard_normal((len(pts), form.dim))
     x -= np.einsum("mi,mi->m", x, normals)[:, None] * normals
     x /= np.linalg.norm(x, axis=1)[:, None]
@@ -593,7 +557,6 @@ def check_commutation(
     surface,
     points,
     h: float = 1e-4,
-    fd_field_h: float | None = None,
     method: str = "fd",
 ):
     """Residuals of the two commutation identities relating surface and
@@ -611,7 +574,7 @@ def check_commutation(
     pts = np.atleast_2d(points)
     p, dim = form.degree, form.dim
     normals, shape = surface.normals(pts), surface.shape_world(pts)
-    val, jac = form.value(pts), form.jacobian(pts, h=fd_field_h)
+    val, jac = form.value(pts), form.jacobian(pts)
     lhs_delta, lhs_d = _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h)
     v = _batch_interior(val, normals, p)
     t = _batch_tangential(val, normals, p)
@@ -677,14 +640,12 @@ def check_stokes(
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
-    h, _, pts, wts, epts, bw, normals, _ = _ledger_setup(
-        mesh, [omega, phi], order, shape_source
-    )
+    _, pts, wts, epts, bw, normals, _ = _ledger_setup(mesh, order, shape_source)
 
-    d_omega = _batch_d(omega.jacobian(pts, h=h), omega.degree, 3)
+    d_omega = _batch_d(omega.jacobian(pts), omega.degree, 3)
     phi_vals = phi.value(pts)
     lhs = float(wts @ (d_omega * phi_vals).sum(axis=1))
-    delta_phi = _batch_delta(phi.jacobian(pts, h=h), p, 3)
+    delta_phi = _batch_delta(phi.jacobian(pts), p, 3)
     omega_vals = omega.value(pts)
     vol_term = float(wts @ (omega_vals * delta_phi).sum(axis=1))
 

@@ -114,10 +114,6 @@ class DecOperators:
         """Codifferential of an edge cochain (vertex cochain result)."""
         return (self.d0.T @ (self.star1 * x)) / self.star0
 
-    def codifferential_2(self, x: np.ndarray) -> np.ndarray:
-        """Codifferential of a face cochain (edge cochain result)."""
-        return (self.d1.T @ (self.star2 * x)) / self.star1
-
 
 def _cotan_weights(face_edges, cots, ne) -> np.ndarray:
     """Half the sum of the cotangents opposite each edge."""
@@ -314,10 +310,6 @@ class SpectrumReport:
             if family is None or fam == family:
                 return float(lam)
         raise ValueError(f"no positive eigenvalue of family {family!r} in report")
-
-    def first_eigenvalue(self) -> float:
-        """First positive eigenvalue: min over the exact/coexact families."""
-        return self.first_positive(None)
 
     def count(self, family: str) -> int:
         return sum(1 for f in self.families if f == family)

@@ -18,7 +18,6 @@ import numpy as np
 from hodgebench.exterior import (
     AlternatingForm,
     interior_basis_stack,
-    multi_index_rank,
     multi_indices,
     tangent_frame,
     wedge_basis_stack,
@@ -118,13 +117,14 @@ def split_at_boundary(a: AlternatingForm, normal):
     m, p = a.dim, a.degree
     q_mat = np.column_stack([tangent_frame(n_vec), n_vec])
     rotated = compound_matrix(q_mat, p).T @ a.coeffs
+    ranks = {idx: r for r, idx in enumerate(multi_indices(m, p))}
     if p <= m - 1:
-        tang = np.array([rotated[multi_index_rank(m, idx)] for idx in multi_indices(m - 1, p)])
+        tang = np.array([rotated[ranks[idx]] for idx in multi_indices(m - 1, p)])
     else:
         tang = np.zeros(1)
     sign = -1.0 if (p - 1) & 1 else 1.0
     norm = np.array(
-        [sign * rotated[multi_index_rank(m, idx + (m - 1,))] for idx in multi_indices(m - 1, p - 1)]
+        [sign * rotated[ranks[idx + (m - 1,)]] for idx in multi_indices(m - 1, p - 1)]
     )
     return tang, norm
 
@@ -133,12 +133,13 @@ def reconstruct(tang, norm, normal, degree: int) -> np.ndarray:
     n_vec = np.asarray(normal, dtype=float).reshape(-1)
     m, p = n_vec.size, degree
     rotated = np.zeros(comb(m, p))
+    ranks = {idx: r for r, idx in enumerate(multi_indices(m, p))}
     if p <= m - 1:
         for idx, c in zip(multi_indices(m - 1, p), tang):
-            rotated[multi_index_rank(m, idx)] = c
+            rotated[ranks[idx]] = c
     sign = -1.0 if (p - 1) & 1 else 1.0
     for idx, c in zip(multi_indices(m - 1, p - 1), norm):
-        rotated[multi_index_rank(m, idx + (m - 1,))] = sign * c
+        rotated[ranks[idx + (m - 1,)]] = sign * c
     q_mat = np.column_stack([tangent_frame(n_vec), n_vec])
     return compound_matrix(q_mat, p) @ rotated
 
@@ -155,18 +156,18 @@ def _shape_world_at(surface, q):
     return surface.shape_world(q[None])[0]
 
 
-def _point_value(form: FormField, q, h):
+def _point_value(form: FormField, q):
     val = AlternatingForm(form.dim, form.degree, form.value(q[None])[0])
-    jac = form.jacobian(q[None], h=h)[0]
+    jac = form.jacobian(q[None])[0]
     return val, jac
 
 
-def _surface_covariant_derivative(form, surface, q, x, method="fd", h=1e-4, fd_field_h=None):
+def _surface_covariant_derivative(form, surface, q, x, method="fd", h=1e-4):
     n_vec = _normal_at(surface, q)
     p = form.degree
     if method == "analytic":
         s_world = _shape_world_at(surface, q)
-        val, jac = _point_value(form, q, fd_field_h)
+        val, jac = _point_value(form, q)
         grad_x = AlternatingForm(form.dim, p, jac @ x)
         dn = -(s_world @ x)
         v = interior_product(n_vec, val)
@@ -190,7 +191,7 @@ def _surface_covariant_derivative(form, surface, q, x, method="fd", h=1e-4, fd_f
     return tangential_part(dxt, n_vec), tangential_part(dxv, n_vec)
 
 
-def check_derivative_formulas(form, surface, points, h=1e-4, fd_field_h=None, seed=11):
+def check_derivative_formulas(form, surface, points, h=1e-4, seed=11):
     rng = np.random.default_rng(seed)
     res1 = res2 = 0.0
     for q in np.atleast_2d(points):
@@ -199,10 +200,8 @@ def check_derivative_formulas(form, surface, points, h=1e-4, fd_field_h=None, se
         x = rng.standard_normal(form.dim)
         x -= (x @ n_vec) * n_vec
         x /= np.linalg.norm(x)
-        lhs1, lhs2 = _surface_covariant_derivative(
-            form, surface, q, x, method="fd", h=h, fd_field_h=fd_field_h
-        )
-        val, jac = _point_value(form, q, fd_field_h)
+        lhs1, lhs2 = _surface_covariant_derivative(form, surface, q, x, method="fd", h=h)
+        val, jac = _point_value(form, q)
         grad_x = AlternatingForm(form.dim, form.degree, jac @ x)
         v = interior_product(n_vec, val)
         t = tangential_part(val, n_vec)
@@ -214,16 +213,14 @@ def check_derivative_formulas(form, surface, points, h=1e-4, fd_field_h=None, se
     return res1, res2
 
 
-def _surface_d_delta(form, surface, q, method, h, fd_field_h):
+def _surface_d_delta(form, surface, q, method, h):
     frame = tangent_frame(_normal_at(surface, q))
     p = form.degree
     delta_t = AlternatingForm.zero(form.dim, p - 1)
     d_v = AlternatingForm.zero(form.dim, p)
     for i in range(frame.shape[1]):
         ti = frame[:, i]
-        dt, dv = _surface_covariant_derivative(
-            form, surface, q, ti, method=method, h=h, fd_field_h=fd_field_h
-        )
+        dt, dv = _surface_covariant_derivative(form, surface, q, ti, method=method, h=h)
         delta_t = delta_t - interior_product(ti, dt)
         d_v = d_v + wedge(AlternatingForm.covector(ti), dv)
     return delta_t, d_v
@@ -242,14 +239,14 @@ def batch_delta(jac, degree, dim):
     return -np.einsum("kDc,mck->mD", interior_basis_stack(dim, degree), jac)
 
 
-def check_commutation(form, surface, points, h=1e-4, fd_field_h=None, method="fd"):
+def check_commutation(form, surface, points, h=1e-4, method="fd"):
     p = form.degree
     res1 = res2 = 0.0
     for q in np.atleast_2d(points):
         n_vec = _normal_at(surface, q)
         s_world = _shape_world_at(surface, q)
-        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, method, h, fd_field_h)
-        val, jac = _point_value(form, q, fd_field_h)
+        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, method, h)
+        val, jac = _point_value(form, q)
         v = interior_product(n_vec, val)
         t = tangential_part(val, n_vec)
         n_mean = float(np.trace(s_world))
@@ -280,7 +277,7 @@ def restriction_identity_residuals(xi, radius=1.0, points=None, count=16, seed=5
     res1 = res2 = 0.0
     for q in np.atleast_2d(points):
         n_vec = _normal_at(surface, q)
-        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, "analytic", 0.0, None)
+        lhs_delta, lhs_d = _surface_d_delta(form, surface, q, "analytic", 0.0)
         want_delta = -(n - p + 1) * h_mean * interior_product(n_vec, xi)
         want_d = -p * h_mean * tangential_part(xi, n_vec)
         res1 = max(res1, (lhs_delta - want_delta).norm())

@@ -297,6 +297,61 @@ def test_reilly_loaded_tet_mesh_scalar_field_matches_library(tmp_path):
     assert rows == [f"0,{want.meta['mesh']['n_vertices']},{want.residual:.16g},{want.relative_residual:.16g}"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--geometry", "sphere:2,0"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:2,nan"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:2,-1"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:0"], "dimension must be >= 1"),
+        (["spectrum", "--geometry", "icosphere:1e400"], "SUBDIV must be int"),
+        (["spectrum", "--geometry", "icosphere:2.7"], "SUBDIV must be int"),
+        (["spectrum", "--geometry", "torus:inf,12"], "NU must be int"),
+        (["spectrum", "--geometry", "icosphere:1,1,1"], "at most 2 parameters"),
+        (["spectrum", "--geometry", "ellipsoid:1,1"], "ellipsoid needs C"),
+    ],
+    ids=["radius-0", "radius-nan", "radius-negative", "n-0", "subdiv-1e400", "subdiv-2.7",
+         "nu-inf", "extra-slot", "missing-slot"],
+)
+def test_bad_geometry_spec_exit_2(tmp_path, capsys, argv, message):
+    # these ended in ZeroDivisionError, OverflowError, NaN verdicts, verdicts
+    # for a negative radius, or a silently truncated subdivision count
+    code = main([*argv, "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["spectrum", "--geometry", "icosphere:1", "--cluster-tol", "nan"], None),
+        (["spectrum", "--geometry", "icosphere:1"], {"cluster_tol": float("nan")}),
+        (["spectrum", "--geometry", "icosphere:1"], {"cluster_tol": 0}),
+        (["bounds", "--suite", "spheres", "--tol", "nan"], None),
+        (["bounds", "--suite", "spheres", "--tol", "-1"], None),
+        (["bounds", "--suite", "spheres", "--tol", "inf"], None),
+        (["bounds", "--suite", "spheres"], {"tol": float("nan")}),
+        (["bounds", "--suite", "spheres"], {"tol": -1}),
+        (["bounds", "--suite", "spheres"], {"tol": [0.1]}),
+        (["bounds", "--suite", "spheres"], {"tol": 10**400}),
+    ],
+    ids=["cluster-tol-nan", "config-cluster-tol-nan", "config-cluster-tol-0", "tol-nan",
+         "tol-negative", "tol-inf", "config-tol-nan", "config-tol-negative", "config-tol-list", "config-tol-huge-int"],
+)
+def test_tolerance_not_finite_positive_exit_2(tmp_path, capsys, argv, config):
+    out = tmp_path / "run"
+    prefix = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))  # NaN is written as the bare token json.load reads
+        prefix = ["--config", str(cfg)]
+    code = main([*prefix, *argv, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reilly_empty_level_range(tmp_path, capsys):
     code = main(["reilly", "--levels", "3..1", "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
