@@ -388,6 +388,25 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
+def _config_value(sp, path, action, value):
+    """A --config value, converted and checked as the same value on the line.
+
+    A JSON string, or a number for an option that takes one, goes through
+    the option's ``type`` and ``choices``.  Booleans and other types are
+    refused, except that a float option (a tolerance) leaves them to
+    RunConfig's check."""
+    takes_string = action.type is None
+    if isinstance(value, str if takes_string else (int, float, str)) and not isinstance(value, bool):
+        try:
+            return sp._get_values(action, [str(value)])
+        except argparse.ArgumentError as exc:
+            sp.error(f"--config {path}: {exc}")
+    if action.type is float and not isinstance(value, bool):
+        return value
+    kind = "a string" if takes_string else "a number"
+    sp.error(f"--config {path}: argument {action.option_strings[0]}: expected {kind}, got {json.dumps(value)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -403,11 +422,13 @@ def main(argv=None) -> int:
             parser.error(f"--config {args.config}: expected a JSON object")
         sp = _subparsers(parser)[args.command]
         defaults = {key.replace("-", "_"): value for key, value in values.items()}
-        options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
-        unknown = sorted(set(defaults) - options)
+        options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+        unknown = sorted(set(defaults) - set(options))
         if unknown:
             sp.error(f"config keys that are not {args.command} options: {', '.join(unknown)}")
-        sp.set_defaults(**defaults)
+        sp.set_defaults(
+            **{dest: _config_value(sp, args.config, options[dest], value) for dest, value in defaults.items()}
+        )
         args = parser.parse_args(argv)
     try:
         # options a subcommand does not define keep the RunConfig defaults

@@ -294,11 +294,14 @@ class MeshComplex:
             )
         self._validate_vertex_fans(faces, first, second)
         p = self.vertices[faces]
-        flat = np.flatnonzero(~np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).any(axis=1))
+        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        with np.errstate(over="ignore"):  # an area that overflows, as on ellipsoid:1,1,1e300
+            infinite = np.isinf(np.linalg.norm(cross, axis=1))
+        flat = np.flatnonzero(~cross.any(axis=1) | infinite)
         if flat.size:
             raise MeshError(
                 "degenerate_face",
-                f"{flat.size} faces have zero area (first: {flat[:5].tolist()})",
+                f"{flat.size} faces have zero or infinite area (first: {flat[:5].tolist()})",
             )
 
     def _validate_vertex_fans(self, faces, h1, h2) -> None:
@@ -466,22 +469,25 @@ def _subdivide(verts, faces):
     return np.vstack([verts, (verts[lo] + verts[hi]) / 2.0]), new_faces.reshape(-1, 3)
 
 
+def _icosphere(subdivisions: int, radius: float = 1.0):
+    """Vertices and faces of the subdivided icosahedron projected to radius."""
+    if subdivisions < 0:
+        raise ValueError("subdivisions must be >= 0")
+    verts, faces = _icosahedron()
+    for _ in range(subdivisions):
+        verts, faces = _subdivide(verts, faces)
+    return verts * (radius / np.linalg.norm(verts, axis=1))[:, None], faces
+
+
 def generate_icosphere(subdivisions: int, radius: float = 1.0) -> MeshComplex:
     """Closed genus-0 sphere mesh: subdivided icosahedron projected to radius.
 
     Vertex count is 10 * 4**subdivisions + 2.
     """
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    verts, faces = _icosahedron()
-    for _ in range(subdivisions):
-        verts, faces = _subdivide(verts, faces)
-    verts = verts * (radius / np.linalg.norm(verts, axis=1))[:, None]
     return MeshComplex(
-        verts,
-        faces,
+        *_icosphere(subdivisions, radius),
         metadata={"generator": "icosphere", "subdivisions": subdivisions, "radius": radius},
     )
 
@@ -490,11 +496,10 @@ def generate_ellipsoid(a: float, b: float, c: float, subdivisions: int = 3) -> M
     """Icosphere scaled by the semi-axes (a, b, c)."""
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
-    base = generate_icosphere(subdivisions, 1.0)
-    verts = base.vertices * np.array([a, b, c])
+    verts, faces = _icosphere(subdivisions)
     return MeshComplex(
-        verts,
-        base.cells,
+        verts * np.array([a, b, c]),
+        faces,
         metadata={
             "generator": "ellipsoid",
             "subdivisions": subdivisions,
@@ -521,14 +526,13 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     joined by prisms split into tets.  The tets tile the polyhedral ball
     exactly, so the total volume equals the polyhedron volume.
     """
-    sphere = generate_icosphere(subdivisions, 1.0)
-    nv = sphere.n_vertices
+    sphere, cells = _icosphere(subdivisions)
+    nv = len(sphere)
     if layers is None:
         layers = max(1, 2**subdivisions)
     radii = np.arange(1, layers + 1) / layers
-    verts = np.vstack([np.zeros((1, 3)), (sphere.vertices * radii[:, None, None]).reshape(-1, 3)])
+    verts = np.vstack([np.zeros((1, 3)), (sphere * radii[:, None, None]).reshape(-1, 3)])
     # layer k (1-based) holds sphere vertex a at global id 1 + (k - 1)*nv + a
-    cells = sphere.cells
     cone = np.column_stack([np.zeros(len(cells), dtype=np.int64), 1 + cells])
     # Split the prism over each face so that prisms sharing a quad agree on
     # its diagonal: rotate the face to start at its smallest vertex, then
@@ -562,6 +566,9 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
     """Triangulated torus of revolution, genus 1, outward orientation."""
     if nu < 3 or nv < 3:
         raise ValueError("need at least 3 samples per direction")
+    # a spindle or horn torus (r >= R) is not an embedded surface
+    if not 0 < small_radius < big_radius < np.inf:
+        raise ValueError(f"torus radii must be finite with 0 < r < R, got R={big_radius}, r={small_radius}")
     us = 2 * np.pi * np.arange(nu) / nu
     vs = 2 * np.pi * np.arange(nv) / nv
     r = big_radius + small_radius * np.cos(vs)
@@ -590,6 +597,16 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
 # file IO
 
 
+# Counted formats: a header line, a line of three counts, then one block of
+# fixed-width rows per count.  Per format: the header and each block's
+# (name, width, dtype); OFF's third count (edges) has no block.  An OFF face
+# row is its corner count, which must be 3, then the vertex ids.
+_COUNTED = {
+    "off": ("OFF", (("vertex", 3, float), ("face", 4, np.int64))),
+    "tet": ("tetmesh", (("vertex", 3, float), ("tet", 4, np.int64), ("boundary", 3, np.int64))),
+}
+
+
 def load_mesh(path) -> MeshComplex:
     """Load an OFF/OBJ triangle surface or an ASCII tet mesh.
 
@@ -600,12 +617,10 @@ def load_mesh(path) -> MeshComplex:
     path = Path(path)
     fmt = path.suffix.lstrip(".").lower()
     text = path.read_text()
-    if fmt == "off":
-        return _parse_off(text)
     if fmt == "obj":
-        return _parse_obj(text)
-    if fmt == "tet":
-        return _parse_tet(text)
+        return _parse_obj(_content_lines(text))
+    if fmt in _COUNTED:
+        return _parse_counted(fmt, _content_lines(text))
     raise MeshError("bad_format", f"unknown mesh format {fmt!r}")
 
 
@@ -619,117 +634,81 @@ def _content_lines(text):
     return out
 
 
-def _check_counts(counts, left, line) -> None:
-    """Refuse negative counts and counts the content lines left cannot hold,
-    before anything is allocated from them."""
-    if min(counts) < 0 or sum(counts) > left:
+def _read_rows(rows, width, dtype, what) -> np.ndarray:
+    """The first ``width`` tokens of every (line number, text) row as one
+    (rows, width) array, converted by one numpy call.  Only when that fails
+    are the rows walked, with the same conversion, to report the first bad
+    one."""
+    try:
+        # flat, so that the reshape fails unless every row has ``width``
+        # tokens; a row's token list lives only while it is split
+        flat = [token for _, text in rows for token in text.split()[:width]]
+        return np.array(flat, dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        for k, (line, text) in enumerate(rows):
+            try:
+                np.array(text.split()[:width], dtype=dtype).reshape(width)
+            except (ValueError, OverflowError):
+                raise MeshError("parse", f"bad {what} line {k}", line) from None
+        raise
+
+
+def _parse_counted(fmt, lines) -> MeshComplex:
+    header, blocks = _COUNTED[fmt]
+    if not lines:
+        raise MeshError("parse", f"empty {fmt} file", 1)
+    line, text = lines[0]
+    # OFF's header (upper case) is matched in any case, tet's exactly
+    if header not in (text, text.upper()):
+        raise MeshError("parse", f"expected {header!r} header, got {text!r}", line)
+    if len(lines) < 2:
+        raise MeshError("parse", "no count line", line)
+    line = lines[1][0]
+    counts = _read_rows([lines[1]], 3, np.int64, "count")[0, : len(blocks)].tolist()
+    # refuse counts the lines left cannot hold before anything is allocated
+    if min(counts) < 0 or sum(counts) > len(lines) - 2:
         raise MeshError(
             "parse",
-            f"counts {list(counts)} are negative or exceed the {left} lines that follow",
+            f"counts {counts} are negative or exceed the {len(lines) - 2} lines that follow",
             line,
         )
+    arrays, at = [], 2
+    for (what, width, dtype), count in zip(blocks, counts):
+        arrays.append(_read_rows(lines[at : at + count], width, dtype, what))
+        at += count
+    if fmt == "tet":
+        verts, tets, bnd = arrays
+        return MeshComplex(verts, tets, boundary_faces=bnd, metadata={"source": "tet"})
+    verts, faces = arrays
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if bad.size:
+        raise MeshError("bad_format", "only triangular faces supported", lines[2 + counts[0] + bad[0]][0])
+    return MeshComplex(verts, faces[:, 1:].copy(), metadata={"source": "off"})
 
 
-def _parse_off(text) -> MeshComplex:
-    content = _content_lines(text)
-    lines = iter(content)
-    try:
-        i, header = next(lines)
-    except StopIteration:
-        raise MeshError("parse", "empty OFF file", 1) from None
-    if header.upper() != "OFF":
-        raise MeshError("parse", f"expected OFF header, got {header!r}", i)
-    try:
-        i, counts = next(lines)
-        nv, nf, _ = (int(tok) for tok in counts.split()[:3])
-    except (StopIteration, ValueError):
-        raise MeshError("parse", "bad OFF count line", i) from None
-    _check_counts((nv, nf), len(content) - 2, i)
-    verts = np.empty((nv, 3))
-    for k in range(nv):
-        i, line = next(lines)
-        try:
-            verts[k] = [float(tok) for tok in line.split()[:3]]
-        except ValueError:
-            raise MeshError("parse", f"bad vertex line {k}", i) from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for k in range(nf):
-        i, line = next(lines)
-        try:
-            toks = line.split()
-            if int(toks[0]) != 3:
-                raise MeshError("bad_format", "only triangular faces supported", i)
-            faces[k] = [int(t) for t in toks[1:4]]
-        except (ValueError, IndexError, OverflowError):
-            raise MeshError("parse", f"bad face line {k}", i) from None
-    return MeshComplex(verts, faces, metadata={"source": "off"})
-
-
-def _parse_obj(text) -> MeshComplex:
-    verts = []
-    faces = []
-    for i, line in _content_lines(text):
-        toks = line.split()
-        if toks[0] == "v":
-            try:
-                if len(toks) < 4:
-                    raise ValueError
-                verts.append([float(t) for t in toks[1:4]])
-            except ValueError:
-                raise MeshError("parse", "bad vertex line", i) from None
-        elif toks[0] == "f":
-            refs = toks[1:]
-            if len(refs) != 3:
-                raise MeshError("bad_format", "only triangular faces supported", i)
-            try:
-                # "f 1/uv/nrm 2 3" -> geometry index before the first slash;
-                # a negative index counts back from the last vertex read
-                idx = [int(r.split("/")[0]) for r in refs]
-                face = np.array([j - 1 if j > 0 else len(verts) + j for j in idx], dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise MeshError("parse", "bad face line", i) from None
-            if 0 in idx:
-                raise MeshError("parse", "face index 0 (OBJ indices start at 1)", i)
-            faces.append(face)
+def _parse_obj(lines) -> MeshComplex:
+    verts, faces, read = [], [], []  # read: vertices read before each face
+    for line, text in lines:
+        tokens = text.split()
+        if tokens[0] == "v":
+            verts.append((line, text[1:]))
+        elif tokens[0] == "f":
+            if len(tokens) != 4:
+                raise MeshError("bad_format", "only triangular faces supported", line)
+            # "f 1/uv/nrm 2 3" -> geometry index before the first slash
+            faces.append((line, " ".join(ref.split("/")[0] for ref in tokens[1:])))
+            read.append(len(verts))
         # all other directives (vt, vn, usemtl, ...) are ignored
+    vertices = _read_rows(verts, 3, float, "vertex")
+    idx = _read_rows(faces, 3, np.int64, "face")
+    zero = np.flatnonzero((idx == 0).any(axis=1))
+    if zero.size:
+        raise MeshError("parse", "face index 0 (OBJ indices start at 1)", faces[zero[0]][0])
     if not verts or not faces:
         raise MeshError("parse", "no geometry found in OBJ", 1)
-    return MeshComplex(np.asarray(verts), np.asarray(faces), metadata={"source": "obj"})
-
-
-def _parse_tet(text) -> MeshComplex:
-    content = _content_lines(text)
-    lines = iter(content)
-    try:
-        i, header = next(lines)
-    except StopIteration:
-        raise MeshError("parse", "empty tet file", 1) from None
-    if header != "tetmesh":
-        raise MeshError("parse", f"expected 'tetmesh' header, got {header!r}", i)
-    try:
-        i, counts = next(lines)
-        nv, nt, nb = (int(tok) for tok in counts.split()[:3])
-    except (StopIteration, ValueError):
-        raise MeshError("parse", "bad count line", i) from None
-    _check_counts((nv, nt, nb), len(content) - 2, i)
-
-    def read_block(count, width, caster, what):
-        out = np.empty((count, width), dtype=float if caster is float else np.int64)
-        for k in range(count):
-            last, line = next(lines)
-            try:
-                toks = line.split()
-                if len(toks) < width:
-                    raise ValueError
-                out[k] = [caster(t) for t in toks[:width]]
-            except (ValueError, OverflowError):
-                raise MeshError("parse", f"bad {what} line {k}", last) from None
-        return out
-
-    verts = read_block(nv, 3, float, "vertex")
-    tets = read_block(nt, 4, int, "tet")
-    bnd = read_block(nb, 3, int, "boundary")
-    return MeshComplex(verts, tets, boundary_faces=bnd, metadata={"source": "tet"})
+    # a negative index counts back from the last vertex read before the face
+    cells = np.where(idx > 0, idx - 1, np.array(read)[:, None] + idx)
+    return MeshComplex(vertices, cells, metadata={"source": "obj"})
 
 
 def save_tet(mesh: MeshComplex, path) -> None:

@@ -95,8 +95,7 @@ class MeshBoundarySurface:
     def __init__(self, mesh: MeshComplex):
         if mesh.kind != "solid":
             raise MeshError("bad_kind", "boundary surface requires a solid mesh")
-        self.mesh = mesh
-        self.surface, self.vertex_map = mesh.boundary_mesh()
+        self.surface, _ = mesh.boundary_mesh()
         self.shape = discrete_shape(self.surface)
         self.analytic = False
 

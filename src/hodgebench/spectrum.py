@@ -73,7 +73,6 @@ class DecOperators:
     star0: np.ndarray  # (V,) dual areas
     star1: np.ndarray  # (E,) dual/primal length ratios
     star2: np.ndarray  # (F,) inverse face areas
-    mesh: MeshComplex
     edges: np.ndarray  # (E, 2) vertex pairs, i <= j
     faces: np.ndarray  # (F, 3) counter-clockwise vertex triples
 
@@ -192,6 +191,8 @@ def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, star
         for t in (t1, t2):
             sides = [el[x] for x in fe[t]]
             ar[t] = _heron(*sides)
+            if not ar[t] > 0:  # vertices that nearly meet, as on a spindle torus read from a file
+                raise MeshError("degenerate_face", f"flipping edge {e} leaves face {t} with no area")
             for corner in range(3):
                 opp, adj1, adj2 = sides[(corner + 1) % 3], sides[(corner + 2) % 3], sides[corner]
                 lsq[t][corner] = opp * opp
@@ -279,7 +280,6 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
         star0=star0,
         star1=star1,
         star2=1.0 / face_areas,
-        mesh=mesh,
         edges=edges,
         faces=f,
     )
