@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from hodgebench import meshes
 from hodgebench.cli import EXIT_OK, EXIT_VALIDATION, main
 from hodgebench.meshes import MeshComplex, generate_ball, generate_ellipsoid, generate_torus, load_mesh
 
@@ -91,6 +90,6 @@ def test_spindle_torus_file_flips_to_degenerate_face(tmp_path, capsys):
 def test_generator_validates_one_mesh(monkeypatch, build):
     validated = []
     check = MeshComplex.validate
-    monkeypatch.setattr(meshes.MeshComplex, "validate", lambda self: validated.append(check(self)))
+    monkeypatch.setattr(MeshComplex, "validate", lambda self: validated.append(check(self)))
     build()
     assert len(validated) == 1
