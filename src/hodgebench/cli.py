@@ -258,7 +258,7 @@ def _sphere_suite(tol):
     return verdicts
 
 
-def _ellipsoid_suite(tol, p=1):
+def _ellipsoid_suite(tol, p):
     axes = [
         (1.0, 1.0, 1.1),
         (1.0, 1.1, 1.2),
@@ -286,15 +286,16 @@ def cmd_bounds(cfg: RunConfig) -> int:
     given = [flag for flag, is_set in unread.items() if is_set]
     if given:
         raise ValueError(f"--suite {cfg.suite} does not read {', '.join(given)}")
+    p = 1 if cfg.p is None else cfg.p
     verdicts = []
     reports = []
     if cfg.suite == "spheres":
         verdicts = _sphere_suite(cfg.tol)
     elif cfg.suite == "ellipsoids":
-        verdicts = _ellipsoid_suite(cfg.tol, cfg.p or 1)
+        verdicts = _ellipsoid_suite(cfg.tol, p)
     elif cfg.suite == "balls":
-        reports.append(equality_case_diagnostics(3, p=cfg.p or 1, radius=1.0))
-        reports.append(equality_case_diagnostics(generate_ball(3), p=cfg.p or 1))
+        reports.append(equality_case_diagnostics(3, p=p, radius=1.0))
+        reports.append(equality_case_diagnostics(generate_ball(3), p=p))
     elif cfg.geometry:
         geo = parse_geometry(cfg.geometry)
         case = (
@@ -302,7 +303,6 @@ def cmd_bounds(cfg: RunConfig) -> int:
             if isinstance(geo, GeometryCase)
             else GeometryCase.from_surface_mesh(geo)
         )
-        p = cfg.p or 1
         verdicts.append(main_lower_bound(case, p, cfg.tol))
         verdicts.append(xia_bound(case, cfg.tol))
         verdicts.append(upper_bound_degree_one(case, cfg.tol))

@@ -21,6 +21,7 @@ DEC-based second path is available as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 
 import numpy as np
 
@@ -55,6 +56,13 @@ __all__ = [
 
 _TET4_A = 0.5854101966249685
 _TET4_B = 0.1381966011250105
+
+# Tets per block of the interior quadrature.  A block's per-point arrays
+# (points, field values, Jacobians and their d/delta) take about 1 MB each,
+# so the ledgers' interior memory scales with the block, not with the mesh.
+# Measured on ball(4): 4096 was the fastest of 2048..32768 and keeps the
+# interior below the boundary quadrature's own peak.
+TET_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +134,33 @@ def _resolve_surface(mesh: MeshComplex, shape_source: str):
 # quadrature
 
 
-def _tet_quadrature(mesh: MeshComplex, order: int):
-    vols = mesh.tet_determinants / 6.0
+def _tet_blocks(mesh: MeshComplex, order: int):
+    """The tet quadrature as (points, weights), TET_BLOCK tets at a time, in cell order."""
     if order <= 1:
         bary = np.full((1, 4), 0.25)
     else:
         bary = np.full((4, 4), _TET4_B)
         np.fill_diagonal(bary, _TET4_A)
-    # summed from zero corner by corner, in corner order, which fixes each
-    # point's rounding; a BLAS product (fused multiply-adds) rounds differently
-    corners = [mesh.vertices[mesh.cells[:, k]] for k in range(4)]
-    pts = np.empty((mesh.n_cells, bary.shape[0], 3))
-    for q, weights in enumerate(bary):
-        acc = np.zeros((mesh.n_cells, 3))
-        for weight, corner in zip(weights, corners):
-            acc += weight * corner
-        pts[:, q] = acc
-    pts = pts.reshape(-1, 3)
-    w = np.repeat(vols / bary.shape[0], bary.shape[0])
-    return pts, w
+    for start in range(0, mesh.n_cells, TET_BLOCK):
+        cells = mesh.cells[start : start + TET_BLOCK]
+        # summed from zero corner by corner, in corner order, which fixes each
+        # point's rounding; a BLAS product (fused multiply-adds) rounds differently
+        corners = [mesh.vertices[cells[:, k]] for k in range(4)]
+        pts = np.empty((len(cells), bary.shape[0], 3))
+        for q, weights in enumerate(bary):
+            acc = np.zeros((len(cells), 3))
+            for weight, corner in zip(weights, corners):
+                acc += weight * corner
+            pts[:, q] = acc
+        vols = mesh.tet_determinants[start : start + TET_BLOCK] / 6.0
+        yield pts.reshape(-1, 3), np.repeat(vols / bary.shape[0], bary.shape[0])
+
+
+def _interior_integrals(mesh: MeshComplex, order: int, integrands) -> list:
+    """The quadrature sums ``wts @ g`` of the per-point arrays g returned by
+    ``integrands(pts)``, taken block by block and added in block order."""
+    blocks = (np.array([wts @ g for g in integrands(pts)]) for pts, wts in _tet_blocks(mesh, order))
+    return [float(total) for total in reduce(np.add, blocks)]
 
 
 def _tri_quadrature(vertices, faces, order: int):
@@ -162,33 +178,20 @@ def _tri_quadrature(vertices, faces, order: int):
     return pts, w, face_ids, bary_all
 
 
-def _row_square_sums(a) -> np.ndarray:
-    """(a**2).sum(axis=(1, 2)), squaring 4096 rows at a time.
-
-    Same numbers as the one-shot expression, without its full-size
-    temporary (68 MB for a ball(4) Jacobian).
-    """
-    block = 4096
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], block):
-        out[start : start + block] = (a[start : start + block] ** 2).sum(axis=(1, 2))
-    return out
-
-
 def _ledger_setup(mesh, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
-    Returns (surface, pts, wts, bpts, bw, normals, shape_world): the
-    boundary surface, the tet quadrature, and the boundary quadrature with
-    its surface data.  Boundary nodes are projected onto an analytic surface.
+    Returns (surface, bpts, bw, normals, shape_world): the boundary surface
+    and the boundary quadrature with its surface data.  Boundary nodes are
+    projected onto an analytic surface.  The interior quadrature is taken
+    in blocks by :func:`_interior_integrals`.
     """
     surface = _resolve_surface(mesh, shape_source)
-    pts, wts = _tet_quadrature(mesh, order)
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
     if surface.analytic:
         bpts = surface.project(bpts)
     normals, shape_world = surface.quadrature_data(bpts, fids, bary)
-    return surface, pts, wts, bpts, bw, normals, shape_world
+    return surface, bpts, bw, normals, shape_world
 
 
 def _surface_meta(surface) -> dict:
@@ -272,15 +275,17 @@ def evaluate_reilly(
         raise ValueError("form degree must be 1, 2 or 3")
     if include_dec and p != 1:
         raise ValueError(f"the DEC cross term is evaluated for 1-forms only, got degree {p}")
-    surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
-    # interior terms; per-point arrays die as soon as their sums are taken (peak memory)
-    form_l2 = float(wts @ (form.value(pts) ** 2).sum(axis=1))
-    jac = form.jacobian(pts)
-    lhs = float(
-        wts @ ((_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1))
-    )
-    dirichlet = float(wts @ _row_square_sums(jac))
+    def interior(pts):
+        jac = form.jacobian(pts)
+        return (
+            (form.value(pts) ** 2).sum(axis=1),
+            (_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1),
+            (jac**2).sum(axis=(1, 2)),
+        )
+
+    form_l2, lhs, dirichlet = _interior_integrals(mesh, order, interior)
 
     # boundary terms
     cb = form.value(epts)
@@ -354,12 +359,14 @@ def evaluate_classical_reilly(
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "classical ledger requires a solid mesh")
-    surface, pts, wts, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
-    hess = f.hessian(pts)
-    lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
-    lhs = float(wts @ lap**2)
-    hessian_energy = float(wts @ (hess**2).sum(axis=(1, 2)))
+    def interior(pts):
+        hess = f.hessian(pts)
+        lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
+        return lap**2, (hess**2).sum(axis=(1, 2))
+
+    lhs, hessian_energy = _interior_integrals(mesh, order, interior)
 
     gb = f.gradient(epts)
     hb = f.hessian(epts)
@@ -639,14 +646,14 @@ def check_stokes(
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
-    _, pts, wts, epts, bw, normals, _ = _ledger_setup(mesh, order, shape_source)
+    _, epts, bw, normals, _ = _ledger_setup(mesh, order, shape_source)
 
-    d_omega = _batch_d(omega.jacobian(pts), omega.degree, 3)
-    phi_vals = phi.value(pts)
-    lhs = float(wts @ (d_omega * phi_vals).sum(axis=1))
-    delta_phi = _batch_delta(phi.jacobian(pts), p, 3)
-    omega_vals = omega.value(pts)
-    vol_term = float(wts @ (omega_vals * delta_phi).sum(axis=1))
+    def interior(pts):
+        d_omega = _batch_d(omega.jacobian(pts), omega.degree, 3)
+        delta_phi = _batch_delta(phi.jacobian(pts), p, 3)
+        return (d_omega * phi.value(pts)).sum(axis=1), (omega.value(pts) * delta_phi).sum(axis=1)
+
+    lhs, vol_term = _interior_integrals(mesh, order, interior)
 
     ob = omega.value(epts)
     t_omega = _batch_tangential(ob, normals, omega.degree)

@@ -242,6 +242,24 @@ def test_bounds_ball_suite(tmp_path, capsys):
     assert all(d["satisfied"] for d in data["equality_diagnostics"])
 
 
+@pytest.mark.parametrize(
+    "argv", [["--geometry", "sphere:3"], ["--suite", "ellipsoids"]], ids=["geometry", "ellipsoids"]
+)
+def test_bounds_p0_lower_bound_is_inapplicable(tmp_path, argv):
+    # p = 0 is a degree of its own, not the default degree 1
+    assert main(["bounds", *argv, "--p", "0", "--out", str(tmp_path)]) == EXIT_OK
+    data = json.loads((tmp_path / "bounds.json").read_text())
+    assert data["config"]["p"] == 0
+    lower = [v for v in data["verdicts"] if v["name"] == "p_form_lower_bound"]
+    assert lower and all(v["status"] == "inapplicable" and v["geometry"]["p"] == 0 for v in lower)
+
+
+def test_bounds_ball_suite_p0_exits_2(tmp_path, capsys):
+    assert main(["bounds", "--suite", "balls", "--p", "0", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "p=0 out of range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sphere_suite_reads_tol(tmp_path):
     code = main(["bounds", "--suite", "spheres", "--tol", "0.5", "--out", str(tmp_path)])
     assert code == EXIT_OK

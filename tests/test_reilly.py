@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hodgebench.exterior import AlternatingForm
 from hodgebench.fields import FormField, ScalarField, named_form_field, named_scalar_field
 from hodgebench.meshes import generate_ball
+import hodgebench.reilly as reilly
 from hodgebench.reilly import (
     MeshBoundarySurface,
     SphereSurface,
@@ -18,6 +20,7 @@ from hodgebench.reilly import (
     run_reilly_levels,
     sphere_sample_points,
 )
+from test_topology_equivalence import _relabelled
 
 BALL2 = generate_ball(2)
 BALL3 = generate_ball(3)
@@ -291,10 +294,7 @@ def test_stokes_scalar_pair():
     assert relative < 0.03
 
 
-def test_stokes_polynomial_pair():
-    # <d(x2 dx1), x2^2 dx1^dx2> integrates to -4 pi / 15: nonzero balance
-    omega = named_form_field("x2dx1")
-
+def _x2sq_dx12():
     def phi_val(p):
         out = np.zeros((len(p), 3))
         out[:, 0] = p[:, 1] ** 2
@@ -305,8 +305,12 @@ def test_stokes_polynomial_pair():
         out[:, 0, 1] = 2 * p[:, 1]
         return out
 
-    phi = FormField(2, phi_val, phi_jac, name="x2sq-dx12")
-    residual, relative = check_stokes(BALL3, omega, phi)
+    return FormField(2, phi_val, phi_jac, name="x2sq-dx12")
+
+
+def test_stokes_polynomial_pair():
+    # <d(x2 dx1), x2^2 dx1^dx2> integrates to -4 pi / 15: nonzero balance
+    residual, relative = check_stokes(BALL3, named_form_field("x2dx1"), _x2sq_dx12())
     assert relative < 0.03
 
 
@@ -314,3 +318,62 @@ def test_stokes_structural_zero():
     zero = FormField.zero(2)
     residual, relative = check_stokes(BALL2, named_form_field("x2dx1"), zero)
     assert residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# interior quadrature in tet blocks
+
+
+def _interior_results(mesh):
+    """Both ledgers and check_stokes on one mesh: {name: (value, scale)}, the
+    scale being the identity's own (the largest |lhs| or |rhs term|)."""
+    out = {}
+    for ledger in (
+        evaluate_reilly(mesh, named_form_field("x2dx1")),
+        evaluate_classical_reilly(mesh, named_scalar_field("radial-sq")),
+    ):
+        scale = max([abs(ledger.lhs)] + [abs(ledger.terms[name]) for name in ledger.rhs_terms])
+        values = {**ledger.terms, "lhs": ledger.lhs, "residual": ledger.residual}
+        for name, value in values.items():
+            # a term is compared with itself, the residual with the identity's scale
+            out[ledger.kind, name] = (value, scale if name == "residual" else abs(value))
+    residual, relative = check_stokes(mesh, named_form_field("x2dx1"), _x2sq_dx12())
+    out["stokes", "residual"] = (residual, abs(residual) / relative)
+    out["stokes", "relative_residual"] = (relative, 1.0)
+    return out
+
+
+BLOCK_MESHES = [("ball2", lambda: BALL2), ("ball2-relabelled", lambda: _relabelled(BALL2, 13))]
+
+
+@pytest.mark.parametrize("name,make", BLOCK_MESHES, ids=[name for name, _ in BLOCK_MESHES])
+def test_block_sums_match_one_block(monkeypatch, name, make):
+    mesh = make()
+    assert mesh.n_cells == 3200
+    monkeypatch.setattr(reilly, "TET_BLOCK", mesh.n_cells)
+    want = _interior_results(mesh)
+    assert want["p-form", "dirichlet_energy"][0] > 0 and want["stokes", "residual"][0] != 0
+    # 7 and 1000 leave a short last block, 640 divides the mesh into five
+    for block in (7, 1000, 640):
+        monkeypatch.setattr(reilly, "TET_BLOCK", block)
+        got = _interior_results(mesh)
+        for key, (value, scale) in want.items():
+            assert abs(got[key][0] - value) <= 1e-14 * scale, (block, key, got[key][0], value)
+
+
+def test_interior_memory_does_not_grow_with_the_mesh():
+    mesh = generate_ball(4)
+    mesh.report()  # mesh tables cached before measuring
+    form, scalar = named_form_field("x2dx1"), named_scalar_field("linear-x1")
+    for run in (
+        lambda: evaluate_reilly(mesh, form),
+        lambda: evaluate_classical_reilly(mesh, scalar),
+        lambda: check_stokes(mesh, form, _x2sq_dx12()),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
