@@ -32,6 +32,12 @@ vertex pairs to edge ids by ``searchsorted`` on the sorted keys.  A triangle
 with sorted vertices a < b < c has key ``edge_id(a, b)*V + c``, below E*V for
 E edges.  Validation counts these keys, and icosphere subdivision numbers
 each edge midpoint by the edge's first use in face order.
+
+Validation
+----------
+``load_mesh`` runs the full ``validate()`` on every file.  Generated meshes
+are valid by construction (``tests/test_generators.py`` proves it over the
+parameter ranges), so generators check only what their parameters can break.
 """
 
 from __future__ import annotations
@@ -118,6 +124,7 @@ class MeshComplex:
     validate : bool
         Run the manifoldness/orientation validators on construction; a
         surface must be closed, every edge bordering exactly two triangles.
+        A mesh without cells is refused either way.
     """
 
     def __init__(
@@ -132,6 +139,8 @@ class MeshComplex:
         self.cells = np.asarray(cells, dtype=np.int64)
         if self.cells.ndim != 2 or self.cells.shape[1] not in (3, 4):
             raise MeshError("bad_format", "cells must be (F,3) triangles or (T,4) tets")
+        if not self.cells.size:
+            raise MeshError("bad_format", "mesh has no cells")
         self.kind = "surface" if self.cells.shape[1] == 3 else "solid"
         self.metadata = dict(metadata or {})
         self._edges = None
@@ -191,7 +200,7 @@ class MeshComplex:
 
     @property
     def n_edges(self) -> int:
-        if self._n_edges is None:  # a validated solid counted them without the table
+        if self._n_edges is None:  # a validated or generated solid counted them without the table
             self._n_edges = self.edges.shape[0]
         return self._n_edges
 
@@ -238,14 +247,7 @@ class MeshComplex:
     # validation
 
     def validate(self) -> None:
-        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
-        if bad.size:
-            raise MeshError(
-                "non_finite_vertices",
-                f"{bad.size} vertices have NaN or infinite coordinates (first: {bad[:5].tolist()})",
-            )
-        if not self.cells.size:
-            raise MeshError("bad_format", "mesh has no cells")
+        self._check_finite_vertices()
         if self.cells.min() < 0 or self.cells.max() >= self.n_vertices:
             raise MeshError("bad_index", "cell index out of range")
         referenced = np.zeros(self.n_vertices, dtype=bool)
@@ -293,6 +295,28 @@ class MeshComplex:
                 f"faces {h1 // 3} and {h2 // 3} traverse edge {key} the same way",
             )
         self._validate_vertex_fans(faces, first, second)
+        self._check_face_areas(faces)
+
+    # The geometric checks, shared by ``validate`` and the generators: they
+    # are all that a generator's parameters can break.
+
+    def _check_finite_vertices(self) -> None:
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(
+                "non_finite_vertices",
+                f"{bad.size} vertices have NaN or infinite coordinates (first: {bad[:5].tolist()})",
+            )
+
+    def _check_tet_orientation(self) -> None:
+        bad = np.flatnonzero(self.tet_determinants <= 0)
+        if bad.size:
+            raise MeshError(
+                "inconsistent_orientation",
+                f"{bad.size} tets non-positively oriented (first: {bad[:5].tolist()})",
+            )
+
+    def _check_face_areas(self, faces) -> None:
         p = self.vertices[faces]
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         with np.errstate(over="ignore"):  # an area that overflows, as on ellipsoid:1,1,1e300
@@ -335,12 +359,7 @@ class MeshComplex:
             )
 
     def _validate_solid(self) -> None:
-        bad = np.flatnonzero(self.tet_determinants <= 0)
-        if bad.size:
-            raise MeshError(
-                "inconsistent_orientation",
-                f"{bad.size} tets non-positively oriented (first: {bad[:5].tolist()})",
-            )
+        self._check_tet_orientation()
         # The key table is rebuilt, not cached: under glibc malloc, arrays
         # that outlive validation land among its temporaries and keep that
         # heap resident (about 14 MB more peak RSS for ball(4) ledgers).
@@ -479,6 +498,15 @@ def _icosphere(subdivisions: int, radius: float = 1.0):
     return verts * (radius / np.linalg.norm(verts, axis=1))[:, None], faces
 
 
+def _generated_surface(verts, faces, metadata) -> MeshComplex:
+    """A generator's closed surface.  Its topology is valid by construction,
+    so only the geometry its parameters can break is checked."""
+    mesh = MeshComplex(verts, faces, metadata=metadata, validate=False)
+    mesh._check_finite_vertices()
+    mesh._check_face_areas(mesh.cells)
+    return mesh
+
+
 def generate_icosphere(subdivisions: int, radius: float = 1.0) -> MeshComplex:
     """Closed genus-0 sphere mesh: subdivided icosahedron projected to radius.
 
@@ -486,7 +514,7 @@ def generate_icosphere(subdivisions: int, radius: float = 1.0) -> MeshComplex:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return MeshComplex(
+    return _generated_surface(
         *_icosphere(subdivisions, radius),
         metadata={"generator": "icosphere", "subdivisions": subdivisions, "radius": radius},
     )
@@ -497,7 +525,7 @@ def generate_ellipsoid(a: float, b: float, c: float, subdivisions: int = 3) -> M
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
     verts, faces = _icosphere(subdivisions)
-    return MeshComplex(
+    return _generated_surface(
         verts * np.array([a, b, c]),
         faces,
         metadata={
@@ -526,10 +554,12 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     joined by prisms split into tets.  The tets tile the polyhedral ball
     exactly, so the total volume equals the polyhedron volume.
     """
-    sphere, cells = _icosphere(subdivisions)
-    nv = len(sphere)
     if layers is None:
         layers = max(1, 2**subdivisions)
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    sphere, cells = _icosphere(subdivisions)
+    nv = len(sphere)
     radii = np.arange(1, layers + 1) / layers
     verts = np.vstack([np.zeros((1, 3)), (sphere * radii[:, None, None]).reshape(-1, 3)])
     # layer k (1-based) holds sphere vertex a at global id 1 + (k - 1)*nv + a
@@ -544,22 +574,25 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     prism = rot[rows[:, :, None], local % 3] + nv * (local >= 3)
     bottoms = 1 + nv * np.arange(layers - 1)
     tets = np.vstack([cone, (prism + bottoms[:, None, None, None]).reshape(-1, 4)])
-    # orient every tet positively (the split table does not track handedness)
-    flip = _tet_determinants(verts, tets) < 0
-    tets[flip] = tets[flip][:, [0, 2, 1, 3]]
-
-    boundary = cells + 1 + (layers - 1) * nv
-    return MeshComplex(
+    ball = MeshComplex(
         verts,
         tets,
-        boundary_faces=boundary,
+        boundary_faces=cells + 1 + (layers - 1) * nv,
         metadata={
             "generator": "ball",
             "subdivisions": subdivisions,
             "radius": 1.0,
             "layers": layers,
         },
+        validate=False,
     )
+    # the cone and the split table orient every tet positively; this
+    # computes the determinants the ledgers read, once
+    ball._check_tet_orientation()
+    # edges: V radial ones into each of the L spheres, E on each sphere,
+    # and one quad diagonal per sphere edge in each of the L - 1 shells
+    ball._n_edges = layers * nv + (2 * layers - 1) * (3 * len(cells) // 2)
+    return ball
 
 
 def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_radius: float = 0.7) -> MeshComplex:
@@ -580,7 +613,7 @@ def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_ra
     i1, j1 = (i + 1) % nu, (j + 1) % nv
     a, b, c, d = i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1
     faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-    return MeshComplex(
+    return _generated_surface(
         verts,
         faces,
         metadata={

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from hodgebench.cli import EXIT_OK, EXIT_VALIDATION, main
-from hodgebench.meshes import MeshComplex, generate_ball, generate_ellipsoid, generate_torus, load_mesh
+from hodgebench.meshes import (
+    MeshComplex,
+    generate_ball,
+    generate_ellipsoid,
+    generate_icosphere,
+    generate_torus,
+    load_mesh,
+    save_tet,
+)
 
 
 def _run_with_config(tmp_path, config, argv):
@@ -53,11 +61,14 @@ def test_config_values_convert_like_line_values(tmp_path):
         ("torus:3,3,1,2", "0 < r < R"),
         ("torus:24,12,1,2", "0 < r < R"),
         ("ellipsoid:1,1,1e300", "[degenerate_face]"),
+        ("icosphere:3,1e-200", "[degenerate_face]"),
+        ("ellipsoid:1,1,nan", "[non_finite_vertices]"),
     ],
 )
 def test_generator_input_exits_2(tmp_path, capsys, spec, message):
-    # these ended in ZeroDivisionError, a residual failure (exit 3) and a
-    # singular factorization (exit 3)
+    # the first three ended in ZeroDivisionError, a residual failure (exit 3)
+    # and a singular factorization (exit 3); the last two meet the checks a
+    # generator keeps in place of the full validation
     out = tmp_path / "run"
     assert main(["spectrum", "--geometry", spec, "--out", str(out)]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
@@ -85,11 +96,36 @@ def test_spindle_torus_file_flips_to_degenerate_face(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("build", [lambda: generate_ellipsoid(1.0, 1.1, 1.2, 2), lambda: generate_ball(2)],
-                         ids=["ellipsoid", "ball"])
-def test_generator_validates_one_mesh(monkeypatch, build):
+def _count_validations(monkeypatch):
     validated = []
     check = MeshComplex.validate
     monkeypatch.setattr(MeshComplex, "validate", lambda self: validated.append(check(self)))
+    return validated
+
+
+GENERATED = {
+    "icosphere": lambda: generate_icosphere(2),
+    "ellipsoid": lambda: generate_ellipsoid(1.0, 1.1, 1.2, 2),
+    "torus": lambda: generate_torus(8, 6),
+    "ball": lambda: generate_ball(2),
+}
+
+
+@pytest.mark.parametrize("build", list(GENERATED.values()), ids=list(GENERATED))
+def test_generator_runs_no_full_validation(monkeypatch, build):
+    # valid by construction: tests/test_generators.py runs the full validation
+    validated = _count_validations(monkeypatch)
     build()
+    assert validated == []
+
+
+@pytest.mark.parametrize("suffix", ["off", "tet"])
+def test_load_mesh_validates_one_mesh(monkeypatch, tmp_path, suffix):
+    path = tmp_path / f"mesh.{suffix}"
+    if suffix == "off":
+        generate_icosphere(1).save_off(path)
+    else:
+        save_tet(generate_ball(1), path)
+    validated = _count_validations(monkeypatch)
+    load_mesh(path)
     assert len(validated) == 1

@@ -108,10 +108,17 @@ def test_ball_volume_converges():
 
 
 def test_ball_validates():
-    # construction runs the validators: positive tets, closed oriented boundary
+    # generation skips the full validation: positive tets, closed oriented boundary
     ball = generate_ball(1)
+    ball.validate()
     assert ball.kind == "solid"
     assert ball.volume() > 0
+
+
+@pytest.mark.parametrize("layers", [0, -2])
+def test_ball_refuses_layers_below_one(layers):
+    with pytest.raises(ValueError, match="layers must be >= 1"):
+        generate_ball(1, layers)
 
 
 def test_torus_topology():
@@ -381,6 +388,14 @@ def test_mesh_without_cells_rejected(tmp_path):
     path.write_text("OFF\n0 0 0\n")
     with pytest.raises(MeshError) as err:
         load_mesh(path)
+    assert err.value.code == "bad_format"
+
+
+@pytest.mark.parametrize("width", [3, 4], ids=["surface", "solid"])
+def test_mesh_without_cells_refused_on_construction(width):
+    # the solid ended in an IndexError while its boundary was extracted
+    with pytest.raises(MeshError) as err:
+        MeshComplex(np.zeros((0, 3)), np.zeros((0, width), dtype=np.int64), validate=False)
     assert err.value.code == "bad_format"
 
 
