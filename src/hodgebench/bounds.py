@@ -62,11 +62,18 @@ class BoundVerdict:
         return asdict(self)
 
 
-def _verdict(name, lhs, rhs, orient, formula, tol, geometry, note=""):
-    """orient=+1: lhs >= rhs must hold; orient=-1: lhs <= rhs; orient=0: lhs == rhs."""
-    slack = orient * (lhs - rhs) if orient else -abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    status = "satisfied" if slack >= -tol * scale else "violated"
+def _verdict(name, formula, tol, geometry, sides=None, note=""):
+    """The verdict on ``sides`` = (lhs, rhs, orient): orient=+1 means lhs >= rhs
+    must hold, -1 lhs <= rhs, 0 lhs == rhs.  Without sides the bound does not
+    apply: the verdict is 'inapplicable', with NaN sides, slack and tightness."""
+    lhs = rhs = slack = tightness = float("nan")
+    status = "inapplicable"
+    if sides is not None:
+        lhs, rhs, orient = sides
+        slack = orient * (lhs - rhs) if orient else -abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        status = "satisfied" if slack >= -tol * scale else "violated"
+        tightness = abs(slack) / scale
     return BoundVerdict(
         name=name,
         status=status,
@@ -74,22 +81,7 @@ def _verdict(name, lhs, rhs, orient, formula, tol, geometry, note=""):
         rhs=float(rhs),
         formula=formula,
         slack=float(slack),
-        tightness=float(abs(slack) / scale),
-        tolerance=tol,
-        geometry=geometry,
-        note=note,
-    )
-
-
-def _inapplicable(name, formula, geometry, note, tol):
-    return BoundVerdict(
-        name=name,
-        status="inapplicable",
-        lhs=float("nan"),
-        rhs=float("nan"),
-        formula=formula,
-        slack=float("nan"),
-        tightness=float("nan"),
+        tightness=float(tightness),
         tolerance=tol,
         geometry=geometry,
         note=note,
@@ -236,58 +228,48 @@ def main_lower_bound(case: GeometryCase, p: int, tol: float | None = None) -> Bo
     extreme p- and (n-p+1)-curvatures, for p-convex boundaries of flat (or
     nonnegatively curved) domains."""
     n = case.boundary_dim
-    formula = "lambda'_1,p >= sigma_p * sigma_(n-p+1)"
+    name, formula = "p_form_lower_bound", "lambda'_1,p >= sigma_p * sigma_(n-p+1)"
     tol = _default_tol(case, tol)
     geometry = case.describe() | {"p": p}
     if not 1 <= p <= (n + 1) / 2:
-        return _inapplicable(
-            "p_form_lower_bound", formula, geometry, f"requires 1 <= p <= (n+1)/2, got p={p}", tol
-        )
+        return _verdict(name, formula, tol, geometry, note=f"requires 1 <= p <= (n+1)/2, got p={p}")
     sigma_p = case.sigma(p)
     if sigma_p <= 0:
-        return _inapplicable(
-            "p_form_lower_bound", formula, geometry, f"boundary is not strictly p-convex (sigma_p={sigma_p:g})", tol
-        )
+        note = f"boundary is not strictly p-convex (sigma_p={sigma_p:g})"
+        return _verdict(name, formula, tol, geometry, note=note)
     lhs = case.lambda1_exact(p)
     rhs = sigma_p * case.sigma(n - p + 1)
-    return _verdict("p_form_lower_bound", lhs, rhs, +1, formula, tol, geometry)
+    return _verdict(name, formula, tol, geometry, (lhs, rhs, +1))
 
 
 def xia_bound(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
     """Function-Laplacian lower bound n*c^2 for convex boundaries with all
     principal curvatures >= c > 0."""
     n = case.boundary_dim
-    formula = "lambda_1 >= n * c^2"
+    name, formula = "xia_bound", "lambda_1 >= n * c^2"
     tol = _default_tol(case, tol)
     geometry = case.describe()
     c = case.sigma(1)
     if c <= 0:
-        return _inapplicable(
-            "xia_bound", formula, geometry, f"boundary not convex (min curvature {c:g})", tol
-        )
+        return _verdict(name, formula, tol, geometry, note=f"boundary not convex (min curvature {c:g})")
     lhs = case.lambda1_exact(1)
     rhs = n * c * c
-    return _verdict("xia_bound", lhs, rhs, +1, formula, tol, geometry)
+    return _verdict(name, formula, tol, geometry, (lhs, rhs, +1))
 
 
 def upper_bound_degree_one(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
     """Upper bound of the function eigenvalue by the averaged squared shape
     norm, for boundaries with trivial first cohomology in a flat ambient."""
     n = case.boundary_dim
-    formula = "lambda_1 <= n * avg|S|^2"
+    name, formula = "parallel_upper_bound_degree_one", "lambda_1 <= n * avg|S|^2"
     tol = _default_tol(case, tol)
     geometry = case.describe()
     if not case.h1_trivial():
-        return _inapplicable(
-            "parallel_upper_bound_degree_one",
-            formula,
-            geometry,
-            "nontrivial H^1: harmonic 1-forms absorb the parallel restrictions",
-            tol,
-        )
+        note = "nontrivial H^1: harmonic 1-forms absorb the parallel restrictions"
+        return _verdict(name, formula, tol, geometry, note=note)
     lhs = case.lambda1_exact(1)
     rhs = n * case.mean_shape_norm_sq()
-    return _verdict("parallel_upper_bound_degree_one", lhs, rhs, -1, formula, tol, geometry)
+    return _verdict(name, formula, tol, geometry, (lhs, rhs, -1))
 
 
 def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -> BoundVerdict:
@@ -307,7 +289,7 @@ def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -
         raise ValueError(f"p={p} out of range 2..{n - 1}")
     lhs = case.lambda1_exact(p)
     rhs = alpha * case.mean_shape_norm_sq(alpha)
-    return _verdict("parallel_upper_bound_degree_p", lhs, rhs, -1, formula, tol, geometry)
+    return _verdict("parallel_upper_bound_degree_p", formula, tol, geometry, (lhs, rhs, -1))
 
 
 def special_killing_relation(c: float, p: int, n: int, tol: float | None = None):
@@ -327,7 +309,7 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
     formula = "lambda''_1,p = lambda'_1,p+1 = c(p+1)(n-p)"
     lam_unit, _ = sphere_hodge_oracle(n, p + 1)
     sphere_value = lam_unit * c  # radius 1/sqrt(c); zero for c = 0
-    return value, _verdict("special_killing_eigenvalue", value, sphere_value, 0, formula, tol, geometry)
+    return value, _verdict("special_killing_eigenvalue", formula, tol, geometry, (value, sphere_value, 0))
 
 
 # ---------------------------------------------------------------------------

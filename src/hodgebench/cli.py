@@ -61,6 +61,15 @@ EXIT_VIOLATION = 5
 
 RESIDUAL_FLOOR = 1e-10  # relative residuals below this count as converged
 
+# bounds --theorem: the name of the verdicts each choice keeps
+_THEOREMS = {
+    "lower-p": "p_form_lower_bound",
+    "xia": "xia_bound",
+    "upper-1": "parallel_upper_bound_degree_one",
+    "upper-p": "parallel_upper_bound_degree_p",
+    "killing": "special_killing_eigenvalue",
+}
+
 
 @dataclass
 class RunConfig:
@@ -207,8 +216,11 @@ def cmd_reilly(cfg: RunConfig) -> int:
         raise ValueError(
             f"unknown field {cfg.field!r}; scalars: {SCALAR_FIELD_NAMES}, forms: {FORM_FIELD_NAMES}"
         )
+    if cfg.levels is None:
+        cfg.levels = "1..3"  # the default, stamped in the report
+    elif cfg.mesh:
+        raise ValueError("--levels refines generated balls; a --mesh file is evaluated once")
     if cfg.mesh:
-        # a file mesh is evaluated once; levels refine generated balls
         ledger = evaluate_ledger(load_mesh(cfg.mesh), field, cfg.order)
         ledger.meta["level"] = 0
         ledgers = [ledger]
@@ -258,6 +270,11 @@ def _sphere_suite(tol):
     return verdicts
 
 
+def _surface_verdicts(case, p, tol):
+    """The three bounds checked on a boundary surface."""
+    return [main_lower_bound(case, p, tol), xia_bound(case, tol), upper_bound_degree_one(case, tol)]
+
+
 def _ellipsoid_suite(tol, p):
     axes = [
         (1.0, 1.0, 1.1),
@@ -266,13 +283,7 @@ def _ellipsoid_suite(tol, p):
         (1.0, 1.0, 1.3),
         (1.0, 1.2, 1.3),
     ]
-    verdicts = []
-    for abc in axes:
-        case = GeometryCase.ellipsoid(*abc)
-        verdicts.append(main_lower_bound(case, p, tol))
-        verdicts.append(xia_bound(case, tol))
-        verdicts.append(upper_bound_degree_one(case, tol))
-    return verdicts
+    return [v for abc in axes for v in _surface_verdicts(GeometryCase.ellipsoid(*abc), p, tol)]
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -303,23 +314,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
             if isinstance(geo, GeometryCase)
             else GeometryCase.from_surface_mesh(geo)
         )
-        verdicts.append(main_lower_bound(case, p, cfg.tol))
-        verdicts.append(xia_bound(case, cfg.tol))
-        verdicts.append(upper_bound_degree_one(case, cfg.tol))
+        verdicts = _surface_verdicts(case, p, cfg.tol)
     else:
         raise ValueError("provide --suite or --geometry")
 
     if cfg.theorem != "all":
-        keep = {
-            "lower-p": "p_form_lower_bound",
-            "xia": "xia_bound",
-            "upper-1": "parallel_upper_bound_degree_one",
-            "upper-p": "parallel_upper_bound_degree_p",
-            "killing": "special_killing_eigenvalue",
-        }.get(cfg.theorem)
-        if keep is None:
-            raise ValueError(f"unknown theorem id {cfg.theorem!r}")
-        verdicts = [v for v in verdicts if v.name == keep]
+        verdicts = [v for v in verdicts if v.name == _THEOREMS[cfg.theorem]]
 
     tail = {"equality_diagnostics": [r.to_dict() for r in reports]} if reports else None
     _write_json(cfg, "bounds.json", {"verdicts": [v.to_dict() for v in verdicts]}, tail)
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=out_default)
     sp.add_argument("--field", default="linear-x1",
                     help=f"scalars: {', '.join(SCALAR_FIELD_NAMES)}; forms: {', '.join(FORM_FIELD_NAMES)}")
-    sp.add_argument("--levels", default="1..3", help="e.g. 1..3 or 2,3")
+    sp.add_argument("--levels", help="e.g. 1..3 or 2,3 (default 1..3); not with --mesh")
     sp.add_argument("--order", type=int, default=2, choices=(1, 2), help="quadrature order")
 
     sp = sub.add_parser("bounds", help="eigenvalue bound verdicts on geometry suites")
@@ -376,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--suite", choices=("spheres", "ellipsoids", "balls"))
     sp.add_argument("--out", default=out_default)
     sp.add_argument("--tol", type=float, default=None, help="relative tolerance of the verdicts")
-    sp.add_argument("--theorem", default="all",
-                    choices=("all", "lower-p", "xia", "upper-1", "upper-p", "killing"))
+    sp.add_argument("--theorem", default="all", choices=("all", *_THEOREMS))
     sp.add_argument("--p", type=int, default=None)
     return parser
 
@@ -439,9 +438,7 @@ def main(argv=None) -> int:
             return cmd_spectrum(cfg)
         if cfg.command == "reilly":
             return cmd_reilly(cfg)
-        if cfg.command == "bounds":
-            return cmd_bounds(cfg)
-        parser.error(f"unknown command {cfg.command}")
+        return cmd_bounds(cfg)
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -451,7 +448,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK
 
 
 if __name__ == "__main__":

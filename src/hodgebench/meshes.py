@@ -318,9 +318,11 @@ class MeshComplex:
 
     def _check_face_areas(self, faces) -> None:
         p = self.vertices[faces]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        with np.errstate(over="ignore"):  # an area that overflows, as on ellipsoid:1,1,1e300
-            infinite = np.isinf(np.linalg.norm(cross, axis=1))
+        # an area that overflows (ellipsoid:1,1,1e300), or whose cross product
+        # does (inf - inf is NaN on ellipsoid:1e200,1e200,1e200), is infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+            infinite = ~np.isfinite(np.linalg.norm(cross, axis=1))
         flat = np.flatnonzero(~cross.any(axis=1) | infinite)
         if flat.size:
             raise MeshError(
@@ -495,7 +497,8 @@ def _icosphere(subdivisions: int, radius: float = 1.0):
     verts, faces = _icosahedron()
     for _ in range(subdivisions):
         verts, faces = _subdivide(verts, faces)
-    return verts * (radius / np.linalg.norm(verts, axis=1))[:, None], faces
+    with np.errstate(invalid="ignore"):  # an infinite radius gives NaN vertices (0 * inf)
+        return verts * (radius / np.linalg.norm(verts, axis=1))[:, None], faces
 
 
 def _generated_surface(verts, faces, metadata) -> MeshComplex:
@@ -525,8 +528,10 @@ def generate_ellipsoid(a: float, b: float, c: float, subdivisions: int = 3) -> M
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
     verts, faces = _icosphere(subdivisions)
+    with np.errstate(invalid="ignore"):  # an infinite axis gives NaN vertices (0 * inf)
+        verts = verts * np.array([a, b, c])
     return _generated_surface(
-        verts * np.array([a, b, c]),
+        verts,
         faces,
         metadata={
             "generator": "ellipsoid",

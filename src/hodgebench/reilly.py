@@ -13,9 +13,10 @@ residual of the identity is reported.  The curvature term <W w, w> of the
 ambient domain vanishes on a flat solid, so the ledger records it as 0.
 
 The surface codifferential in the cross term is evaluated through the
-commutation identity (see :func:`check_commutation`, which tests that
-identity itself against surface finite differences); for 1-forms a
-DEC-based second path is available as a diagnostic.
+commutation identity by one function, :func:`_commutation_delta`; the
+ledger integrates it and :func:`check_commutation` tests that same
+function against surface finite differences.  For 1-forms a DEC-based
+second path is available as a diagnostic.
 """
 
 from __future__ import annotations
@@ -186,6 +187,8 @@ def _ledger_setup(mesh, order, shape_source):
     projected onto an analytic surface.  The interior quadrature is taken
     in blocks by :func:`_interior_integrals`.
     """
+    if mesh.kind != "solid":
+        raise MeshError("bad_kind", "requires a solid mesh")
     surface = _resolve_surface(mesh, shape_source)
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
     if surface.analytic:
@@ -235,22 +238,38 @@ class ReillyLedger:
         }
 
 
+def _residual(lhs, rhs_values):
+    """(residual, relative residual) of lhs = sum(rhs_values); the relative
+    residual is taken over the largest |side|."""
+    residual = lhs - sum(rhs_values)
+    scale = max([abs(lhs)] + [abs(value) for value in rhs_values] + [1e-300])
+    return float(residual), float(abs(residual) / scale)
+
+
 def _finish_ledger(kind, degree, lhs, terms, rhs_names, meta):
-    rhs_total = sum(terms[name] for name in rhs_names)
-    residual = lhs - rhs_total
-    scale = max(
-        [abs(lhs)] + [abs(terms[name]) for name in rhs_names] + [1e-300]
-    )
+    residual, relative = _residual(lhs, [terms[name] for name in rhs_names])
     return ReillyLedger(
         kind=kind,
         degree=degree,
         lhs=lhs,
         terms=terms,
         rhs_terms=tuple(rhs_names),
-        residual=float(residual),
-        relative_residual=float(abs(residual) / scale),
+        residual=residual,
+        relative_residual=relative,
         meta=meta,
     )
+
+
+def _commutation_delta(val, jac, normals, shape, p):
+    """(delta^S(J*w), i_N w, J*w) per point, delta^S(J*w) by the commutation identity
+    J*(delta w) + i_N grad_N w + S^[p-1](i_N w) - nH i_N w, nH the trace of S."""
+    v = _batch_interior(val, normals, p)  # degree p-1
+    t = val - _batch_wedge_vec(v, normals, p - 1)
+    t_delta = _batch_tangential(_batch_delta(jac, p, normals.shape[1]), normals, p - 1)
+    i_n_grad_n = _batch_interior(np.einsum("mck,mk->mc", jac, normals), normals, p)
+    s_v = _batch_shape(v, shape, p - 1)
+    n_mean = np.einsum("mii->m", shape)
+    return t_delta + i_n_grad_n + s_v - n_mean[:, None] * v, v, t
 
 
 def evaluate_reilly(
@@ -268,8 +287,6 @@ def evaluate_reilly(
     or 'auto' (analytic exactly for generated balls).  ``include_dec`` adds
     a DEC evaluation of the cross term of a 1-form as a diagnostic column.
     """
-    if mesh.kind != "solid":
-        raise MeshError("bad_kind", "p-form ledger requires a solid mesh")
     p = form.degree
     if not 1 <= p <= 3:
         raise ValueError("form degree must be 1, 2 or 3")
@@ -289,19 +306,11 @@ def evaluate_reilly(
 
     # boundary terms
     cb = form.value(epts)
-    jb = form.jacobian(epts)
-
-    v_part = _batch_interior(cb, normals, p)  # degree p-1
-    t_part = cb - _batch_wedge_vec(v_part, normals, p - 1)
-    delta_b = _batch_delta(jb, p, 3)
-    t_delta = _batch_tangential(delta_b, normals, p - 1)
-    grad_n = np.einsum("mck,mk->mc", jb, normals)
-    i_n_grad_n = _batch_interior(grad_n, normals, p)
-    s_v = _batch_shape(v_part, shape_world, p - 1)
-    n_mean = np.einsum("mii->m", shape_world)  # n*H = trace of the shape operator
-    delta_sigma_j = t_delta + i_n_grad_n + s_v - n_mean[:, None] * v_part
+    delta_sigma_j, v_part, t_part = _commutation_delta(cb, form.jacobian(epts), normals, shape_world, p)
     cross = 2.0 * float(bw @ (v_part * delta_sigma_j).sum(axis=1))
 
+    s_v = _batch_shape(v_part, shape_world, p - 1)
+    n_mean = np.einsum("mii->m", shape_world)
     s_t = _batch_shape(t_part, shape_world, p)
     b_two = (s_t * t_part).sum(axis=1) + n_mean * (v_part**2).sum(axis=1) - (
         s_v * v_part
@@ -357,8 +366,6 @@ def evaluate_classical_reilly(
     2 f_N Lap^S f, <S grad^S f, grad^S f>, nH f_N^2 on the right.
     ``shape_source`` is as for :func:`evaluate_reilly`.
     """
-    if mesh.kind != "solid":
-        raise MeshError("bad_kind", "classical ledger requires a solid mesh")
     surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     def interior(pts):
@@ -510,8 +517,10 @@ def _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h):
     return delta_t, d_v
 
 
-def _require_pointwise(surface) -> None:
-    """The surface checks evaluate normals, shapes and projections at any point."""
+def _pointwise(form, surface, points):
+    """(points, normals, shape operators, field values, field Jacobians) at the
+    sample points; the surface must evaluate normals, shapes and projections
+    at any point."""
     needed = ("normals", "shape_world", "project")
     missing = [name for name in needed if not callable(getattr(surface, name, None))]
     if missing:
@@ -519,6 +528,8 @@ def _require_pointwise(surface) -> None:
             f"the surface checks need normals, shape_world and project (as on "
             f"SphereSurface); {type(surface).__name__} has no {', '.join(missing)}"
         )
+    pts = np.atleast_2d(points)
+    return pts, surface.normals(pts), surface.shape_world(pts), form.value(pts), form.jacobian(pts)
 
 
 def _max_norm(diff) -> float:
@@ -537,25 +548,18 @@ def check_derivative_formulas(
 
     For each sample point and a random tangent direction X, the surface
     covariant derivatives of J*w and i_N w (surface finite differences) are
-    compared against  J*(grad_X w) + (S X)^* ^ i_N w  and
-    i_N grad_X w - i_{S X} J* w.  Returns the max residual of each identity.
+    compared against  J*(grad_X w) + (S X)^* ^ i_N w  and  i_N grad_X w - i_{S X} J* w,
+    the analytic path of :func:`_tangent_derivatives`.  Returns the max residual
+    of each identity.
     """
-    _require_pointwise(surface)
-    pts = np.atleast_2d(points)
-    p = form.degree
-    normals, shape = surface.normals(pts), surface.shape_world(pts)
-    val, jac = form.value(pts), form.jacobian(pts)
+    data = _pointwise(form, surface, points)
+    pts, normals = data[:2]
     x = np.random.default_rng(seed).standard_normal((len(pts), form.dim))
     x -= np.einsum("mi,mi->m", x, normals)[:, None] * normals
     x /= np.linalg.norm(x, axis=1)[:, None]
-    lhs1, lhs2 = _tangent_derivatives(form, surface, pts, normals, shape, val, jac, x, "fd", h)
-    grad_x = np.einsum("mck,mk->mc", jac, x)
-    sx = np.einsum("mij,mj->mi", shape, x)
-    v = _batch_interior(val, normals, p)
-    t = _batch_tangential(val, normals, p)
-    rhs1 = _batch_tangential(grad_x, normals, p) + _batch_wedge_vec(v, sx, p - 1)
-    rhs2 = _batch_interior(grad_x, normals, p) - _batch_interior(t, sx, p)
-    return _max_norm(lhs1 - rhs1), _max_norm(lhs2 - rhs2)
+    fd = _tangent_derivatives(form, surface, *data, x, "fd", h)
+    analytic = _tangent_derivatives(form, surface, *data, x, "analytic", h)
+    return tuple(_max_norm(lhs - rhs) for lhs, rhs in zip(fd, analytic))
 
 
 def check_commutation(
@@ -576,22 +580,11 @@ def check_commutation(
     """
     if method not in ("fd", "analytic"):
         raise ValueError("method must be 'fd' or 'analytic'")
-    _require_pointwise(surface)
-    pts = np.atleast_2d(points)
+    _, normals, shape, val, jac = data = _pointwise(form, surface, points)
     p, dim = form.degree, form.dim
-    normals, shape = surface.normals(pts), surface.shape_world(pts)
-    val, jac = form.value(pts), form.jacobian(pts)
-    lhs_delta, lhs_d = _surface_d_delta(form, surface, pts, normals, shape, val, jac, method, h)
-    v = _batch_interior(val, normals, p)
-    t = _batch_tangential(val, normals, p)
-    n_mean = np.einsum("mii->m", shape)
+    lhs_delta, lhs_d = _surface_d_delta(form, surface, *data, method, h)
+    rhs1, _, t = _commutation_delta(val, jac, normals, shape, p)
     grad_n = np.einsum("mck,mk->mc", jac, normals)
-    rhs1 = (
-        _batch_tangential(_batch_delta(jac, p, dim), normals, p - 1)
-        + _batch_interior(grad_n, normals, p)
-        + _batch_shape(v, shape, p - 1)
-        - n_mean[:, None] * v
-    )
     i_n_dw = 0.0 if p == dim else _batch_interior(_batch_d(jac, p, dim), normals, p + 1)
     rhs2 = -i_n_dw + _batch_tangential(grad_n, normals, p) - _batch_shape(t, shape, p)
     return _max_norm(lhs_delta - rhs1), _max_norm(lhs_d - rhs2)
@@ -614,11 +607,9 @@ def restriction_identity_residuals(
     surface = SphereSurface(radius=radius, dim=m)
     if points is None:
         points = sphere_sample_points(count, dim=m, radius=radius, seed=seed)
-    pts = np.atleast_2d(points)
     form = FormField.constant(xi.coeffs, p, dim=m, name="parallel")
-    normals, shape = surface.normals(pts), surface.shape_world(pts)
-    val, jac = form.value(pts), form.jacobian(pts)
-    lhs_delta, lhs_d = _surface_d_delta(form, surface, pts, normals, shape, val, jac, "analytic", 0.0)
+    _, normals, _, val, _ = data = _pointwise(form, surface, points)
+    lhs_delta, lhs_d = _surface_d_delta(form, surface, *data, "analytic", 0.0)
     h_mean = 1.0 / radius
     n = m - 1
     want_delta = -(n - p + 1) * h_mean * _batch_interior(val, normals, p)
@@ -641,8 +632,6 @@ def check_stokes(
 
     Returns (residual, relative_residual).
     """
-    if mesh.kind != "solid":
-        raise MeshError("bad_kind", "requires a solid mesh")
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
@@ -659,7 +648,4 @@ def check_stokes(
     t_omega = _batch_tangential(ob, normals, omega.degree)
     i_n_phi = _batch_interior(phi.value(epts), normals, p)
     bnd = float(bw @ (t_omega * i_n_phi).sum(axis=1))
-
-    residual = lhs - (vol_term - bnd)
-    scale = max(abs(lhs), abs(vol_term), abs(bnd), 1e-300)
-    return float(residual), float(abs(residual) / scale)
+    return _residual(lhs, [vol_term, -bnd])

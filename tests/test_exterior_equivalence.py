@@ -122,6 +122,9 @@ def test_batched_commutation_matches_per_point_fd_field():
     got = check_commutation(df, sphere, pts, h=1e-4)
     want = oracle.check_commutation(df, sphere, pts, h=1e-4)
     assert _close(got, want), (got, want)
+    got = check_derivative_formulas(df, sphere, pts, h=1e-4)
+    want = oracle.check_derivative_formulas(df, sphere, pts, h=1e-4)
+    assert _close(got, want), (got, want)
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -63,11 +63,15 @@ def test_config_values_convert_like_line_values(tmp_path):
         ("ellipsoid:1,1,1e300", "[degenerate_face]"),
         ("icosphere:3,1e-200", "[degenerate_face]"),
         ("ellipsoid:1,1,nan", "[non_finite_vertices]"),
+        ("icosphere:3,1e400", "[non_finite_vertices]"),
+        ("ellipsoid:1,1,inf", "[non_finite_vertices]"),
+        ("ellipsoid:1e200,1e200,1e200", "[degenerate_face]"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_generator_input_exits_2(tmp_path, capsys, spec, message):
     # the first three ended in ZeroDivisionError, a residual failure (exit 3)
-    # and a singular factorization (exit 3); the last two meet the checks a
+    # and a singular factorization (exit 3); the others meet the checks a
     # generator keeps in place of the full validation
     out = tmp_path / "run"
     assert main(["spectrum", "--geometry", spec, "--out", str(out)]) == EXIT_VALIDATION
@@ -129,3 +133,23 @@ def test_load_mesh_validates_one_mesh(monkeypatch, tmp_path, suffix):
     validated = _count_validations(monkeypatch)
     load_mesh(path)
     assert len(validated) == 1
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_reilly_mesh_refuses_levels(tmp_path, capsys, given):
+    # levels refine generated balls; with --mesh they were silently ignored
+    path = tmp_path / "ball.tet"
+    save_tet(generate_ball(1), path)
+    argv = ["reilly", "--mesh", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_OK
+    assert json.loads((tmp_path / "run" / "reilly.json").read_text())["config"]["levels"] == "1..3"
+    capsys.readouterr()
+    out = tmp_path / "refused"
+    argv[-1] = str(out)
+    if given == "flag":
+        code = main([*argv, "--levels", "2"])
+    else:
+        code = _run_with_config(tmp_path, {"levels": "2"}, argv)
+    assert code == EXIT_VALIDATION
+    assert "--levels" in capsys.readouterr().err
+    assert not out.exists()
