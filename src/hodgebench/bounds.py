@@ -124,8 +124,10 @@ class GeometryCase:
     def sphere(cls, n: int, radius: float = 1.0) -> "GeometryCase":
         if n < 1:
             raise ValueError(f"sphere dimension must be >= 1, got n={n}")
-        if not (np.isfinite(radius) and radius > 0):
-            raise ValueError(f"sphere radius must be finite and positive, got {radius}")
+        # the eigenvalues divide by radius**2, which must not overflow or vanish
+        square = float(radius) * float(radius)
+        if not (radius > 0 and 0 < square < np.inf):
+            raise ValueError(f"sphere radius must be finite and positive, as must its square, got {radius}")
         return cls(
             "analytic-sphere", n, radius=radius, label=f"sphere(n={n}, r={radius:g})"
         )

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -71,39 +70,6 @@ _THEOREMS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    geometry: str | None = None
-    mesh: str | None = None
-    p: int | None = None
-    k: int = 10
-    levels: str = "3"
-    field: str = "linear-x1"
-    order: int = 2
-    tol: float | None = None
-    out: str = "."
-    suite: str | None = None
-    theorem: str = "all"
-    cluster_tol: float = 1e-3
-
-    def __post_init__(self):
-        # flags and --config values alike: a NaN, infinite or non-positive
-        # tolerance would reach the verdicts and the reports
-        for flag, value in (("--tol", self.tol), ("--cluster-tol", self.cluster_tol)):
-            if value is None and flag == "--tol":
-                continue  # each verdict takes its own default
-            try:
-                ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
-            except (TypeError, OverflowError):  # not a number, or an int beyond float
-                ok = False
-            if not ok:
-                raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
-
-    def to_dict(self):
-        return asdict(self)
-
-
 # per geometry name: the builder and its slots (name, type, default or None
 # when required), in the order of the spec
 _GEOMETRIES = {
@@ -147,7 +113,7 @@ def parse_geometry(spec: str):
     return build(*params)
 
 
-def _resolve_mesh(cfg: RunConfig):
+def _resolve_mesh(cfg: argparse.Namespace):
     if cfg.mesh:
         return load_mesh(cfg.mesh)
     if cfg.geometry:
@@ -158,23 +124,24 @@ def _resolve_mesh(cfg: RunConfig):
     raise ValueError("provide --geometry or --mesh")
 
 
-def _out_path(cfg: RunConfig, filename: str) -> Path:
+def _out_path(cfg: argparse.Namespace, filename: str) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out / filename
 
 
-def _stamp(cfg: RunConfig) -> dict:
-    return {"version": __version__, "config": cfg.to_dict()}
+def _stamp(cfg: argparse.Namespace) -> dict:
+    """The version, and the command with the options of its subcommand."""
+    return {"version": __version__, "config": {k: v for k, v in vars(cfg).items() if k != "config"}}
 
 
-def _write_json(cfg: RunConfig, filename: str, payload: dict, tail: dict | None = None) -> None:
+def _write_json(cfg: argparse.Namespace, filename: str, payload: dict, tail: dict | None = None) -> None:
     """Every JSON report: the keys of ``payload``, the stamp, then those of ``tail``."""
     text = json.dumps({**payload, **_stamp(cfg), **(tail or {})}, indent=2)
     _out_path(cfg, filename).write_text(text)
 
 
-def _write_csv(cfg: RunConfig, filename: str, header: list, rows: list) -> None:
+def _write_csv(cfg: argparse.Namespace, filename: str, header: list, rows: list) -> None:
     """Every CSV report: a ``# version=... config=...`` line, the header, the rows."""
     stamp = _stamp(cfg)
     with open(_out_path(cfg, filename), "w", newline="") as fh:
@@ -188,10 +155,9 @@ def _write_csv(cfg: RunConfig, filename: str, header: list, rows: list) -> None:
 # subcommands
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     mesh = _resolve_mesh(cfg)
-    degree = cfg.p if cfg.p is not None else 0
-    report = spectrum(mesh, degree, cfg.k, cluster_tol=cfg.cluster_tol)
+    report = spectrum(mesh, cfg.p, cfg.k, cluster_tol=cfg.cluster_tol)
     _write_json(cfg, "spectrum.json", report.to_dict())
     rows = [
         [f"{lam:.16g}", fam, int(cid)]
@@ -200,14 +166,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     _write_csv(cfg, "spectrum.csv", ["value", "family", "cluster"], rows)
     first = report.clusters[0] if report.clusters else (float("nan"), 0)
     print(
-        f"degree-{degree} spectrum of {mesh.metadata.get('generator', 'mesh')}: "
+        f"degree-{cfg.p} spectrum of {mesh.metadata.get('generator', 'mesh')}: "
         f"{len(report.eigenvalues)} eigenvalues, "
         f"harmonic x{report.count('harmonic')}, first cluster {first[0]:.6g} (x{first[1]})"
     )
     return EXIT_OK
 
 
-def cmd_reilly(cfg: RunConfig) -> int:
+def cmd_reilly(cfg: argparse.Namespace) -> int:
     if cfg.field in SCALAR_FIELD_NAMES:
         field = named_scalar_field(cfg.field)
     elif cfg.field in FORM_FIELD_NAMES:
@@ -286,7 +252,7 @@ def _ellipsoid_suite(tol, p):
     return [v for abc in axes for v in _surface_verdicts(GeometryCase.ellipsoid(*abc), p, tol)]
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(cfg: argparse.Namespace) -> int:
     if cfg.suite and cfg.geometry:  # argparse sees only the line, not --config values
         raise ValueError("give --suite or --geometry, not both")
     # a suite refuses the settings it does not read
@@ -393,7 +359,7 @@ def _config_value(sp, path, action, value):
     A JSON string, or a number for an option that takes one, goes through
     the option's ``type`` and ``choices``.  Booleans and other types are
     refused, except that a float option (a tolerance) leaves them to
-    RunConfig's check."""
+    ``_check_tolerances``."""
     takes_string = action.type is None
     if isinstance(value, str if takes_string else (int, float, str)) and not isinstance(value, bool):
         try:
@@ -404,6 +370,21 @@ def _config_value(sp, path, action, value):
         return value
     kind = "a string" if takes_string else "a number"
     sp.error(f"--config {path}: argument {action.option_strings[0]}: expected {kind}, got {json.dumps(value)}")
+
+
+def _check_tolerances(args: argparse.Namespace) -> None:
+    # flags and --config values alike: a NaN, infinite or non-positive
+    # tolerance would reach the verdicts and the reports
+    for dest, flag in (("tol", "--tol"), ("cluster_tol", "--cluster-tol")):
+        if dest not in args or (dest == "tol" and args.tol is None):
+            continue  # not the subcommand's option; without --tol each verdict has its own default
+        value = getattr(args, dest)
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            ok = False
+        if not ok:
+            raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -430,15 +411,12 @@ def main(argv=None) -> int:
         )
         args = parser.parse_args(argv)
     try:
-        # options a subcommand does not define keep the RunConfig defaults
-        cfg = RunConfig(
-            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-        )
-        if cfg.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if cfg.command == "reilly":
-            return cmd_reilly(cfg)
-        return cmd_bounds(cfg)
+        _check_tolerances(args)
+        if args.command == "spectrum":
+            return cmd_spectrum(args)
+        if args.command == "reilly":
+            return cmd_reilly(args)
+        return cmd_bounds(args)
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -318,12 +318,14 @@ class MeshComplex:
 
     def _check_face_areas(self, faces) -> None:
         p = self.vertices[faces]
-        # an area that overflows (ellipsoid:1,1,1e300), or whose cross product
-        # does (inf - inf is NaN on ellipsoid:1e200,1e200,1e200), is infinite
+        # the norm that ``face_normals_areas`` divides by: it overflows
+        # (ellipsoid:1,1,1e300), is NaN where the cross product overflows
+        # (inf - inf on ellipsoid:1e200,1e200,1e200), and underflows to 0 once
+        # the cross product's components fall below about 1e-154
         with np.errstate(over="ignore", invalid="ignore"):
             cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-            infinite = ~np.isfinite(np.linalg.norm(cross, axis=1))
-        flat = np.flatnonzero(~cross.any(axis=1) | infinite)
+            norms = np.linalg.norm(cross, axis=1)
+        flat = np.flatnonzero(~((norms > 0) & (norms < np.inf)))
         if flat.size:
             raise MeshError(
                 "degenerate_face",

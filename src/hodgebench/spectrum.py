@@ -20,7 +20,7 @@ from math import comb, hypot, sqrt
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .meshes import MeshComplex, MeshError
 
@@ -390,6 +390,8 @@ def _lanczos(a, b_diag, k: int, sigma: float, seed: int = 7, locked=None):
             f"Lanczos converged only {got.size}/{k} eigenvalues",
             residuals={"converged": got.tolist()},
         ) from exc
+    except ArpackError as exc:  # e.g. -9, a start vector that the operator maps to zero
+        raise SolverError(f"Lanczos failed: {exc}") from exc
     order = np.argsort(w)
     return w[order], vecs[:, order]
 

@@ -12,7 +12,6 @@ from hodgebench.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
-    RunConfig,
     _subparsers,
     build_parser,
     main,
@@ -142,6 +141,16 @@ def test_spectrum_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(module, "assemble_dec", negative_dual_area)
     code = main(["spectrum", "--geometry", "icosphere:1", "--k", "42", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert "solver error" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("geometry, p", [("icosphere:2,1e-70", 0), ("icosphere:2,1e-60", 1)])
+def test_spectrum_arpack_error_exit_code(tmp_path, capsys, geometry, p):
+    # the shift-invert operator of so small a sphere maps the start vector
+    # to zero (ARPACK error -9), which ended in a traceback
+    code = main(["spectrum", "--geometry", geometry, "--p", str(p), "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
@@ -327,13 +336,20 @@ def test_reilly_loaded_tet_mesh_scalar_field_matches_library(tmp_path):
         (["spectrum", "--geometry", "torus:inf,12"], "NU must be int"),
         (["spectrum", "--geometry", "icosphere:1,1,1"], "at most 2 parameters"),
         (["spectrum", "--geometry", "ellipsoid:1,1"], "ellipsoid needs C"),
+        (["bounds", "--geometry", "sphere:2,1e200"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:2,1e-170"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:2,1e-300"], "radius must be finite and positive"),
+        (["bounds", "--geometry", "sphere:2,1e-320"], "radius must be finite and positive"),
     ],
     ids=["radius-0", "radius-nan", "radius-negative", "n-0", "subdiv-1e400", "subdiv-2.7",
-         "nu-inf", "extra-slot", "missing-slot"],
+         "nu-inf", "extra-slot", "missing-slot", "radius-square-overflows", "radius-square-1e-340",
+         "radius-square-1e-600", "radius-subnormal"],
 )
 def test_bad_geometry_spec_exit_2(tmp_path, capsys, argv, message):
     # these ended in ZeroDivisionError, OverflowError, NaN verdicts, verdicts
-    # for a negative radius, or a silently truncated subdivision count
+    # for a negative radius, or a silently truncated subdivision count; a
+    # radius whose square overflows or vanishes ended in OverflowError or
+    # ZeroDivisionError
     code = main([*argv, "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
@@ -353,9 +369,11 @@ def test_bad_geometry_spec_exit_2(tmp_path, capsys, argv, message):
         (["bounds", "--suite", "spheres"], {"tol": -1}),
         (["bounds", "--suite", "spheres"], {"tol": [0.1]}),
         (["bounds", "--suite", "spheres"], {"tol": 10**400}),
+        (["spectrum", "--geometry", "icosphere:1"], {"cluster_tol": None}),
     ],
     ids=["cluster-tol-nan", "config-cluster-tol-nan", "config-cluster-tol-0", "tol-nan",
-         "tol-negative", "tol-inf", "config-tol-nan", "config-tol-negative", "config-tol-list", "config-tol-huge-int"],
+         "tol-negative", "tol-inf", "config-tol-nan", "config-tol-negative", "config-tol-list", "config-tol-huge-int",
+         "config-cluster-tol-null"],
 )
 def test_tolerance_not_finite_positive_exit_2(tmp_path, capsys, argv, config):
     out = tmp_path / "run"
@@ -492,7 +510,11 @@ def test_spectrum_report_keys_and_stamp(tmp_path):
         "cluster_tol", "method", "version", "config",
     ]
     assert data["version"] == __version__
-    assert data["config"] == RunConfig("spectrum", geometry="icosphere:1", p=0, k=4, out=str(tmp_path)).to_dict()
+    # the command and the spectrum options, in the parser's order
+    assert list(data["config"].items()) == [
+        ("command", "spectrum"), ("geometry", "icosphere:1"), ("mesh", None), ("out", str(tmp_path)),
+        ("p", 0), ("k", 4), ("cluster_tol", 1e-3),
+    ]
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == _stamp_line(data)
 
@@ -506,7 +528,10 @@ def test_reilly_report_keys_and_stamp(tmp_path):
         "version", "config",
     ]
     assert data["version"] == __version__
-    assert data["config"] == RunConfig("reilly", levels="1", out=str(tmp_path)).to_dict()
+    assert list(data["config"].items()) == [
+        ("command", "reilly"), ("mesh", None), ("out", str(tmp_path)), ("field", "linear-x1"),
+        ("levels", "1"), ("order", 2),
+    ]
     lines = (tmp_path / "reilly_convergence.csv").read_text().splitlines()
     assert lines[0] == _stamp_line(data)
 

@@ -66,6 +66,11 @@ def test_config_values_convert_like_line_values(tmp_path):
         ("icosphere:3,1e400", "[non_finite_vertices]"),
         ("ellipsoid:1,1,inf", "[non_finite_vertices]"),
         ("ellipsoid:1e200,1e200,1e200", "[degenerate_face]"),
+        # face normals whose norm underflows to 0 though the cross product does not
+        ("icosphere:1,1e-160", "[degenerate_face]"),
+        ("icosphere:2,1e-100", "[degenerate_face]"),
+        ("ellipsoid:1e-150,1e-150,1e-150", "[degenerate_face]"),
+        ("ellipsoid:1e-200,1,1", "[degenerate_face]"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
