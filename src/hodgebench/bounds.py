@@ -128,6 +128,11 @@ class GeometryCase:
         square = float(radius) * float(radius)
         if not (radius > 0 and 0 < square < np.inf):
             raise ValueError(f"sphere radius must be finite and positive, as must its square, got {radius}")
+        # the largest side a verdict reports is n**2 / radius**2, which n/radius
+        # <= 1e154 keeps finite; comparing the int n with a float is exact, so
+        # a huge n is refused without the int-to-float conversion that overflows
+        if not n <= 1e154 * radius:
+            raise ValueError(f"sphere n/radius must be at most 1e154 for finite sides, got n={n}, radius={radius}")
         return cls(
             "analytic-sphere", n, radius=radius, label=f"sphere(n={n}, r={radius:g})"
         )

@@ -7,9 +7,9 @@ Geometry specs are ``name:param,param`` strings::
     torus:NU,NV[,R,r]              genus-1 surface
     sphere:N[,RADIUS]              analytic round sphere (bounds only)
 
-Exit codes: 0 ok; 2 mesh validation failure; 3 eigensolver failure;
-4 residual fails to decrease across refinement levels; 5 an applicable
-bound verdict is violated.
+Exit codes: 0 ok; 2 mesh validation, parse, argument or ``--config``
+failure; 3 eigensolver failure, ARPACK errors included; 4 residual fails to
+decrease across refinement levels; 5 an applicable bound verdict is violated.
 """
 
 from __future__ import annotations
