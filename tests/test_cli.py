@@ -17,6 +17,7 @@ from hodgebench.bounds import GeometryCase
 from hodgebench.fields import named_scalar_field
 from hodgebench.meshes import generate_ball, generate_torus, load_mesh, save_tet
 from hodgebench.reilly import evaluate_classical_reilly
+from test_exit_contract import GEOMETRY_SPEC_ROWS, TOLERANCE_ROWS, run_row
 from test_spectrum import _cut_dec
 from test_topology_equivalence import _relabelled
 
@@ -230,6 +231,18 @@ def test_reilly_loaded_tet_mesh_scalar_field_matches_library(tmp_path):
     assert data["meta"]["level"] == 0
     rows = (tmp_path / "reilly_convergence.csv").read_text().splitlines()[2:]
     assert rows == [f"0,{want.meta['mesh']['n_vertices']},{want.residual:.16g},{want.relative_residual:.16g}"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", GEOMETRY_SPEC_ROWS, ids=[row.id for row in GEOMETRY_SPEC_ROWS])
+def test_bad_geometry_spec_exit_2(tmp_path, capsys, row):
+    run_row(row, tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", TOLERANCE_ROWS, ids=[row.id for row in TOLERANCE_ROWS])
+def test_tolerance_not_finite_positive_exit_2(tmp_path, capsys, row):
+    run_row(row, tmp_path, capsys)
 
 
 # every option has a reader: a new one must be added here on purpose

@@ -64,6 +64,53 @@ class Row:
     report: bool = False  # {tmp}/out/<command>.json is written
 
 
+# flags and --config values alike: a NaN, infinite or non-positive tolerance
+# would reach the verdicts and the reports
+TOLERANCE_ROWS = [
+    *(
+        Row(name, f"{argv} {flag} {value}", 2, "must be a finite positive number")
+        for name, argv, flag, value in (
+            ("cluster-tol-nan", "spectrum --geometry icosphere:1", "--cluster-tol", "nan"),
+            ("tol-nan", "bounds --suite spheres", "--tol", "nan"),
+            ("tol-negative", "bounds --suite spheres", "--tol", "-1"),
+            ("tol-inf", "bounds --suite spheres", "--tol", "inf"),
+        )
+    ),
+    *(
+        Row(f"config-{name}", f"--config {{tmp}}/cfg.json {argv}", 2, "must be a finite positive number",
+            {"cfg.json": config})
+        for name, argv, config in (
+            ("cluster-tol-nan", "spectrum --geometry icosphere:1", {"cluster_tol": float("nan")}),
+            ("cluster-tol-0", "spectrum --geometry icosphere:1", {"cluster_tol": 0}),
+            ("cluster-tol-null", "spectrum --geometry icosphere:1", {"cluster_tol": None}),
+            ("tol-nan", "bounds --suite spheres", {"tol": float("nan")}),
+            ("tol-negative", "bounds --suite spheres", {"tol": -1}),
+            ("tol-list", "bounds --suite spheres", {"tol": [0.1]}),
+            ("tol-huge-int", "bounds --suite spheres", {"tol": 10**400}),
+        )
+    ),
+]
+
+# geometry specs; these ended in ZeroDivisionError, OverflowError, NaN
+# verdicts, verdicts for a negative radius, or a silently truncated
+# subdivision count
+GEOMETRY_SPEC_ROWS = [
+    Row("subdiv-1e400", "spectrum --geometry icosphere:1e400", 2, "SUBDIV must be int"),
+    Row("subdiv-2.7", "spectrum --geometry icosphere:2.7", 2, "SUBDIV must be int"),
+    Row("nu-inf", "spectrum --geometry torus:inf,12", 2, "NU must be int"),
+    Row("extra-slot", "spectrum --geometry icosphere:1,1,1", 2, "at most 2 parameters"),
+    Row("missing-slot", "spectrum --geometry ellipsoid:1,1", 2, "ellipsoid needs C"),
+    Row("n-0", "bounds --geometry sphere:0", 2, "dimension must be >= 1"),
+    *(
+        Row(name, f"bounds --geometry sphere:2,{radius}", 2, "radius must be finite and positive")
+        # a square that overflows, or underflows to 0
+        for name, radius in (("radius-0", "0"), ("radius-nan", "nan"), ("radius-negative", "-1"),
+                             ("radius-square-overflows", "1e200"), ("radius-square-1e-340", "1e-170"),
+                             ("radius-square-1e-600", "1e-300"), ("radius-subnormal", "1e-320"))
+    ),
+]
+
+
 CONTRACT = [
     # exit 0 --------------------------------------------------------------
     Row("reilly-x2dx1-levels-1,2", "reilly --field x2dx1 --levels 1,2", 0, "", report=True),
@@ -115,47 +162,10 @@ CONTRACT = [
     Row("bounds-balls-p0", "bounds --suite balls --p 0", 2, "p=0 out of range"),
     Row("config-suite-with-line-geometry", "--config {tmp}/cfg.json bounds --geometry sphere:3", 2,
         "give --suite or --geometry, not both", {"cfg.json": {"suite": "spheres"}}),
-    # flags and --config values alike: a NaN, infinite or non-positive
-    # tolerance would reach the verdicts and the reports
-    *(
-        Row(name, f"{argv} {flag} {value}", 2, "must be a finite positive number")
-        for name, argv, flag, value in (
-            ("cluster-tol-nan", "spectrum --geometry icosphere:1", "--cluster-tol", "nan"),
-            ("tol-nan", "bounds --suite spheres", "--tol", "nan"),
-            ("tol-negative", "bounds --suite spheres", "--tol", "-1"),
-            ("tol-inf", "bounds --suite spheres", "--tol", "inf"),
-        )
-    ),
-    *(
-        Row(f"config-{name}", f"--config {{tmp}}/cfg.json {argv}", 2, "must be a finite positive number",
-            {"cfg.json": config})
-        for name, argv, config in (
-            ("cluster-tol-nan", "spectrum --geometry icosphere:1", {"cluster_tol": float("nan")}),
-            ("cluster-tol-0", "spectrum --geometry icosphere:1", {"cluster_tol": 0}),
-            ("cluster-tol-null", "spectrum --geometry icosphere:1", {"cluster_tol": None}),
-            ("tol-nan", "bounds --suite spheres", {"tol": float("nan")}),
-            ("tol-negative", "bounds --suite spheres", {"tol": -1}),
-            ("tol-list", "bounds --suite spheres", {"tol": [0.1]}),
-            ("tol-huge-int", "bounds --suite spheres", {"tol": 10**400}),
-        )
-    ),
-    # exit 2: geometry specs; these ended in ZeroDivisionError, OverflowError,
-    # NaN verdicts, verdicts for a negative radius, or a silently truncated
-    # subdivision count ----------------------------------------------------
+    *TOLERANCE_ROWS,
+    # exit 2: geometry specs ------------------------------------------------
     Row("geometry-ball", "spectrum --geometry ball:1", 2, "unknown geometry 'ball'"),
-    Row("geometry-subdiv-1e400", "spectrum --geometry icosphere:1e400", 2, "SUBDIV must be int"),
-    Row("geometry-subdiv-2.7", "spectrum --geometry icosphere:2.7", 2, "SUBDIV must be int"),
-    Row("geometry-nu-inf", "spectrum --geometry torus:inf,12", 2, "NU must be int"),
-    Row("geometry-extra-slot", "spectrum --geometry icosphere:1,1,1", 2, "at most 2 parameters"),
-    Row("geometry-missing-slot", "spectrum --geometry ellipsoid:1,1", 2, "ellipsoid needs C"),
-    Row("sphere-n-0", "bounds --geometry sphere:0", 2, "dimension must be >= 1"),
-    *(
-        Row(f"sphere-radius-{name}", f"bounds --geometry sphere:2,{radius}", 2,
-            "radius must be finite and positive")
-        # from 1e200, and below 1e-162: a square that overflows or underflows to 0
-        for name, radius in (("0", "0"), ("nan", "nan"), ("negative", "-1"), ("1e200", "1e200"),
-                             ("1e-170", "1e-170"), ("1e-300", "1e-300"), ("1e-320", "1e-320"))
-    ),
+    *GEOMETRY_SPEC_ROWS,
     # a subnormal square, or n**2 beyond a float: sides of Infinity with NaN
     # slack, an inf side called satisfied, or an OverflowError
     *(
@@ -232,14 +242,23 @@ def _check(row, tmp, code, err):
         assert not (tmp / "out").exists()
 
 
-@pytest.mark.parametrize("row", CONTRACT, ids=[row.id for row in CONTRACT])
-def test_contract_row(tmp_path, capsys, row):
-    argv = _argv(row, tmp_path)
+def run_row(row, tmp, capsys):
+    """Run ``row`` in-process through ``main`` and check what it promises."""
+    argv = _argv(row, tmp)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage error
         code = exc.code
-    _check(row, tmp_path, code, capsys.readouterr().err)
+    _check(row, tmp, code, capsys.readouterr().err)
+
+
+# the geometry-spec and tolerance rows run under their own names in test_cli.py
+TABLE_ROWS = [row for row in CONTRACT if row not in GEOMETRY_SPEC_ROWS + TOLERANCE_ROWS]
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=[row.id for row in TABLE_ROWS])
+def test_contract_row(tmp_path, capsys, row):
+    run_row(row, tmp_path, capsys)
 
 
 # the first row of each exit code, in table order
