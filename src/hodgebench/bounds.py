@@ -71,9 +71,11 @@ def _verdict(name, formula, tol, geometry, sides=None, note=""):
     if sides is not None:
         lhs, rhs, orient = sides
         slack = orient * (lhs - rhs) if orient else -abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
+        # each side is measured against itself, however small; two zero sides
+        # are tight
+        scale = max(abs(lhs), abs(rhs))
         status = "satisfied" if slack >= -tol * scale else "violated"
-        tightness = abs(slack) / scale
+        tightness = abs(slack) / scale if scale else 0.0
     return BoundVerdict(
         name=name,
         status=status,

@@ -84,14 +84,36 @@ def _pair_keys(u, w, n):
     return np.minimum(u, w) * n + np.maximum(u, w)
 
 
+# Tets per block of the determinants.  Each (block, 3) work array takes
+# 1.5 MB, so the transient is bounded by the block, not by the mesh.  The
+# work arrays are allocated once: arrays allocated afresh in every block were
+# handed back to the OS and faulted in again on every block.  Smaller blocks
+# leave glibc's malloc a lower mmap threshold, so the ledgers after them fault
+# more pages in.
+DET_BLOCK = 65536
+
+
 def _tet_determinants(vertices, tets) -> np.ndarray:
-    """Six times the signed volume of each tet: (v1 - v0) . ((v2 - v0) x (v3 - v0))."""
-    v = vertices
-    return np.einsum(
-        "ij,ij->i",
-        v[tets[:, 1]] - v[tets[:, 0]],
-        np.cross(v[tets[:, 2]] - v[tets[:, 0]], v[tets[:, 3]] - v[tets[:, 0]]),
-    )
+    """Six times the signed volume of each tet: (v1 - v0) . ((v2 - v0) x (v3 - v0)),
+    DET_BLOCK tets at a time.  The cross product takes the steps of ``np.cross``,
+    c_i = a_j*b_k - a_k*b_j for cyclic (i, j, k), so its values are bit-identical."""
+    out = np.empty(len(tets))
+    size = min(len(tets), DET_BLOCK)
+    corners = np.empty((4, size, 3))  # v0..v3, then v0 and the edges from it
+    cross, prod = np.empty((size, 3)), np.empty(size)
+    for start in range(0, len(tets), DET_BLOCK):
+        t = tets[start : start + DET_BLOCK]
+        p, c, s = corners[:, : len(t)], cross[: len(t)], prod[: len(t)]
+        for corner in range(4):
+            p[corner] = vertices[t[:, corner]]
+        p[1:] -= p[0]
+        a, b = p[2], p[3]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(a[:, j], b[:, k], out=c[:, i])
+            np.multiply(a[:, k], b[:, j], out=s)
+            c[:, i] -= s
+        np.einsum("ij,ij->i", p[1], c, out=out[start : start + len(t)])
+    return out
 
 
 def _find(sorted_keys, keys):
@@ -580,7 +602,10 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     local = _PRISM_TETS[np.where(rot[:, 1] < rot[:, 2], 0, 1)]  # (F, 3, 4) in 0..5
     prism = rot[rows[:, :, None], local % 3] + nv * (local >= 3)
     bottoms = 1 + nv * np.arange(layers - 1)
-    tets = np.vstack([cone, (prism + bottoms[:, None, None, None]).reshape(-1, 4)])
+    # the cone, then shell by shell, written in place
+    tets = np.empty((len(cells) * (3 * layers - 2), 4), dtype=np.int64)
+    tets[: len(cells)] = cone
+    np.add(prism, bottoms[:, None, None, None], out=tets[len(cells) :].reshape(layers - 1, *prism.shape))
     ball = MeshComplex(
         verts,
         tets,

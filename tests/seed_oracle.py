@@ -13,7 +13,9 @@ with the exact Hodge split (the union of the degree-0 and degree-2 spectra).
 ``tet_determinants`` and ``tet_quadrature`` are the tet-volume expression that
 four call sites once evaluated separately, and the per-tet contraction that
 placed the tet quadrature points; volumes, weights and points must still
-match them bit for bit.
+match them bit for bit.  ``stacked_ball_tets`` is the ball's tet table as one
+``(L-1, F, 3, 4)`` stack of shells copied out by ``np.vstack``, before the
+generator wrote each shell in place.
 """
 
 from __future__ import annotations
@@ -248,6 +250,24 @@ def ball(subdivisions, layers=None):
     flip = d < 0
     tets[flip] = tets[flip][:, [0, 2, 1, 3]]
     return verts, tets, sphere_f + layer_idx(layers)
+
+
+def stacked_ball_tets(subdivisions, layers=None):
+    """The tets of ``generate_ball``: the cone, then every shell's split prisms
+    built as one stack and copied behind it."""
+    from hodgebench.meshes import _PRISM_TETS, _icosphere
+
+    if layers is None:
+        layers = max(1, 2**subdivisions)
+    sphere, cells = _icosphere(subdivisions)
+    nv = len(sphere)
+    cone = np.column_stack([np.zeros(len(cells), dtype=np.int64), 1 + cells])
+    rows = np.arange(len(cells))[:, None]
+    rot = cells[rows, (np.argmin(cells, axis=1)[:, None] + np.arange(3)) % 3]
+    local = _PRISM_TETS[np.where(rot[:, 1] < rot[:, 2], 0, 1)]
+    prism = rot[rows[:, :, None], local % 3] + nv * (local >= 3)
+    bottoms = 1 + nv * np.arange(layers - 1)
+    return np.vstack([cone, (prism + bottoms[:, None, None, None]).reshape(-1, 4)])
 
 
 def torus(nu=24, nv=12, big_radius=2.0, small_radius=0.7):

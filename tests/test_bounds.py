@@ -5,6 +5,7 @@ import pytest
 
 from hodgebench.bounds import (
     GeometryCase,
+    _verdict,
     equality_case_diagnostics,
     main_lower_bound,
     special_killing_relation,
@@ -222,6 +223,20 @@ def test_verdict_semantics():
     d = verdict.to_dict()
     assert d["name"] == "xia_bound"
     assert d["status"] == "satisfied"
+
+
+def test_verdict_measures_tiny_sides_against_themselves():
+    # sides below 1e-300: a radius of 1e152 puts both sides near 2e-304
+    case = GeometryCase.sphere(2, 1e152)
+    upper = upper_bound_degree_one(case)
+    assert (upper.lhs, upper.rhs, upper.status, upper.tightness) == (2e-304, 4e-304, "satisfied", 0.5)
+    for verdict in (main_lower_bound(case, 1), xia_bound(case)):
+        assert verdict.satisfied and 1e-17 < verdict.tightness <= 1e-15
+    # a violation by a whole side is a violation at any scale
+    planted = _verdict("planted", "lhs >= rhs", 1e-6, "tiny", (1e-310, 2e-310, 1))
+    assert planted.status == "violated" and planted.tightness == 0.5
+    zero = _verdict("zero", "lhs == rhs", 1e-6, "tiny", (0.0, 0.0, 0))
+    assert zero.status == "satisfied" and zero.tightness == 0.0
 
 
 def test_verdict_table_and_json():
