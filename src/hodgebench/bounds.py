@@ -118,7 +118,6 @@ class GeometryCase:
         self.radius = radius
         self.mesh = mesh
         self.label = label or kind
-        self._shape = None
         self._spectrum0 = None
 
     # constructors ------------------------------------------------------
@@ -172,9 +171,7 @@ class GeometryCase:
         return out
 
     def shape(self):
-        if self._shape is None:
-            self._shape = discrete_shape(self.mesh)
-        return self._shape
+        return discrete_shape(self.mesh)
 
     def spectrum0(self):
         if self._spectrum0 is None:

@@ -217,6 +217,15 @@ def induced_endomorphism(base, degree: int):
     eigen-decomposition, so it is exact for non-diagonal input.  ``base``
     must be symmetric to 1e-10 of max(1, max |base|).
     """
+    base = _symmetric_base(base)
+    n = base.shape[0]
+    if not 0 <= degree <= n:
+        raise ValueError(f"degree {degree} out of range for dim {n}")
+    return InducedEndomorphism(base=base, degree=degree, matrix=_induced_matrix(base, degree))
+
+
+def _symmetric_base(base) -> np.ndarray:
+    """``base`` as a float array, checked square, finite and symmetric."""
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise ValueError("base must be a square matrix")
@@ -225,9 +234,12 @@ def induced_endomorphism(base, degree: int):
     scale = max(1.0, float(np.abs(base).max()))
     if np.abs(base - base.T).max() > 1e-10 * scale:
         raise ValueError("base matrix must be symmetric")
+    return base
+
+
+def _induced_matrix(base, degree: int) -> np.ndarray:
+    """The matrix of :func:`induced_endomorphism` of a checked ``base``."""
     n = base.shape[0]
-    if not 0 <= degree <= n:
-        raise ValueError(f"degree {degree} out of range for dim {n}")
     matrix = np.zeros((comb(n, degree), comb(n, degree)))
     if degree > 0:
         rows, cols, a, b, sign, diagonal = _induced_scatter(n, degree)
@@ -237,7 +249,7 @@ def induced_endomorphism(base, degree: int):
         matrix[rows, cols] += sign * base[a, b]
         i = np.arange(len(matrix))
         matrix[i, i] += np.cumsum(base.diagonal()[diagonal], axis=1)[:, -1]
-    return InducedEndomorphism(base=base, degree=degree, matrix=matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -313,8 +325,9 @@ def duality_identity_residual(shape_matrix, degree: int) -> float:
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for dim {n}")
     star = star_matrix(n, degree)
-    s_p = induced_endomorphism(s, degree).matrix
-    s_np = induced_endomorphism(s, n - degree).matrix
+    s = _symmetric_base(s)
+    s_p = _induced_matrix(s, degree)
+    s_np = _induced_matrix(s, n - degree)
     residual = star @ s_p + s_np @ star - float(np.trace(s)) * star
     return float(np.linalg.norm(residual))
 

@@ -170,6 +170,8 @@ class MeshComplex:
         self._n_edges = None
         self._betti = None
         self._tet_dets = None
+        self._boundary = None
+        self._shape = None
         if self.kind == "solid":
             if boundary_faces is None:
                 boundary_faces, _ = self._extract_boundary(self._sorted_edge_keys())
@@ -420,21 +422,26 @@ class MeshComplex:
         return faces, keys[once]
 
     def boundary_mesh(self):
-        """Boundary as a standalone surface mesh plus the vertex index map."""
+        """Boundary as a standalone surface mesh plus the vertex index map,
+        computed once; its vertex, face and map arrays are read-only."""
         if self.kind != "solid":
             raise MeshError("bad_kind", "boundary_mesh requires a solid mesh")
-        used = np.unique(self.boundary_faces.reshape(-1))
-        remap = -np.ones(self.n_vertices, dtype=np.int64)
-        remap[used] = np.arange(used.size)
-        # validation already checked these faces as a closed surface, and
-        # ``used`` holds exactly the finite vertices they reference
-        surf = MeshComplex(
-            self.vertices[used],
-            remap[self.boundary_faces],
-            metadata={**self.metadata, "boundary_of": self.metadata.get("generator")},
-            validate=False,
-        )
-        return surf, used
+        if self._boundary is None:
+            used = np.unique(self.boundary_faces.reshape(-1))
+            remap = -np.ones(self.n_vertices, dtype=np.int64)
+            remap[used] = np.arange(used.size)
+            # validation already checked these faces as a closed surface, and
+            # ``used`` holds exactly the finite vertices they reference
+            surf = MeshComplex(
+                self.vertices[used],
+                remap[self.boundary_faces],
+                metadata={**self.metadata, "boundary_of": self.metadata.get("generator")},
+                validate=False,
+            )
+            for array in (surf.vertices, surf.cells, used):
+                array.flags.writeable = False
+            self._boundary = surf, used
+        return self._boundary
 
     # ------------------------------------------------------------------
     # reports
@@ -861,10 +868,20 @@ def discrete_shape(mesh: MeshComplex) -> DiscreteShape:
     two-ring neighbours are fit with a full quadratic; the shape
     operator is the symmetric first-fundamental-form correction
     I^{-1/2} II I^{-1/2} of the fitted Hessian, so a unit sphere yields
-    principal curvatures +1.
+    principal curvatures +1.  Fitted once per mesh; the arrays of the
+    result are read-only.
     """
     if mesh.kind != "surface":
         raise MeshError("bad_kind", "discrete shape requires a surface mesh")
+    if mesh._shape is None:
+        shape = _fit_quadrics(mesh)
+        for array in vars(shape).values():
+            array.flags.writeable = False
+        mesh._shape = shape
+    return mesh._shape
+
+
+def _fit_quadrics(mesh: MeshComplex) -> DiscreteShape:
     from .exterior import tangent_frame
 
     v = mesh.vertices

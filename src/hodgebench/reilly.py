@@ -146,7 +146,7 @@ def _tet_blocks(mesh: MeshComplex, order: int):
         cells = mesh.cells[start : start + TET_BLOCK]
         # summed from zero corner by corner, in corner order, which fixes each
         # point's rounding; a BLAS product (fused multiply-adds) rounds differently
-        corners = [mesh.vertices[cells[:, k]] for k in range(4)]
+        corners = [np.take(mesh.vertices, cells[:, k], axis=0) for k in range(4)]
         pts = np.empty((len(cells), bary.shape[0], 3))
         for q, weights in enumerate(bary):
             acc = np.zeros((len(cells), 3))
@@ -157,11 +157,53 @@ def _tet_blocks(mesh: MeshComplex, order: int):
         yield pts.reshape(-1, 3), np.repeat(vols / bary.shape[0], bary.shape[0])
 
 
+def _quadrature_sum(weights, values) -> float:
+    """sum_m weights[m] * values[m] by numpy's pairwise reduction, not by a
+    BLAS dot product: OpenBLAS splits a long dot product over its threads,
+    so the last bits of ``weights @ values`` depend on the thread count."""
+    return float(np.add.reduce(weights * values))
+
+
 def _interior_integrals(mesh: MeshComplex, order: int, integrands) -> list:
-    """The quadrature sums ``wts @ g`` of the per-point arrays g returned by
+    """The quadrature sums of the per-point arrays returned by
     ``integrands(pts)``, taken block by block and added in block order."""
-    blocks = (np.array([wts @ g for g in integrands(pts)]) for pts, wts in _tet_blocks(mesh, order))
+    blocks = (
+        np.array([_quadrature_sum(wts, g) for g in integrands(pts)]) for pts, wts in _tet_blocks(mesh, order)
+    )
     return [float(total) for total in reduce(np.add, blocks)]
+
+
+def _row_sums(a) -> np.ndarray:
+    """Each row's sum over the trailing axes of a C-ordered array, bit for bit
+    ``a.sum(axis=(1, ...))``, one vectorised add per column.
+
+    numpy's reduction runs a short loop per row; it adds a row of fewer
+    than 8 entries left to right from 0.0, and a longer one as 0.0 plus
+    its ``pairwise_sum``.  The order is kept, so the roundings are too.
+    """
+    cols = a.reshape(len(a), -1)
+    if cols.shape[1] >= 8:
+        total = _pairwise_sums(cols)
+        total += 0.0  # as 0.0 + total: turns -0.0 into 0.0, as numpy's does
+        return total
+    total = np.zeros(len(cols))
+    for k in range(cols.shape[1]):
+        total += cols[:, k]
+    return total
+
+
+def _pairwise_sums(cols) -> np.ndarray:
+    """numpy's ``pairwise_sum`` of each row of 8 to 128 entries (its block;
+    numpy splits a longer row in two first): eight interleaved partial sums,
+    combined pairwise, then the tail."""
+    n = cols.shape[1]
+    r = [cols[:, j] for j in range(8)]
+    for i in range(8, n - n % 8, 8):
+        r = [r[j] + cols[:, i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        total += cols[:, i]
+    return total
 
 
 def _tri_quadrature(vertices, faces, order: int):
@@ -297,9 +339,9 @@ def evaluate_reilly(
     def interior(pts):
         jac = form.jacobian(pts)
         return (
-            (form.value(pts) ** 2).sum(axis=1),
-            (_batch_d(jac, p, 3) ** 2).sum(axis=1) + (_batch_delta(jac, p, 3) ** 2).sum(axis=1),
-            (jac**2).sum(axis=(1, 2)),
+            _row_sums(form.value(pts) ** 2),
+            _row_sums(_batch_d(jac, p, 3) ** 2) + _row_sums(_batch_delta(jac, p, 3) ** 2),
+            _row_sums(jac**2),
         )
 
     form_l2, lhs, dirichlet = _interior_integrals(mesh, order, interior)
@@ -307,21 +349,17 @@ def evaluate_reilly(
     # boundary terms
     cb = form.value(epts)
     delta_sigma_j, v_part, t_part = _commutation_delta(cb, form.jacobian(epts), normals, shape_world, p)
-    cross = 2.0 * float(bw @ (v_part * delta_sigma_j).sum(axis=1))
+    cross = 2.0 * _quadrature_sum(bw, _row_sums(v_part * delta_sigma_j))
 
     s_v = _batch_shape(v_part, shape_world, p - 1)
     n_mean = np.einsum("mii->m", shape_world)
-    s_t = _batch_shape(t_part, shape_world, p)
-    b_two = (s_t * t_part).sum(axis=1) + n_mean * (v_part**2).sum(axis=1) - (
-        s_v * v_part
-    ).sum(axis=1)
+    s_t_t = _row_sums(_batch_shape(t_part, shape_world, p) * t_part)
+    b_two = s_t_t + n_mean * _row_sums(v_part**2) - _row_sums(s_v * v_part)
     star_c = cb @ star_matrix(3, p).T
     t_star = _batch_tangential(star_c, normals, 3 - p)
-    b_one = (s_t * t_part).sum(axis=1) + (
-        _batch_shape(t_star, shape_world, 3 - p) * t_star
-    ).sum(axis=1)
-    boundary = float(bw @ b_two)
-    boundary_star = float(bw @ b_one)
+    b_one = s_t_t + _row_sums(_batch_shape(t_star, shape_world, 3 - p) * t_star)
+    boundary = _quadrature_sum(bw, b_two)
+    boundary_star = _quadrature_sum(bw, b_one)
     gap = float(np.abs(b_one - b_two).max()) if len(b_one) else 0.0
 
     terms = {
@@ -371,7 +409,7 @@ def evaluate_classical_reilly(
     def interior(pts):
         hess = f.hessian(pts)
         lap = -np.einsum("mii->m", hess)  # positive-spectrum convention
-        return lap**2, (hess**2).sum(axis=(1, 2))
+        return lap**2, _row_sums(hess**2)
 
     lhs, hessian_energy = _interior_integrals(mesh, order, interior)
 
@@ -383,9 +421,9 @@ def evaluate_classical_reilly(
     n_mean = np.einsum("mii->m", shape_world)
     # surface Laplacian via the commutation identity for df
     lap_sigma = lap_b + hess_nn - n_mean * f_n
-    boundary_normal_lap = 2.0 * float(bw @ (f_n * lap_sigma))
-    boundary_shape_grad = float(bw @ np.einsum("mi,mij,mj->m", gb, shape_world, gb))
-    boundary_mean_sq = float(bw @ (n_mean * f_n**2))
+    boundary_normal_lap = 2.0 * _quadrature_sum(bw, f_n * lap_sigma)
+    boundary_shape_grad = _quadrature_sum(bw, np.einsum("mi,mij,mj->m", gb, shape_world, gb))
+    boundary_mean_sq = _quadrature_sum(bw, n_mean * f_n**2)
 
     terms = {
         "hessian_energy": hessian_energy,
@@ -640,12 +678,12 @@ def check_stokes(
     def interior(pts):
         d_omega = _batch_d(omega.jacobian(pts), omega.degree, 3)
         delta_phi = _batch_delta(phi.jacobian(pts), p, 3)
-        return (d_omega * phi.value(pts)).sum(axis=1), (omega.value(pts) * delta_phi).sum(axis=1)
+        return _row_sums(d_omega * phi.value(pts)), _row_sums(omega.value(pts) * delta_phi)
 
     lhs, vol_term = _interior_integrals(mesh, order, interior)
 
     ob = omega.value(epts)
     t_omega = _batch_tangential(ob, normals, omega.degree)
     i_n_phi = _batch_interior(phi.value(epts), normals, p)
-    bnd = float(bw @ (t_omega * i_n_phi).sum(axis=1))
+    bnd = _quadrature_sum(bw, _row_sums(t_omega * i_n_phi))
     return _residual(lhs, [vol_term, -bnd])

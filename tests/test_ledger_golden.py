@@ -2,9 +2,10 @@
 
 ``data/golden_ledgers.json`` holds every ledger term, the residual and the
 mesh volume for ``reilly --field x2dx1 --levels 1,2``, ``reilly --field
-linear-x1 --levels 1,2`` and the discrete-shape x2dx1 ledger on ball(1), as
-the per-tet contraction code computed them.  Rewrites of the quadrature and
-the batched d/delta must reproduce them exactly, not to a tolerance.
+linear-x1 --levels 1,2`` and the discrete-shape x2dx1 ledger on ball(1).
+The quadrature sums take no BLAS dot product, so the values hold at any
+BLAS thread count.  Rewrites of the quadrature and the batched d/delta must
+reproduce them exactly, not to a tolerance.
 """
 
 import json
