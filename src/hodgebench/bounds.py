@@ -170,9 +170,6 @@ class GeometryCase:
             }
         return out
 
-    def shape(self):
-        return discrete_shape(self.mesh)
-
     def spectrum0(self):
         if self._spectrum0 is None:
             self._spectrum0 = spectrum(self.mesh, 0, SPECTRUM_K)
@@ -185,7 +182,7 @@ class GeometryCase:
             raise ValueError(f"p={p} out of range 1..{n}")
         if self.is_analytic:
             return p / self.radius
-        return lowest_p_curvature_global(self.shape().principal, p)
+        return lowest_p_curvature_global(discrete_shape(self.mesh).principal, p)
 
     def lambda1_exact(self, p: int) -> float:
         """First eigenvalue on exact p-forms of the boundary."""
@@ -210,7 +207,7 @@ class GeometryCase:
         if self.is_analytic:
             count = n if p is None else p
             return count / self.radius**2
-        sh = self.shape()
+        sh = discrete_shape(self.mesh)
         if p is None:
             vals = (sh.principal**2).sum(axis=1)
         else:

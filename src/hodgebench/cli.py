@@ -191,11 +191,16 @@ def cmd_reilly(cfg: argparse.Namespace) -> int:
         ledger.meta["level"] = 0
         ledgers = [ledger]
     else:
-        if ".." in cfg.levels:
-            lo, hi = cfg.levels.split("..")
-            levels = list(range(int(lo), int(hi) + 1))
-        else:
-            levels = [int(tok) for tok in cfg.levels.split(",")]
+        try:
+            if ".." in cfg.levels:
+                lo, hi = cfg.levels.split("..")
+                levels = list(range(int(lo), int(hi) + 1))
+            else:
+                levels = [int(tok) for tok in cfg.levels.split(",")]
+        except ValueError:  # not two ints around "..", or an empty or non-int list item
+            raise ValueError(
+                f"--levels {cfg.levels!r}: expected LO..HI or a list L1,L2,... of ints"
+            ) from None
         if not levels:
             raise ValueError(f"no refinement levels in {cfg.levels!r}")
         ledgers = run_reilly_levels(levels, field, cfg.order)

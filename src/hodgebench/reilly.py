@@ -43,7 +43,6 @@ from .meshes import MeshComplex, MeshError, discrete_shape, generate_ball
 __all__ = [
     "ReillyLedger",
     "SphereSurface",
-    "MeshBoundarySurface",
     "evaluate_reilly",
     "evaluate_classical_reilly",
     "evaluate_ledger",
@@ -79,7 +78,6 @@ class SphereSurface:
         self.radius = float(radius)
         self.dim = dim
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
-        self.analytic = True
 
     def normals(self, points) -> np.ndarray:
         q = np.atleast_2d(points) - self.center
@@ -94,41 +92,10 @@ class SphereSurface:
         q = np.atleast_2d(points) - self.center
         return self.center + self.radius * q / np.linalg.norm(q, axis=1)[:, None]
 
-    def quadrature_data(self, points, face_ids=None, bary=None):
-        return self.normals(points), self.shape_world(points)
 
-
-class MeshBoundarySurface:
-    """Boundary of a solid mesh with barycentric-interpolated discrete shape."""
-
-    def __init__(self, mesh: MeshComplex):
-        if mesh.kind != "solid":
-            raise MeshError("bad_kind", "boundary surface requires a solid mesh")
-        self.surface, _ = mesh.boundary_mesh()
-        self.shape = discrete_shape(self.surface)
-        self.analytic = False
-
-    def quadrature_data(self, points, face_ids, bary):
-        faces = self.surface.cells[face_ids]  # (M, 3) surface vertex ids
-        n = np.einsum("mq,mqi->mi", bary, self.shape.normals[faces])
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        s = np.einsum("mq,mqij->mij", bary, self.shape.shape_world[faces])
-        proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
-        s = np.einsum("mij,mjk,mkl->mil", proj, s, proj)
-        return n, (s + s.transpose(0, 2, 1)) / 2.0
-
-
-def _resolve_surface(mesh: MeshComplex, shape_source: str):
-    gen = mesh.metadata.get("generator")
-    if shape_source == "auto":
-        shape_source = "analytic" if gen == "ball" else "discrete"
-    if shape_source == "analytic":
-        if gen != "ball":
-            raise ValueError("analytic shape data only available for generated balls")
-        return SphereSurface(radius=mesh.metadata.get("radius", 1.0))
-    if shape_source == "discrete":
-        return MeshBoundarySurface(mesh)
-    raise ValueError(f"unknown shape source {shape_source!r}")
+def _ball_sphere(mesh: MeshComplex) -> SphereSurface:
+    """The sphere that bounds a generated ball."""
+    return SphereSurface(radius=mesh.metadata.get("radius", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +191,41 @@ def _tri_quadrature(vertices, faces, order: int):
 def _ledger_setup(mesh, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
-    Returns (surface, bpts, bw, normals, shape_world): the boundary surface
-    and the boundary quadrature with its surface data.  Boundary nodes are
-    projected onto an analytic surface.  The interior quadrature is taken
-    in blocks by :func:`_interior_integrals`.
+    Returns (source, bpts, bw, normals, shape_world): ``shape_source``
+    resolved to 'analytic' or 'discrete' ('auto' is 'analytic' exactly for
+    generated balls) and the boundary quadrature with its surface data.
+    Analytic nodes are projected onto the ball's sphere; discrete ones stay
+    on the flat faces, which interpolate the fitted shape of the boundary
+    mesh barycentrically.  The interior quadrature is taken in blocks by
+    :func:`_interior_integrals`.
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "requires a solid mesh")
-    surface = _resolve_surface(mesh, shape_source)
+    ball = mesh.metadata.get("generator") == "ball"
+    if shape_source == "auto":
+        shape_source = "analytic" if ball else "discrete"
+    if shape_source == "analytic" and not ball:
+        raise ValueError("analytic shape data only available for generated balls")
+    if shape_source not in ("analytic", "discrete"):
+        raise ValueError(f"unknown shape source {shape_source!r}")
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    if surface.analytic:
-        bpts = surface.project(bpts)
-    normals, shape_world = surface.quadrature_data(bpts, fids, bary)
-    return surface, bpts, bw, normals, shape_world
+    if shape_source == "analytic":
+        sphere = _ball_sphere(mesh)
+        bpts = sphere.project(bpts)
+        return shape_source, bpts, bw, sphere.normals(bpts), sphere.shape_world(bpts)
+    surface, _ = mesh.boundary_mesh()
+    shape = discrete_shape(surface)
+    faces = surface.cells[fids]  # (M, 3) surface vertex ids
+    n = np.einsum("mq,mqi->mi", bary, shape.normals[faces])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    s = np.einsum("mq,mqij->mij", bary, shape.shape_world[faces])
+    proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
+    s = np.einsum("mij,mjk,mkl->mil", proj, s, proj)
+    return shape_source, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
 
 
-def _surface_meta(surface) -> dict:
-    if surface.analytic:
-        return {"nodes": "projected", "shape_source": "analytic"}
-    return {"nodes": "flat", "shape_source": "discrete"}
+def _surface_meta(source: str) -> dict:
+    return {"nodes": "projected" if source == "analytic" else "flat", "shape_source": source}
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +286,16 @@ def _finish_ledger(kind, degree, lhs, terms, rhs_names, meta):
 
 
 def _commutation_delta(val, jac, normals, shape, p):
-    """(delta^S(J*w), i_N w, J*w) per point, delta^S(J*w) by the commutation identity
-    J*(delta w) + i_N grad_N w + S^[p-1](i_N w) - nH i_N w, nH the trace of S."""
+    """(delta^S(J*w), i_N w, J*w, S^[p-1](i_N w), nH) per point, delta^S(J*w)
+    by the commutation identity J*(delta w) + i_N grad_N w + S^[p-1](i_N w)
+    - nH i_N w, nH the trace of S."""
     v = _batch_interior(val, normals, p)  # degree p-1
     t = val - _batch_wedge_vec(v, normals, p - 1)
     t_delta = _batch_tangential(_batch_delta(jac, p, normals.shape[1]), normals, p - 1)
     i_n_grad_n = _batch_interior(np.einsum("mck,mk->mc", jac, normals), normals, p)
     s_v = _batch_shape(v, shape, p - 1)
     n_mean = np.einsum("mii->m", shape)
-    return t_delta + i_n_grad_n + s_v - n_mean[:, None] * v, v, t
+    return t_delta + i_n_grad_n + s_v - n_mean[:, None] * v, v, t, s_v, n_mean
 
 
 def evaluate_reilly(
@@ -334,7 +318,7 @@ def evaluate_reilly(
         raise ValueError("form degree must be 1, 2 or 3")
     if include_dec and p != 1:
         raise ValueError(f"the DEC cross term is evaluated for 1-forms only, got degree {p}")
-    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    source, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     def interior(pts):
         jac = form.jacobian(pts)
@@ -348,11 +332,11 @@ def evaluate_reilly(
 
     # boundary terms
     cb = form.value(epts)
-    delta_sigma_j, v_part, t_part = _commutation_delta(cb, form.jacobian(epts), normals, shape_world, p)
+    delta_sigma_j, v_part, t_part, s_v, n_mean = _commutation_delta(
+        cb, form.jacobian(epts), normals, shape_world, p
+    )
     cross = 2.0 * _quadrature_sum(bw, _row_sums(v_part * delta_sigma_j))
 
-    s_v = _batch_shape(v_part, shape_world, p - 1)
-    n_mean = np.einsum("mii->m", shape_world)
     s_t_t = _row_sums(_batch_shape(t_part, shape_world, p) * t_part)
     b_two = s_t_t + n_mean * _row_sums(v_part**2) - _row_sums(s_v * v_part)
     star_c = cb @ star_matrix(3, p).T
@@ -372,13 +356,13 @@ def evaluate_reilly(
         "form_l2_norm_sq": form_l2,
     }
     if include_dec:
-        terms["dec_cross_term"] = _dec_cross_term(mesh, form, surface)
+        terms["dec_cross_term"] = _dec_cross_term(mesh, form, source)
 
     meta = {
         "field": form.name,
         "degree": p,
         "order": order,
-        **_surface_meta(surface),
+        **_surface_meta(source),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -404,7 +388,7 @@ def evaluate_classical_reilly(
     2 f_N Lap^S f, <S grad^S f, grad^S f>, nH f_N^2 on the right.
     ``shape_source`` is as for :func:`evaluate_reilly`.
     """
-    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    source, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     def interior(pts):
         hess = f.hessian(pts)
@@ -435,7 +419,7 @@ def evaluate_classical_reilly(
     meta = {
         "field": f.name,
         "order": order,
-        **_surface_meta(surface),
+        **_surface_meta(source),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -469,25 +453,23 @@ def run_reilly_levels(levels, field, order: int = 2):
 # DEC diagnostic path for the cross term
 
 
-def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
+def _dec_cross_term(mesh: MeshComplex, form: FormField, source: str):
     """2 int_bnd <i_N w, delta^S (J* w)> of a 1-form w, with delta^S the DEC
-    codifferential of the edge cochain of J* w."""
+    codifferential of the edge cochain of J* w; normals from the ball's
+    sphere ('analytic') or the boundary mesh's fitted shape ('discrete')."""
     from .spectrum import assemble_dec
 
-    if surface.analytic:
-        surf, _ = mesh.boundary_mesh()
-        normals_v = surface.normals(surf.vertices)
-    else:
-        surf = surface.surface
-        normals_v = surface.shape.normals
+    surf, _ = mesh.boundary_mesh()
     # cochains live on the intrinsic Delaunay complex; flipped edges are
     # sampled on the chords of their vertices
     ops = assemble_dec(surf)
     edges = ops.edges
     mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
-    if surface.analytic:
-        n_mid = surface.normals(mids)
+    if source == "analytic":
+        sphere = _ball_sphere(mesh)
+        normals_v, n_mid = sphere.normals(surf.vertices), sphere.normals(mids)
     else:
+        normals_v = discrete_shape(surf).normals
         n_mid = normals_v[edges[:, 0]] + normals_v[edges[:, 1]]
         n_mid /= np.linalg.norm(n_mid, axis=1)[:, None]
     edge_vec = surf.vertices[edges[:, 1]] - surf.vertices[edges[:, 0]]
@@ -621,7 +603,7 @@ def check_commutation(
     _, normals, shape, val, jac = data = _pointwise(form, surface, points)
     p, dim = form.degree, form.dim
     lhs_delta, lhs_d = _surface_d_delta(form, surface, *data, method, h)
-    rhs1, _, t = _commutation_delta(val, jac, normals, shape, p)
+    rhs1, _, t, _, _ = _commutation_delta(val, jac, normals, shape, p)
     grad_n = np.einsum("mck,mk->mc", jac, normals)
     i_n_dw = 0.0 if p == dim else _batch_interior(_batch_d(jac, p, dim), normals, p + 1)
     rhs2 = -i_n_dw + _batch_tangential(grad_n, normals, p) - _batch_shape(t, shape, p)

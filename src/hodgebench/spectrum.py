@@ -438,6 +438,14 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
     """k smallest eigenvalues of the symmetric pencil (A, diag(b)) and the
     solve method, 'dense' or 'shift-invert'.
 
+    The pencil is solved at unit scale, as (A, diag(b) * unit) with unit a
+    power of four within a factor of four of ``scale``, and its eigenvalues
+    are multiplied back by unit.  A power of four keeps every rounding (the
+    square root of the B-norm too), so the values are those of the unscaled
+    solve.  That solve fails far below unit scale (icospheres from radius
+    1e-10 down), in the residual check or in ARPACK, whose shift-invert
+    Ritz values 1/(lambda - sigma) grow as 1/scale.
+
     A full spectrum (k >= n) is solved densely, anything less by
     shift-invert Lanczos (``_lanczos``) with sigma = -1e-4*scale just below
     the spectrum, completed by ``_fill_missed``, on the pencil renumbered in
@@ -446,6 +454,8 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
     satisfy ||A x - lambda b*x|| <= ZERO_TOL * scale * ||b*x||, else
     SolverError.
     """
+    unit = 4.0 ** (np.frexp(scale)[1] // 2)
+    b_diag, scale = b_diag * unit, scale / unit
     n = a.shape[0]
     if k >= n:
         try:
@@ -473,7 +483,7 @@ def _solve_pencil(a: sparse.csr_matrix, b_diag: np.ndarray, k: int, scale: float
             f"{method} eigenpairs have relative residual {r:.3g} > {ZERO_TOL:g}",
             residuals={"max_rel_residual": r},
         )
-    return w, method
+    return w * unit, method
 
 
 def _check_harmonic(degree: int, w: np.ndarray, harmonic: int, betti: int, ztol: float):

@@ -6,11 +6,12 @@ Exit 0 is a run that wrote its report; 2 a refused input (a parse, argument,
 refused run writes no ``--out`` directory, and no run prints a traceback or
 a warning.  Every row runs in-process through ``main``; the first row of each
 exit code also runs as a process, through the ``sys.exit(main())`` that the
-console script wraps.  Exits 4 (a relative residual that grew across levels)
-and 5 (a violated bound) need a planted defect, so their tests patch the
-library and follow the table.
+console script wraps.  Exits 3, 4 (a relative residual that grew across
+levels) and 5 (a violated bound) need a planted defect, so their tests patch
+the library and follow the table; exit 3 also runs as a process.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError
 
 import hodgebench
 from hodgebench import cli
@@ -150,6 +152,13 @@ CONTRACT = [
     # exit 2: arguments the subcommand refuses ------------------------------
     Row("reilly-unknown-field", "reilly --field nope", 2, "unknown field 'nope'"),
     Row("reilly-empty-level-range", "reilly --levels 3..1", 2, "no refinement levels in '3..1'"),
+    # these named no option: "too many values to unpack", "invalid literal for int()"
+    *(
+        Row(f"reilly-levels-{name}", f"reilly --levels {levels}", 2,
+            f"--levels {levels!r}: expected LO..HI or a list L1,L2,... of ints")
+        for name, levels in (("two-ranges", "1..2..3"), ("range-of-letters", "a..b"),
+                             ("empty-item", "1,,2"), ("comma", ","))
+    ),
     # levels refine generated balls; with --mesh they were silently ignored
     Row("reilly-mesh-levels-flag", "reilly --mesh {tmp}/ball.tet --levels 2", 2,
         "--levels refines generated balls", {"ball.tet": write_ball}),
@@ -211,10 +220,18 @@ CONTRACT = [
     ),
     Row("off-spindle-torus", "spectrum --mesh {tmp}/spindle.off", 2, "[degenerate_face] flipping edge",
         {"spindle.off": write_spindle_torus}),
-    # exit 3: the shift-invert operator of so small a sphere maps the start
-    # vector to zero (ARPACK error -9), which ended in a traceback ----------
-    Row("arpack-icosphere:2,1e-70-p0", "spectrum --geometry icosphere:2,1e-70 --p 0", 3, "solver error"),
-    Row("arpack-icosphere:2,1e-60-p1", "spectrum --geometry icosphere:2,1e-60 --p 1", 3, "solver error"),
+    # exit 0: spheres far below unit size.  Solved at their own scale, these
+    # failed the eigenpair residual check or ARPACK (error -9: the start
+    # vector mapped to zero), first in a traceback, then in exit 3 ----------
+    *(
+        Row(row_id, f"spectrum --geometry {spec} --p {p}", 0, "", report=True)
+        for row_id, spec, p in (
+            ("arpack-icosphere:2,1e-70-p0", "icosphere:2,1e-70", 0),
+            ("arpack-icosphere:2,1e-60-p1", "icosphere:2,1e-60", 1),
+            ("icosphere:2,1e-10-p2", "icosphere:2,1e-10", 2),
+            ("icosphere:2,1e-30-p0", "icosphere:2,1e-30", 0),
+        )
+    ),
 ]
 
 
@@ -265,20 +282,52 @@ def test_contract_row(tmp_path, capsys, row):
 FIRST_OF_EACH_EXIT = [row for i, row in enumerate(CONTRACT) if row.exit not in {r.exit for r in CONTRACT[:i]}]
 
 
-@pytest.mark.parametrize("row", FIRST_OF_EACH_EXIT, ids=[f"exit-{row.exit}" for row in FIRST_OF_EACH_EXIT])
-def test_contract_row_as_a_process(tmp_path, row):
+def run_process(row, tmp, *python_args):
+    """Run ``row`` in a child ``python *python_args`` and check what it promises."""
     # the child imports the package this process imported
     src = str(Path(hodgebench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = _argv(row, tmp_path)
+    argv = _argv(row, tmp)
     proc = subprocess.run(
-        [sys.executable, "-m", "hodgebench.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, *python_args, *argv], capture_output=True, text=True, env=env, timeout=300
     )
-    _check(row, tmp_path, proc.returncode, proc.stderr)
+    _check(row, tmp, proc.returncode, proc.stderr)
+
+
+@pytest.mark.parametrize("row", FIRST_OF_EACH_EXIT, ids=[f"exit-{row.exit}" for row in FIRST_OF_EACH_EXIT])
+def test_contract_row_as_a_process(tmp_path, row):
+    run_process(row, tmp_path, "-m", "hodgebench.cli")
 
 
 # ---------------------------------------------------------------------------
-# exits 4 and 5, planted
+# exits 3, 4 and 5, planted
+
+# ARPACK error -9, a start vector that the shift-invert operator maps to zero
+ARPACK_ERROR_ROW = Row("planted-arpack-error", "spectrum --geometry icosphere:2", 3,
+                       "solver error: Lanczos failed: ARPACK error -9")
+
+
+def arpack_error(*args, **kwargs):
+    raise ArpackError(-9, {-9: "Starting vector is zero."})
+
+
+def test_planted_arpack_error_exits_3(tmp_path, capsys, monkeypatch):
+    # the package's ``spectrum`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("hodgebench.spectrum"), "eigsh", arpack_error)
+    run_row(ARPACK_ERROR_ROW, tmp_path, capsys)
+
+
+def test_planted_arpack_error_exits_3_as_a_process(tmp_path):
+    plant = (
+        "import importlib, sys\n"
+        "from scipy.sparse.linalg import ArpackError\n"
+        "from hodgebench.cli import main\n"
+        "def eigsh(*args, **kwargs):\n"
+        "    raise ArpackError(-9, {-9: 'Starting vector is zero.'})\n"
+        "importlib.import_module('hodgebench.spectrum').eigsh = eigsh\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run_process(ARPACK_ERROR_ROW, tmp_path, "-c", plant)
 
 
 def test_planted_violation_exits_5(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from hodgebench.fields import FormField, ScalarField, named_form_field, named_sc
 from hodgebench.meshes import generate_ball
 import hodgebench.reilly as reilly
 from hodgebench.reilly import (
-    MeshBoundarySurface,
     SphereSurface,
     check_commutation,
     check_derivative_formulas,
@@ -145,11 +144,12 @@ def test_pform_discrete_shape_source():
     assert ledger.relative_residual < 0.05
 
 
-def test_dec_cross_term_diagnostic():
-    ledger = evaluate_reilly(BALL3, named_form_field("x2dx1"), include_dec=True)
-    analytic = ledger.terms["normal_cross_term"]
+@pytest.mark.parametrize("shape_source", ["analytic", "discrete"])
+def test_dec_cross_term_diagnostic(shape_source):
+    ledger = evaluate_reilly(BALL3, named_form_field("x2dx1"), shape_source=shape_source, include_dec=True)
+    quadrature = ledger.terms["normal_cross_term"]
     dec = ledger.terms["dec_cross_term"]
-    assert abs(dec - analytic) < 0.05 * abs(analytic)
+    assert abs(dec - quadrature) < 0.05 * abs(quadrature)
 
 
 @pytest.mark.parametrize("name", ["parallel-dx12", "x1-vol"])
@@ -245,8 +245,10 @@ def test_commutation_method_validated_before_points():
         check_commutation(named_form_field("x2dx1"), SPHERE, np.empty((0, 3)), method="bogus")
 
 
-def test_surface_checks_reject_mesh_boundary_surface():
-    surface = MeshBoundarySurface(generate_ball(1))
+def test_surface_checks_reject_a_surface_mesh():
+    # a boundary mesh holds vertices and faces, not normals, shape
+    # operators and projections at any point
+    surface, _ = generate_ball(1).boundary_mesh()
     form = named_form_field("x2dx1")
     for check in (check_commutation, check_derivative_formulas):
         with pytest.raises(ValueError, match="normals, shape_world and project"):

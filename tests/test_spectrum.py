@@ -140,6 +140,23 @@ def test_sphere_radius_scaling_law():
     assert abs(rep.first_positive() - 0.5) / 0.5 < 0.02
 
 
+# radii 2^j over 240 binary decades; at the unscaled pencil ARPACK's Ritz
+# values 1/(lambda - sigma) grew with 1/scale, and from about radius 1e-10
+# down the solve drifted past the residual check or failed outright
+RADIUS_EXPONENTS = sorted({*range(-120, 121, 7), -3, 1, 3})
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_spectrum_scales_exactly_with_the_radius(degree):
+    # scaling a sphere by 2^j scales its pencils by powers of four, which
+    # the unit-scale solve undoes without rounding
+    unit = spectrum(generate_icosphere(2, 1.0), degree, 10)
+    for j in RADIUS_EXPONENTS:
+        rep = spectrum(generate_icosphere(2, 2.0**j), degree, 10)
+        assert np.array_equal(rep.eigenvalues, unit.eigenvalues * 4.0**-j), j
+        assert rep.families == unit.families, j
+
+
 def test_disjoint_spheres_zero_multiplicity():
     a = generate_icosphere(2, 1.0)
     both = disjoint_union(a, shifted_copy(a, [5.0, 0.0, 0.0]))
