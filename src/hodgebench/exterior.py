@@ -9,14 +9,16 @@ through the frames chosen per point by callers.
 Orientation convention: the Hodge star satisfies e_I ^ (star e_I) = vol,
 where vol = e_1 ^ ... ^ e_n.
 
-Every operation is a contraction with cached structure stacks derived from
-one enumerated wedge tensor; the ``_batch_*`` functions apply the same
-stacks to coefficient arrays of many points at once.
+Every operation is a contraction with cached structure stacks, enumerated
+from their nonzeros: the wedge tensor and the scatter table of the induced
+operators; the ``_batch_*`` functions apply the same stacks to coefficient
+arrays of many points at once.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -239,17 +241,16 @@ def _symmetric_base(base) -> np.ndarray:
 
 def _induced_matrix(base, degree: int) -> np.ndarray:
     """The matrix of :func:`induced_endomorphism` of a checked ``base``."""
-    n = base.shape[0]
-    matrix = np.zeros((comb(n, degree), comb(n, degree)))
+    size = comb(base.shape[0], degree)
+    matrix = np.zeros(size * size)
     if degree > 0:
-        rows, cols, a, b, sign, diagonal = _induced_scatter(n, degree)
-        # each off-diagonal entry has exactly one term; the diagonal is the
-        # ascending sum of base[i, i] over the multi-index (at top degree, the
-        # trace).  Adding onto zeros makes a zero entry +0.0, never -0.0.
-        matrix[rows, cols] += sign * base[a, b]
-        i = np.arange(len(matrix))
-        matrix[i, i] += np.cumsum(base.diagonal()[diagonal], axis=1)[:, -1]
-    return matrix
+        flat, ab, sign, diagonal = _induced_scatter(base.shape[0], degree)
+        # the diagonal is the ascending sum of base[i, i] over the
+        # multi-index (at top degree, the trace).  Adding +0.0 makes a zero
+        # entry +0.0, never -0.0.
+        matrix[flat] = sign * base.flat[ab] + 0.0
+        matrix[:: size + 1] = np.cumsum(base.diagonal()[diagonal], axis=1)[:, -1] + 0.0
+    return matrix.reshape(size, size)
 
 
 @dataclass(frozen=True)
@@ -347,17 +348,18 @@ def _vector_in(a: AlternatingForm, v, what: str = "vector") -> np.ndarray:
 def _wedge_tensor(dim: int, p: int, q: int) -> np.ndarray:
     """T with a ^ b = einsum('KIJ,I,J->K', T, a, b) for a p-form a and a q-form b.
 
-    The one structure tensor built by enumeration; every other stack below
-    is a slice, transpose or contraction of it.
+    Built by enumeration: each (p+q)-index K splits into I and J = K - I in
+    C(p+q, p) ways, and e_I ^ e_J = sign(I, J) e_K.  The star matrix and the
+    wedge and interior stacks below are slices and transposes of it.
     """
     if p + q > dim:
         raise ValueError("degree overflow")
-    rows = _rank_table(dim, p + q)
+    left, right = _rank_table(dim, p), _rank_table(dim, q)
     out = np.zeros((comb(dim, p + q), comb(dim, p), comb(dim, q)))
-    for i, ia in enumerate(multi_indices(dim, p)):
-        for j, ib in enumerate(multi_indices(dim, q)):
-            if not set(ia) & set(ib):
-                out[rows[tuple(sorted(ia + ib))], i, j] = _merge_sign(ia, ib)
+    for k, index in enumerate(multi_indices(dim, p + q)):
+        for ia in itertools.combinations(index, p):
+            ib = tuple(i for i in index if i not in ia)
+            out[k, left[ia], right[ib]] = _merge_sign(ia, ib)
     out.flags.writeable = False
     return out
 
@@ -392,37 +394,49 @@ def interior_basis_stack(dim: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def induced_generator_stack(dim: int, degree: int) -> np.ndarray:
-    """Tensor G with S^[p] = einsum('IJab,ab->IJ', G, S) for any base S."""
-    if degree == 0:
-        out = np.zeros((1, 1, dim, dim))
-    else:
-        # G[:, :, a, b] = (e_b ^ -) o i_(e_a), the derivation of the unit map e_a -> e_b
-        out = np.ascontiguousarray(
-            np.einsum(
-                "bIK,aKJ->IJab",
-                wedge_basis_stack(dim, degree - 1),
-                interior_basis_stack(dim, degree),
-            )
-        )
+    """Tensor G with S^[p] = einsum('IJab,ab->IJ', G, S) for any base S.
+
+    G[:, :, a, b] = (e_b ^ -) o i_(e_a), the derivation of the unit map
+    e_a -> e_b, scattered from :func:`_induced_scatter`.
+    """
+    size = comb(dim, degree)
+    out = np.zeros(size * size * dim * dim)
+    if degree > 0:
+        flat, ab, sign, diagonal = _induced_scatter(dim, degree)
+        out[flat * dim * dim + ab] = sign
+        ranks = np.arange(size)[:, None]
+        out[ranks * (size + 1) * dim * dim + diagonal * (dim + 1)] = 1.0
+    out = out.reshape(size, size, dim, dim)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
 def _induced_scatter(dim: int, degree: int) -> tuple:
-    """Nonzeros of the generator stack as a scatter table for S^[p].
+    """The nonzeros of S^[p] = sum_(a,b) S[a, b] (e_b ^ -) o i_(e_a) as a scatter table.
 
-    Returns (rows, cols, a, b, sign, diagonal): off-diagonal entry
-    [rows, cols] of S^[p] is sign * S[a, b], and row I of ``diagonal`` lists
-    the multi-index I, whose S[i, i] sum to the diagonal entry [I, I].
+    Returns (flat, ab, sign, diagonal): entry ``flat`` of the flattened
+    S^[p] is sign * S.flat[ab], one term per off-diagonal entry, and row I
+    of ``diagonal`` lists the multi-index I, whose S[i, i] sum to the
+    diagonal entry [I, I].  An off-diagonal term replaces a = J[s] of the
+    column index J by some b outside J: i_(e_a) gives (-1)^s, and e_b ^ -
+    gives (-1)^t with t the count of J - a below b.
     """
-    stack = induced_generator_stack(dim, degree)
-    rows, cols, a, b = np.nonzero(stack)
-    sign = stack[rows, cols, a, b]
-    off = a != b
-    # np.nonzero runs in C order: the diagonal terms of row I come in ascending i
-    diagonal = a[~off].reshape(-1, degree)
-    table = (rows[off], cols[off], a[off], b[off], sign[off], diagonal)
+    size = comb(dim, degree)
+    ranks = _rank_table(dim, degree)
+    flat, ab, sign = [], [], []
+    for col, index in enumerate(multi_indices(dim, degree)):
+        for s, a in enumerate(index):
+            rest = index[:s] + index[s + 1 :]
+            for b in range(dim):
+                if b in index:
+                    continue
+                t = bisect(rest, b)
+                flat.append(ranks[rest[:t] + (b,) + rest[t:]] * size + col)
+                ab.append(a * dim + b)
+                sign.append(-1.0 if (s + t) & 1 else 1.0)
+    diagonal = np.array(multi_indices(dim, degree), dtype=np.intp).reshape(size, degree)
+    table = (np.array(flat, dtype=np.intp), np.array(ab, dtype=np.intp), np.array(sign), diagonal)
     for arr in table:
         arr.flags.writeable = False
     return table

@@ -690,34 +690,49 @@ def load_mesh(path) -> MeshComplex:
     fmt = path.suffix.lstrip(".").lower()
     text = path.read_text()
     if fmt == "obj":
-        return _parse_obj(_content_lines(text))
+        return _parse_obj(*_content_lines(text))
     if fmt in _COUNTED:
-        return _parse_counted(fmt, _content_lines(text))
+        return _parse_counted(fmt, *_content_lines(text))
     raise MeshError("bad_format", f"unknown mesh format {fmt!r}")
 
 
 def _content_lines(text):
-    """(line number, text) of every line left once comments are stripped."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((i, line))
-    return out
+    """(numbers, texts) of the lines left once comments are stripped.
+
+    ``numbers`` is a range when no line is dropped, so a large file's line
+    numbers take no memory.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = [line.strip() for line in lines]
+    texts = list(filter(None, lines))
+    if len(texts) == len(lines):
+        return range(1, len(lines) + 1), texts
+    return [i for i, line in enumerate(lines, start=1) if line], texts
 
 
-def _read_rows(rows, width, dtype, what) -> np.ndarray:
-    """The first ``width`` tokens of every (line number, text) row as one
-    (rows, width) array, converted by one numpy call.  Only when that fails
-    are the rows walked, with the same conversion, to report the first bad
-    one."""
+def _read_rows(numbers, texts, width, dtype, what) -> np.ndarray:
+    """The first ``width`` tokens of every text as one (rows, width) array.
+
+    numpy's C reader converts the block.  It refuses some tokens that Python
+    reads (``1_000``, Unicode digits); then the tokens are converted as
+    Python reads them, and only where that fails too are the rows walked to
+    report the first bad one by its line number.
+    """
+    if not texts:
+        return np.empty((0, width), dtype=dtype)
+    try:
+        return np.loadtxt(texts, dtype, usecols=range(width), ndmin=2, comments=None)
+    except ValueError:
+        pass
     try:
         # flat, so that the reshape fails unless every row has ``width``
         # tokens; a row's token list lives only while it is split
-        flat = [token for _, text in rows for token in text.split()[:width]]
-        return np.array(flat, dtype=dtype).reshape(len(rows), width)
+        flat = [token for text in texts for token in text.split()[:width]]
+        return np.array(flat, dtype=dtype).reshape(len(texts), width)
     except (ValueError, OverflowError):
-        for k, (line, text) in enumerate(rows):
+        for k, (line, text) in enumerate(zip(numbers, texts)):
             try:
                 np.array(text.split()[:width], dtype=dtype).reshape(width)
             except (ValueError, OverflowError):
@@ -725,28 +740,26 @@ def _read_rows(rows, width, dtype, what) -> np.ndarray:
         raise
 
 
-def _parse_counted(fmt, lines) -> MeshComplex:
+def _parse_counted(fmt, numbers, texts) -> MeshComplex:
     header, blocks = _COUNTED[fmt]
-    if not lines:
+    if not texts:
         raise MeshError("parse", f"empty {fmt} file", 1)
-    line, text = lines[0]
     # OFF's header (upper case) is matched in any case, tet's exactly
-    if header not in (text, text.upper()):
-        raise MeshError("parse", f"expected {header!r} header, got {text!r}", line)
-    if len(lines) < 2:
-        raise MeshError("parse", "no count line", line)
-    line = lines[1][0]
-    counts = _read_rows([lines[1]], 3, np.int64, "count")[0, : len(blocks)].tolist()
+    if header not in (texts[0], texts[0].upper()):
+        raise MeshError("parse", f"expected {header!r} header, got {texts[0]!r}", numbers[0])
+    if len(texts) < 2:
+        raise MeshError("parse", "no count line", numbers[0])
+    counts = _read_rows(numbers[1:2], texts[1:2], 3, np.int64, "count")[0, : len(blocks)].tolist()
     # refuse counts the lines left cannot hold before anything is allocated
-    if min(counts) < 0 or sum(counts) > len(lines) - 2:
+    if min(counts) < 0 or sum(counts) > len(texts) - 2:
         raise MeshError(
             "parse",
-            f"counts {counts} are negative or exceed the {len(lines) - 2} lines that follow",
-            line,
+            f"counts {counts} are negative or exceed the {len(texts) - 2} lines that follow",
+            numbers[1],
         )
     arrays, at = [], 2
     for (what, width, dtype), count in zip(blocks, counts):
-        arrays.append(_read_rows(lines[at : at + count], width, dtype, what))
+        arrays.append(_read_rows(numbers[at : at + count], texts[at : at + count], width, dtype, what))
         at += count
     if fmt == "tet":
         verts, tets, bnd = arrays
@@ -754,29 +767,32 @@ def _parse_counted(fmt, lines) -> MeshComplex:
     verts, faces = arrays
     bad = np.flatnonzero(faces[:, 0] != 3)
     if bad.size:
-        raise MeshError("bad_format", "only triangular faces supported", lines[2 + counts[0] + bad[0]][0])
+        raise MeshError("bad_format", "only triangular faces supported", numbers[2 + counts[0] + bad[0]])
     return MeshComplex(verts, faces[:, 1:].copy(), metadata={"source": "off"})
 
 
-def _parse_obj(lines) -> MeshComplex:
-    verts, faces, read = [], [], []  # read: vertices read before each face
-    for line, text in lines:
+def _parse_obj(numbers, texts) -> MeshComplex:
+    vert_lines, vert_texts, face_lines, face_texts = [], [], [], []
+    read = []  # vertices read before each face
+    for line, text in zip(numbers, texts):
         tokens = text.split()
         if tokens[0] == "v":
-            verts.append((line, text[1:]))
+            vert_lines.append(line)
+            vert_texts.append(text[1:])
         elif tokens[0] == "f":
             if len(tokens) != 4:
                 raise MeshError("bad_format", "only triangular faces supported", line)
             # "f 1/uv/nrm 2 3" -> geometry index before the first slash
-            faces.append((line, " ".join(ref.split("/")[0] for ref in tokens[1:])))
-            read.append(len(verts))
+            face_lines.append(line)
+            face_texts.append(" ".join(ref.split("/")[0] for ref in tokens[1:]))
+            read.append(len(vert_lines))
         # all other directives (vt, vn, usemtl, ...) are ignored
-    vertices = _read_rows(verts, 3, float, "vertex")
-    idx = _read_rows(faces, 3, np.int64, "face")
+    vertices = _read_rows(vert_lines, vert_texts, 3, float, "vertex")
+    idx = _read_rows(face_lines, face_texts, 3, np.int64, "face")
     zero = np.flatnonzero((idx == 0).any(axis=1))
     if zero.size:
-        raise MeshError("parse", "face index 0 (OBJ indices start at 1)", faces[zero[0]][0])
-    if not verts or not faces:
+        raise MeshError("parse", "face index 0 (OBJ indices start at 1)", face_lines[zero[0]])
+    if not vert_lines or not face_lines:
         raise MeshError("parse", "no geometry found in OBJ", 1)
     # a negative index counts back from the last vertex read before the face
     cells = np.where(idx > 0, idx - 1, np.array(read)[:, None] + idx)
@@ -896,7 +912,9 @@ def _fit_quadrics(mesh: MeshComplex) -> DiscreteShape:
     # zero-padding them, keeps memory at the number of ring entries when a
     # few vertices have huge rings.  The rank test is lstsq's: singular
     # values of R above eps * max(ring size, 6) times the largest.  Rings
-    # of fewer than 6 vertices cannot reach rank 6.
+    # of fewer than 6 vertices cannot reach rank 6.  Each ring is fit in
+    # units of the power of two at its extent, so the fit is scale-free: a
+    # mesh scaled by 2^j gives curvatures scaled by 2^-j, bit for bit.
     sol = np.zeros((nv, 6))
     rank = np.minimum(size, 6)
     for m in np.unique(size[size >= 6]):
@@ -905,14 +923,18 @@ def _fit_quadrics(mesh: MeshComplex) -> DiscreteShape:
         rel = v[ring] - v[sel][:, None, :]
         uv = rel @ frames[sel]
         h = np.einsum("kmi,ki->km", rel, normals[sel])
-        u, w = uv[..., 0], uv[..., 1]
+        exponent = np.frexp(np.abs(uv).max(axis=(1, 2)))[1]
+        unit = np.ldexp(1.0, exponent)[:, None]
+        u, w, h = uv[..., 0] / unit, uv[..., 1] / unit, h / unit
         cols = np.stack([u**2, u * w, w**2, u, w, np.ones_like(u)], axis=-1)
         q, r = np.linalg.qr(cols)
         sv = np.linalg.svd(r, compute_uv=False)
         rank[sel] = (sv > np.finfo(float).eps * m * sv[:, :1]).sum(axis=1)
         ok = rank[sel] == 6
         qh = np.einsum("kmi,km->ki", q[ok], h[ok])
-        sol[sel[ok]] = np.linalg.solve(r[ok], qh[..., None])[..., 0]
+        # back to mesh units: (a, b, c) scale by 1/unit, g by unit
+        back = np.ldexp(1.0, exponent[ok, None] * np.array([-1, -1, -1, 0, 0, 1]))
+        sol[sel[ok]] = np.linalg.solve(r[ok], qh[..., None])[..., 0] * back
     bad = np.flatnonzero((size < 5) | (rank < 6))
     if bad.size:
         i = int(bad[0])

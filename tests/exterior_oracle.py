@@ -7,16 +7,25 @@ compound matrix), the per-point boundary identity checks that walked
 delta as einsum contractions.  ``hodgebench`` replaced them with contractions
 of cached structure stacks, matrix products and array code over all points;
 they are kept only as a test oracle.
+
+The dense structure tensors are the stacks as they were first built: the
+wedge tensor by a loop over all index pairs, the induced generator stack as
+a (C, C, n, n) einsum of the wedge and interior stacks, and the induced
+matrices scattered from its ``np.nonzero`` entries.  The library now
+enumerates only the nonzeros; its stacks, induced matrices and duality
+residuals must match these bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from hodgebench.exterior import (
     AlternatingForm,
+    _symmetric_base,
     interior_basis_stack,
     multi_indices,
     tangent_frame,
@@ -24,6 +33,73 @@ from hodgebench.exterior import (
 )
 from hodgebench.fields import FormField
 from hodgebench.reilly import SphereSurface, sphere_sample_points
+
+# ---------------------------------------------------------------------------
+# dense structure tensors
+
+
+def dense_wedge_tensor(dim, p, q):
+    ranks = {idx: r for r, idx in enumerate(multi_indices(dim, p + q))}
+    out = np.zeros((comb(dim, p + q), comb(dim, p), comb(dim, q)))
+    for i, ia in enumerate(multi_indices(dim, p)):
+        for j, ib in enumerate(multi_indices(dim, q)):
+            if not set(ia) & set(ib):
+                out[ranks[tuple(sorted(ia + ib))], i, j] = _merge_sign(ia, ib)
+    return out
+
+
+def dense_star_matrix(dim, degree):
+    return np.ascontiguousarray(dense_wedge_tensor(dim, degree, dim - degree)[0].T)
+
+
+def dense_wedge_basis_stack(dim, degree):
+    return np.ascontiguousarray(dense_wedge_tensor(dim, 1, degree).transpose(1, 0, 2))
+
+
+def dense_interior_basis_stack(dim, degree):
+    return np.ascontiguousarray(dense_wedge_basis_stack(dim, degree - 1).transpose(0, 2, 1))
+
+
+@lru_cache(maxsize=None)
+def dense_generator_stack(dim, degree):
+    if degree == 0:
+        return np.zeros((1, 1, dim, dim))
+    return np.ascontiguousarray(
+        np.einsum(
+            "bIK,aKJ->IJab",
+            dense_wedge_basis_stack(dim, degree - 1),
+            dense_interior_basis_stack(dim, degree),
+        )
+    )
+
+
+def dense_induced_matrix(base, degree):
+    n = base.shape[0]
+    matrix = np.zeros((comb(n, degree), comb(n, degree)))
+    if degree > 0:
+        stack = dense_generator_stack(n, degree)
+        rows, cols, a, b = np.nonzero(stack)
+        sign = stack[rows, cols, a, b]
+        off = a != b
+        # np.nonzero runs in C order: the diagonal terms of row I come in ascending i
+        diagonal = a[~off].reshape(-1, degree)
+        matrix[rows[off], cols[off]] += sign[off] * base[a[off], b[off]]
+        i = np.arange(len(matrix))
+        matrix[i, i] += np.cumsum(base.diagonal()[diagonal], axis=1)[:, -1]
+    return matrix
+
+
+def dense_duality_identity_residual(shape_matrix, degree):
+    s = _symmetric_base(shape_matrix)
+    n = s.shape[0]
+    star = dense_star_matrix(n, degree)
+    residual = (
+        star @ dense_induced_matrix(s, degree)
+        + dense_induced_matrix(s, n - degree) @ star
+        - float(np.trace(s)) * star
+    )
+    return float(np.linalg.norm(residual))
+
 
 # ---------------------------------------------------------------------------
 # per-form algebra

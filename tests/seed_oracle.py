@@ -16,16 +16,23 @@ placed the tet quadrature points; volumes, weights and points must still
 match them bit for bit.  ``stacked_ball_tets`` is the ball's tet table as one
 ``(L-1, F, 3, 4)`` stack of shells copied out by ``np.vstack``, before the
 generator wrote each shell in place.
+
+``load_mesh`` is the mesh-file reader that converted every block with one
+``np.array`` over its Python tokens; the library reads blocks with numpy's C
+reader instead, and must give the same arrays bit for bit, or the same
+``MeshError`` code, message and line.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky, eigh, solve_triangular
 
 from hodgebench.exterior import tangent_frame
-from hodgebench.meshes import MeshError
+from hodgebench.meshes import MeshComplex, MeshError
 
 # ---------------------------------------------------------------------------
 # topology tables
@@ -373,3 +380,98 @@ def tet_quadrature(vertices, tets, bary):
     vols = np.einsum("ij,ij->i", v[:, 1] - v[:, 0], np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0])) / 6.0
     pts = np.einsum("qk,tkc->tqc", bary, v).reshape(-1, 3)
     return pts, np.repeat(vols / bary.shape[0], bary.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# mesh-file reader
+
+_COUNTED = {
+    "off": ("OFF", (("vertex", 3, float), ("face", 4, np.int64))),
+    "tet": ("tetmesh", (("vertex", 3, float), ("tet", 4, np.int64), ("boundary", 3, np.int64))),
+}
+
+
+def load_mesh(path) -> MeshComplex:
+    path = Path(path)
+    fmt = path.suffix.lstrip(".").lower()
+    text = path.read_text()
+    if fmt == "obj":
+        return _parse_obj(_content_lines(text))
+    if fmt in _COUNTED:
+        return _parse_counted(fmt, _content_lines(text))
+    raise MeshError("bad_format", f"unknown mesh format {fmt!r}")
+
+
+def _content_lines(text):
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
+def _read_rows(rows, width, dtype, what) -> np.ndarray:
+    try:
+        flat = [token for _, text in rows for token in text.split()[:width]]
+        return np.array(flat, dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        for k, (line, text) in enumerate(rows):
+            try:
+                np.array(text.split()[:width], dtype=dtype).reshape(width)
+            except (ValueError, OverflowError):
+                raise MeshError("parse", f"bad {what} line {k}", line) from None
+        raise
+
+
+def _parse_counted(fmt, lines) -> MeshComplex:
+    header, blocks = _COUNTED[fmt]
+    if not lines:
+        raise MeshError("parse", f"empty {fmt} file", 1)
+    line, text = lines[0]
+    if header not in (text, text.upper()):
+        raise MeshError("parse", f"expected {header!r} header, got {text!r}", line)
+    if len(lines) < 2:
+        raise MeshError("parse", "no count line", line)
+    line = lines[1][0]
+    counts = _read_rows([lines[1]], 3, np.int64, "count")[0, : len(blocks)].tolist()
+    if min(counts) < 0 or sum(counts) > len(lines) - 2:
+        raise MeshError(
+            "parse",
+            f"counts {counts} are negative or exceed the {len(lines) - 2} lines that follow",
+            line,
+        )
+    arrays, at = [], 2
+    for (what, width, dtype), count in zip(blocks, counts):
+        arrays.append(_read_rows(lines[at : at + count], width, dtype, what))
+        at += count
+    if fmt == "tet":
+        verts, tets, bnd = arrays
+        return MeshComplex(verts, tets, boundary_faces=bnd, metadata={"source": "tet"})
+    verts, faces = arrays
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if bad.size:
+        raise MeshError("bad_format", "only triangular faces supported", lines[2 + counts[0] + bad[0]][0])
+    return MeshComplex(verts, faces[:, 1:].copy(), metadata={"source": "off"})
+
+
+def _parse_obj(lines) -> MeshComplex:
+    verts, faces, read = [], [], []
+    for line, text in lines:
+        tokens = text.split()
+        if tokens[0] == "v":
+            verts.append((line, text[1:]))
+        elif tokens[0] == "f":
+            if len(tokens) != 4:
+                raise MeshError("bad_format", "only triangular faces supported", line)
+            faces.append((line, " ".join(ref.split("/")[0] for ref in tokens[1:])))
+            read.append(len(verts))
+    vertices = _read_rows(verts, 3, float, "vertex")
+    idx = _read_rows(faces, 3, np.int64, "face")
+    zero = np.flatnonzero((idx == 0).any(axis=1))
+    if zero.size:
+        raise MeshError("parse", "face index 0 (OBJ indices start at 1)", faces[zero[0]][0])
+    if not verts or not faces:
+        raise MeshError("parse", "no geometry found in OBJ", 1)
+    cells = np.where(idx > 0, idx - 1, np.array(read)[:, None] + idx)
+    return MeshComplex(vertices, cells, metadata={"source": "obj"})

@@ -15,7 +15,7 @@ from hodgebench.bounds import (
     xia_bound,
 )
 from hodgebench.exterior import AlternatingForm
-from hodgebench.meshes import generate_ball, generate_torus
+from hodgebench.meshes import MeshComplex, generate_ball, generate_ellipsoid, generate_torus
 from hodgebench.reilly import restriction_identity_residuals
 from hodgebench.spectrum import sphere_hodge_oracle
 
@@ -252,3 +252,32 @@ def test_verdict_table_and_json():
         "name", "status", "lhs", "rhs", "formula", "slack", "tightness", "tolerance", "geometry", "note",
     ]
     assert [d["name"] for d in data] == ["xia_bound", "parallel_upper_bound_degree_one"]
+
+
+@pytest.fixture(scope="module")
+def unit_ellipsoid_verdicts():
+    case = GeometryCase.from_surface_mesh(generate_ellipsoid(1.0, 1.1, 1.2, 2))
+    return main_lower_bound(case, 1), xia_bound(case)
+
+
+@pytest.mark.parametrize("j", range(-120, 121, 20))
+def test_mesh_verdicts_do_not_depend_on_units(unit_ellipsoid_verdicts, j):
+    # the pencil solve and the quadric fit are both exact under scaling by
+    # 2^j: the sides scale by 4^-j and the tightness keeps its bits
+    mesh = generate_ellipsoid(1.0, 1.1, 1.2, 2)
+    case = GeometryCase.from_surface_mesh(MeshComplex(np.ldexp(mesh.vertices, j), mesh.cells))
+    for got, want in zip((main_lower_bound(case, 1), xia_bound(case)), unit_ellipsoid_verdicts):
+        assert got.status == want.status == "satisfied"
+        assert (got.lhs, got.rhs) == (np.ldexp(want.lhs, -2 * j), np.ldexp(want.rhs, -2 * j))
+        assert np.float64(got.tightness).tobytes() == np.float64(want.tightness).tobytes()
+
+
+@pytest.mark.parametrize("j", (-120, -40, 40, 120))
+def test_ball_diagnostics_do_not_depend_on_units(j):
+    ball = generate_ball(2)
+    scaled = MeshComplex(np.ldexp(ball.vertices, j), ball.cells, boundary_faces=ball.boundary_faces)
+    want = equality_case_diagnostics(ball, p=1)
+    got = equality_case_diagnostics(scaled, p=1, radius=2.0**j)
+    assert got.satisfied == want.satisfied
+    for (name, g, w, ok), (_, g0, w0, ok0) in zip(got.checks, want.checks):
+        assert (g, w, ok) == (np.ldexp(g0, -j), np.ldexp(w0, -j), ok0), name

@@ -4,7 +4,7 @@ import pytest
 from hodgebench.bounds import GeometryCase
 from hodgebench.curvature import is_p_convex, lowest_p_curvature_global, p_curvature_list
 from hodgebench.exterior import induced_endomorphism
-from hodgebench.meshes import discrete_shape
+from hodgebench.meshes import MeshComplex, discrete_shape, generate_ellipsoid
 
 rng = np.random.default_rng(20240818)
 
@@ -135,3 +135,13 @@ def test_cauchy_schwarz_operator_bounds():
         if p < n:
             bound0 = p * (n - p) / n * float((eta0**2).sum()) * float((phi**2).sum())
             assert lhs0 <= bound0 + 1e-10 * max(1.0, bound0)
+
+
+@pytest.mark.parametrize("j", range(-120, 121, 7))
+def test_quadric_fit_scales_exactly(j):
+    # each ring is fit in units of a power of two, so an ellipsoid scaled by
+    # 2^j has its curvatures scaled by 2^-j without rounding
+    mesh = generate_ellipsoid(1.0, 1.1, 1.2, 2)
+    scaled = MeshComplex(np.ldexp(mesh.vertices, j), mesh.cells)
+    want = np.ldexp(discrete_shape(mesh).principal, -j)
+    assert discrete_shape(scaled).principal.tobytes() == want.tobytes()

@@ -232,6 +232,9 @@ CONTRACT = [
             ("icosphere:2,1e-30-p0", "icosphere:2,1e-30", 0),
         )
     ),
+    # exit 0: a quadric fit far below unit size.  Fit at its own scale, its
+    # columns spanned decades and read as rank-deficient, an exit 2
+    Row("fit-ellipsoid:1e-80,2e-80,3e-80", "bounds --geometry ellipsoid:1e-80,2e-80,3e-80", 0, "", report=True),
 ]
 
 

@@ -4,7 +4,9 @@ Induced operators and generator stacks must match the slot-substitution
 loops bit for bit; wedge, split and the tangential part must match the
 loops and the determinant compound to 1e-14, and the loop reconstruction
 must invert the split; the batched boundary identity checks
-must match the per-point checks to 1e-12.
+must match the per-point checks to 1e-12.  The stacks, induced matrices and
+duality residuals built from enumerated nonzeros must match the dense
+structure tensors they replaced byte for byte.
 """
 
 from math import comb
@@ -16,10 +18,15 @@ import exterior_oracle as oracle
 from hodgebench.exterior import (
     AlternatingForm,
     _batch_tangential,
+    _induced_matrix,
+    duality_identity_residual,
     induced_endomorphism,
     induced_generator_stack,
+    interior_basis_stack,
     split_at_boundary,
+    star_matrix,
     wedge,
+    wedge_basis_stack,
 )
 from hodgebench.fields import FormField, named_form_field, named_scalar_field
 from hodgebench.reilly import (
@@ -53,6 +60,47 @@ def test_generator_stacks_bit_identical(dim):
         got = induced_generator_stack(dim, p)
         assert got.flags.c_contiguous
         assert np.array_equal(got, oracle.generator_stack(dim, p)), p
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_structure_stacks_match_the_dense_construction(dim):
+    for p in range(dim + 1):
+        pairs = [
+            (star_matrix(dim, p), oracle.dense_star_matrix(dim, p)),
+            (induced_generator_stack(dim, p), oracle.dense_generator_stack(dim, p)),
+        ]
+        if p < dim:
+            pairs.append((wedge_basis_stack(dim, p), oracle.dense_wedge_basis_stack(dim, p)))
+        if p > 0:
+            pairs.append((interior_basis_stack(dim, p), oracle.dense_interior_basis_stack(dim, p)))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.flags.c_contiguous, p
+            assert got.tobytes() == want.tobytes(), p
+
+
+def _signed_zero_bases(rng, n, count):
+    """Symmetric bases with zeroed entries of either sign, a mirrored pair
+    possibly of opposite signs; the first is all -0.0."""
+    yield np.full((n, n), -0.0)
+    for _ in range(count - 1):
+        a = rng.standard_normal((n, n))
+        base = (a + a.T) / 2
+        zero = rng.random((n, n)) < 0.4
+        zero |= zero.T
+        base[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        yield base
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_induced_matrices_and_duality_match_the_dense_construction(dim):
+    rng = np.random.default_rng(300 + dim)
+    for base in _signed_zero_bases(rng, dim, 25):
+        for p in range(dim + 1):
+            want = oracle.dense_induced_matrix(base, p).tobytes()
+            assert _induced_matrix(base, p).tobytes() == want, p
+            assert induced_endomorphism(base, p).matrix.tobytes() == want, p
+            got = np.float64(duality_identity_residual(base, p))
+            assert got.tobytes() == np.float64(oracle.dense_duality_identity_residual(base, p)).tobytes(), p
 
 
 def _random_form(rng, n, p):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seed_oracle as oracle
 from hodgebench.cli import EXIT_VALIDATION, main
 from hodgebench.meshes import (
     MeshError,
@@ -165,6 +166,88 @@ def test_malformed_text_exits_validation(tmp_path_factory, case):
 
 
 # ---------------------------------------------------------------------------
+# numpy's C reader against the token reader it replaced
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# per file: the separators its rows use (a form feed breaks a row in two)
+SEPARATOR_SETS = ((" ",), (" ", "\t"), (" ", "\xa0", "\t  "), (" ", "\x0c"))
+LINE_ENDS = ("\n", "\r\n", "\r")
+# per file: the spellings its numbers take; most files keep every token
+# numpy's C reader reads, the others send it back to the token reader
+SPELLING_SETS = (("same",), ("same",), ("same",) * 7 + ("underscore",), ("same", "arabic-indic"))
+FILLERS = ("", "   ", "\t", "\xa0", "\x0c", "# a comment", "  # an indented comment # with two marks")
+
+
+def _respell(token, style):
+    """``token`` as another spelling Python's int() and float() read alike."""
+    if style == "underscore":
+        at = next((i for i in range(len(token) - 1) if token[i : i + 2].isdigit()), None)
+        return token if at is None else f"{token[: at + 1]}_{token[at + 1 :]}"
+    if style == "arabic-indic":
+        return token.translate(ARABIC_INDIC)
+    return token
+
+
+def _empty_block(fmt, lines, draw):
+    """``lines`` with one block's count set to 0 and its rows dropped."""
+    if fmt == "obj":
+        kind = draw(st.sampled_from("vf"))
+        return [line for line in lines if line.split()[0] != kind]
+    counts = [int(t) for t in lines[1].split()]
+    slot = draw(st.integers(0, 1 if fmt == "off" else 2))
+    start = 2 + sum(counts[:slot])
+    rows = lines[2:start] + lines[start + counts[slot] :]
+    counts[slot] = 0
+    return [lines[0], " ".join(map(str, counts)), *rows]
+
+
+@st.composite
+def respelled(draw):
+    """(format, text) of a valid file, or one with an empty block, rewritten
+    with comments, blank or whitespace-only lines, CR, CRLF or LF line ends,
+    tabs, form feeds, NBSP, OFF face colours and digits spelled with
+    underscores or in Arabic-Indic."""
+    fmt = draw(st.sampled_from(sorted(VALID)))
+    lines = VALID[fmt].splitlines()
+    if draw(st.integers(0, 3)) == 0:
+        lines = _empty_block(fmt, lines, draw)
+    face_rows = range(2 + int(lines[1].split()[0]), len(lines)) if fmt == "off" else ()
+    separators = draw(st.sampled_from(SEPARATOR_SETS))
+    style = st.sampled_from(draw(st.sampled_from(SPELLING_SETS)))
+    out = []
+    for row, line in enumerate(lines):
+        tokens = line.split()
+        if row in face_rows and draw(st.booleans()):
+            tokens += ["255", "0.5", "0"]  # a face colour
+        tokens = [_respell(tok, draw(style)) if any(c.isdigit() for c in tok) else tok for tok in tokens]
+        text = "".join(tok + draw(st.sampled_from(separators)) for tok in tokens[:-1]) + tokens[-1]
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(separators)) + text + draw(st.sampled_from(("", " # trailing", "\t")))
+        out += [text, *draw(st.lists(st.sampled_from(FILLERS), max_size=2))]
+    end = draw(st.sampled_from(LINE_ENDS))
+    return fmt, end.join(out) + end
+
+
+def _outcome(load, path):
+    """The arrays ``load`` reads, as bytes, or its MeshError's code, message and line."""
+    try:
+        mesh = load(path)
+    except MeshError as err:
+        return err.code, str(err), err.line
+    arrays = [mesh.vertices, mesh.cells] + ([] if mesh.boundary_faces is None else [mesh.boundary_faces])
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], mesh.metadata
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=respelled())
+def test_reader_matches_the_token_reader(tmp_path_factory, case):
+    fmt, text = case
+    path = tmp_path_factory.mktemp("respelled") / f"mesh.{fmt}"
+    path.write_bytes(text.encode())
+    assert _outcome(load_mesh, path) == _outcome(oracle.load_mesh, path)
+
+
+# ---------------------------------------------------------------------------
 # what the writers write, the reader reads back bit for bit
 
 GENERATED = {
@@ -195,8 +278,12 @@ def test_saved_generator_mesh_reads_back_bit_for_bit(tmp_path, name):
     _assert_same_arrays(load_mesh(path), mesh)
 
 
-# tokens Python's float()/int() and numpy could read differently
-TOKENS = ("1_000", "+3", "-0", "3.0", "1e3", "0x10", "nan", "Infinity", "1e400", str(2**63), str(-(2**63) - 1))
+# tokens Python's float()/int() and numpy could read differently; a row's
+# tokens are split at any Unicode whitespace, NBSP included
+TOKENS = (
+    "1_000", "+3", "-0", "3.0", "1e3", "0x10", "nan", "Infinity", "1e400",
+    str(2**63), str(-(2**63) - 1), "\u0661\u0662", "1\xa02",
+)
 
 
 @pytest.mark.parametrize("token", TOKENS)
@@ -205,11 +292,11 @@ def test_block_reader_reads_tokens_as_python_does(token, dtype):
     # the same value, bit for bit, or a parse error where Python refuses the
     # token or its int does not fit in int64
     try:
-        want = np.array([(float if dtype is float else int)(token)], dtype=dtype)
+        want = np.array([(float if dtype is float else int)(token.split()[0])], dtype=dtype)
     except (ValueError, OverflowError):
         with pytest.raises(MeshError) as err:
-            _read_rows([(7, token)], 1, dtype, "test")
+            _read_rows([7], [token], 1, dtype, "test")
         assert err.value.code == "parse" and err.value.line == 7
     else:
-        got = _read_rows([(7, token)], 1, dtype, "test")[0]
+        got = _read_rows([7], [token], 1, dtype, "test")[0]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

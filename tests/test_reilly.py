@@ -6,7 +6,7 @@ import pytest
 
 from hodgebench.exterior import AlternatingForm
 from hodgebench.fields import FormField, ScalarField, named_form_field, named_scalar_field
-from hodgebench.meshes import generate_ball
+from hodgebench.meshes import MeshComplex, generate_ball
 import hodgebench.reilly as reilly
 from hodgebench.reilly import (
     SphereSurface,
@@ -379,3 +379,15 @@ def test_interior_memory_does_not_grow_with_the_mesh():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("j", (-120, -40, 40, 120))
+def test_discrete_ledger_does_not_depend_on_units(j):
+    # every term of a ball scaled by 2^j scales by a power of two, and the
+    # quadric fit with it, so the relative residual keeps its bits
+    ball = generate_ball(1)
+    scaled = MeshComplex(np.ldexp(ball.vertices, j), ball.cells, boundary_faces=ball.boundary_faces)
+    form = named_form_field("x2dx1")
+    want = evaluate_reilly(ball, form, shape_source="discrete").relative_residual
+    got = evaluate_reilly(scaled, form, shape_source="discrete").relative_residual
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
