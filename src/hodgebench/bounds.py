@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .curvature import lowest_p_curvature_global
-from .meshes import MeshComplex, discrete_shape, generate_ellipsoid
+from .meshes import MeshComplex, boundary_surface, discrete_shape, generate_ellipsoid
 from .spectrum import spectrum, sphere_hodge_oracle
 
 __all__ = [
@@ -342,33 +342,28 @@ class EqualityDiagnostics:
 
 def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> EqualityDiagnostics:
     """Check vol(boundary)/vol(domain) = sigma_p + sigma_(n-p+1) = (n+1)/r
-    and H = ratio/(n+1), on an analytic ball or a solid ball mesh."""
+    and H = ratio/(n+1), on an analytic ball or a solid ball mesh; a mesh's
+    r is that of its :func:`boundary_surface`, else ``radius``."""
     checks = []
     if isinstance(ball, MeshComplex):
         if ball.kind != "solid":
             raise ValueError("equality diagnostics needs a solid mesh or analytic data")
         tol = 2e-2
-        n = 2
-        r = ball.metadata.get("radius", radius)
+        surface = boundary_surface(ball)
+        r = radius if surface is None else surface.radius
         ratio = ball.area() / ball.volume()
-        surf, _ = ball.boundary_mesh()
-        sh = discrete_shape(surf)
-        sigma_sum = lowest_p_curvature_global(sh.principal, p) + lowest_p_curvature_global(
-            sh.principal, n - p + 1
-        )
-        h_mean = float(sh.mean.mean())
+        case = GeometryCase.from_surface_mesh(ball.boundary_mesh()[0])
+        h_mean = float(discrete_shape(case.mesh).mean.mean())
         geometry = {"label": "mesh-ball", "metadata": ball.metadata, "p": p}
     else:
         tol = ANALYTIC_TOL
-        n = int(ball)
-        if not 1 <= p <= n:
-            raise ValueError(f"p={p} out of range 1..{n}")
+        case = GeometryCase.sphere(int(ball), radius)
         r = radius
-        ratio = (n + 1) / r
-        sigma_sum = p / r + (n - p + 1) / r
+        ratio = (case.boundary_dim + 1) / r
         h_mean = 1.0 / r
-        geometry = {"label": f"ball(n+1={n + 1}, r={r:g})", "p": p}
-
+        geometry = {"label": f"ball(n+1={case.boundary_dim + 1}, r={r:g})", "p": p}
+    n = case.boundary_dim
+    sigma_sum = case.sigma(p) + case.sigma(n - p + 1)
     expected = (n + 1) / r
 
     def rel_ok(got, want, factor=1.0):

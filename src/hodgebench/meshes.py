@@ -58,6 +58,8 @@ __all__ = [
     "generate_torus",
     "load_mesh",
     "discrete_shape",
+    "SphereSurface",
+    "boundary_surface",
     "ellipsoid_shape_world",
     "ellipsoid_principal_curvatures",
 ]
@@ -690,10 +692,13 @@ def load_mesh(path) -> MeshComplex:
     fmt = path.suffix.lstrip(".").lower()
     text = path.read_text()
     if fmt == "obj":
-        return _parse_obj(*_content_lines(text))
-    if fmt in _COUNTED:
-        return _parse_counted(fmt, *_content_lines(text))
-    raise MeshError("bad_format", f"unknown mesh format {fmt!r}")
+        parts = _parse_obj(*_content_lines(text))
+    elif fmt in _COUNTED:
+        parts = _parse_counted(fmt, *_content_lines(text))
+    else:
+        raise MeshError("bad_format", f"unknown mesh format {fmt!r}")
+    del text  # the text and its lines go before the arrays are validated
+    return MeshComplex(*parts)
 
 
 def _content_lines(text):
@@ -740,7 +745,8 @@ def _read_rows(numbers, texts, width, dtype, what) -> np.ndarray:
         raise
 
 
-def _parse_counted(fmt, numbers, texts) -> MeshComplex:
+def _parse_counted(fmt, numbers, texts) -> tuple:
+    """(vertices, cells, boundary faces or None, metadata) of a counted format."""
     header, blocks = _COUNTED[fmt]
     if not texts:
         raise MeshError("parse", f"empty {fmt} file", 1)
@@ -763,15 +769,15 @@ def _parse_counted(fmt, numbers, texts) -> MeshComplex:
         at += count
     if fmt == "tet":
         verts, tets, bnd = arrays
-        return MeshComplex(verts, tets, boundary_faces=bnd, metadata={"source": "tet"})
+        return verts, tets, bnd, {"source": "tet"}
     verts, faces = arrays
     bad = np.flatnonzero(faces[:, 0] != 3)
     if bad.size:
         raise MeshError("bad_format", "only triangular faces supported", numbers[2 + counts[0] + bad[0]])
-    return MeshComplex(verts, faces[:, 1:].copy(), metadata={"source": "off"})
+    return verts, faces[:, 1:].copy(), None, {"source": "off"}
 
 
-def _parse_obj(numbers, texts) -> MeshComplex:
+def _parse_obj(numbers, texts) -> tuple:
     vert_lines, vert_texts, face_lines, face_texts = [], [], [], []
     read = []  # vertices read before each face
     for line, text in zip(numbers, texts):
@@ -796,7 +802,7 @@ def _parse_obj(numbers, texts) -> MeshComplex:
         raise MeshError("parse", "no geometry found in OBJ", 1)
     # a negative index counts back from the last vertex read before the face
     cells = np.where(idx > 0, idx - 1, np.array(read)[:, None] + idx)
-    return MeshComplex(vertices, cells, metadata={"source": "obj"})
+    return vertices, cells, None, {"source": "obj"}
 
 
 def save_tet(mesh: MeshComplex, path) -> None:
@@ -972,7 +978,38 @@ def _fit_quadrics(mesh: MeshComplex) -> DiscreteShape:
 
 
 # ---------------------------------------------------------------------------
-# analytic ellipsoid oracle
+# analytic boundaries
+
+
+class SphereSurface:
+    """Round sphere with the inner-normal convention (curvatures +1/r)."""
+
+    def __init__(self, radius: float = 1.0, center=None, dim: int = 3):
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.radius = float(radius)
+        self.dim = dim
+        self.center = np.zeros(dim) if center is None else np.asarray(center, float)
+
+    def normals(self, points) -> np.ndarray:
+        q = np.atleast_2d(points) - self.center
+        return -q / np.linalg.norm(q, axis=1)[:, None]
+
+    def shape_world(self, points) -> np.ndarray:
+        n = self.normals(points)
+        proj = np.eye(self.dim)[None] - np.einsum("mi,mj->mij", n, n)
+        return proj / self.radius
+
+    def project(self, points) -> np.ndarray:
+        q = np.atleast_2d(points) - self.center
+        return self.center + self.radius * q / np.linalg.norm(q, axis=1)[:, None]
+
+
+def boundary_surface(mesh: MeshComplex) -> SphereSurface | None:
+    """The exact boundary of a generated ball, None for any other mesh."""
+    if mesh.kind == "solid" and mesh.metadata.get("generator") == "ball":
+        return SphereSurface(mesh.metadata["radius"])
+    return None
 
 
 def ellipsoid_shape_world(points, semi_axes) -> np.ndarray:

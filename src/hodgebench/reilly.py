@@ -38,7 +38,7 @@ from .exterior import (
     tangent_frame,
 )
 from .fields import FormField, ScalarField
-from .meshes import MeshComplex, MeshError, discrete_shape, generate_ball
+from .meshes import MeshComplex, MeshError, SphereSurface, boundary_surface, discrete_shape, generate_ball
 
 __all__ = [
     "ReillyLedger",
@@ -63,39 +63,6 @@ _TET4_B = 0.1381966011250105
 # Measured on ball(4): 4096 was the fastest of 2048..32768 and keeps the
 # interior below the boundary quadrature's own peak.
 TET_BLOCK = 4096
-
-
-# ---------------------------------------------------------------------------
-# surfaces supplying normals and shape operators at boundary points
-
-
-class SphereSurface:
-    """Round sphere with the inner-normal convention (curvatures +1/r)."""
-
-    def __init__(self, radius: float = 1.0, center=None, dim: int = 3):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-        self.dim = dim
-        self.center = np.zeros(dim) if center is None else np.asarray(center, float)
-
-    def normals(self, points) -> np.ndarray:
-        q = np.atleast_2d(points) - self.center
-        return -q / np.linalg.norm(q, axis=1)[:, None]
-
-    def shape_world(self, points) -> np.ndarray:
-        n = self.normals(points)
-        proj = np.eye(self.dim)[None] - np.einsum("mi,mj->mij", n, n)
-        return proj / self.radius
-
-    def project(self, points) -> np.ndarray:
-        q = np.atleast_2d(points) - self.center
-        return self.center + self.radius * q / np.linalg.norm(q, axis=1)[:, None]
-
-
-def _ball_sphere(mesh: MeshComplex) -> SphereSurface:
-    """The sphere that bounds a generated ball."""
-    return SphereSurface(radius=mesh.metadata.get("radius", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,41 +158,39 @@ def _tri_quadrature(vertices, faces, order: int):
 def _ledger_setup(mesh, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
-    Returns (source, bpts, bw, normals, shape_world): ``shape_source``
-    resolved to 'analytic' or 'discrete' ('auto' is 'analytic' exactly for
-    generated balls) and the boundary quadrature with its surface data.
-    Analytic nodes are projected onto the ball's sphere; discrete ones stay
-    on the flat faces, which interpolate the fitted shape of the boundary
-    mesh barycentrically.  The interior quadrature is taken in blocks by
-    :func:`_interior_integrals`.
+    Returns (surface, bpts, bw, normals, shape_world): the mesh's
+    :func:`boundary_surface` for the 'analytic' source ('auto' is 'analytic'
+    exactly where there is one), None for the 'discrete' source, and the
+    boundary quadrature with its surface data.  Analytic nodes are projected
+    onto the exact boundary; discrete ones stay on the flat faces, which
+    interpolate the fitted shape of the boundary mesh barycentrically.  The
+    interior quadrature is taken in blocks by :func:`_interior_integrals`.
     """
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "requires a solid mesh")
-    ball = mesh.metadata.get("generator") == "ball"
-    if shape_source == "auto":
-        shape_source = "analytic" if ball else "discrete"
-    if shape_source == "analytic" and not ball:
-        raise ValueError("analytic shape data only available for generated balls")
-    if shape_source not in ("analytic", "discrete"):
+    if shape_source not in ("auto", "analytic", "discrete"):
         raise ValueError(f"unknown shape source {shape_source!r}")
+    surface = None if shape_source == "discrete" else boundary_surface(mesh)
+    if shape_source == "analytic" and surface is None:
+        raise ValueError("analytic shape data only available for generated balls")
     bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-    if shape_source == "analytic":
-        sphere = _ball_sphere(mesh)
-        bpts = sphere.project(bpts)
-        return shape_source, bpts, bw, sphere.normals(bpts), sphere.shape_world(bpts)
-    surface, _ = mesh.boundary_mesh()
-    shape = discrete_shape(surface)
-    faces = surface.cells[fids]  # (M, 3) surface vertex ids
+    if surface is not None:
+        bpts = surface.project(bpts)
+        return surface, bpts, bw, surface.normals(bpts), surface.shape_world(bpts)
+    boundary, _ = mesh.boundary_mesh()
+    shape = discrete_shape(boundary)
+    faces = boundary.cells[fids]  # (M, 3) boundary vertex ids
     n = np.einsum("mq,mqi->mi", bary, shape.normals[faces])
     n /= np.linalg.norm(n, axis=1)[:, None]
     s = np.einsum("mq,mqij->mij", bary, shape.shape_world[faces])
     proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
     s = np.einsum("mij,mjk,mkl->mil", proj, s, proj)
-    return shape_source, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
+    return None, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
 
 
-def _surface_meta(source: str) -> dict:
-    return {"nodes": "projected" if source == "analytic" else "flat", "shape_source": source}
+def _surface_meta(surface) -> dict:
+    exact = surface is not None
+    return {"nodes": "projected" if exact else "flat", "shape_source": "analytic" if exact else "discrete"}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +283,7 @@ def evaluate_reilly(
         raise ValueError("form degree must be 1, 2 or 3")
     if include_dec and p != 1:
         raise ValueError(f"the DEC cross term is evaluated for 1-forms only, got degree {p}")
-    source, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     def interior(pts):
         jac = form.jacobian(pts)
@@ -356,13 +321,13 @@ def evaluate_reilly(
         "form_l2_norm_sq": form_l2,
     }
     if include_dec:
-        terms["dec_cross_term"] = _dec_cross_term(mesh, form, source)
+        terms["dec_cross_term"] = _dec_cross_term(mesh, form, surface)
 
     meta = {
         "field": form.name,
         "degree": p,
         "order": order,
-        **_surface_meta(source),
+        **_surface_meta(surface),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -388,7 +353,7 @@ def evaluate_classical_reilly(
     2 f_N Lap^S f, <S grad^S f, grad^S f>, nH f_N^2 on the right.
     ``shape_source`` is as for :func:`evaluate_reilly`.
     """
-    source, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
 
     def interior(pts):
         hess = f.hessian(pts)
@@ -419,7 +384,7 @@ def evaluate_classical_reilly(
     meta = {
         "field": f.name,
         "order": order,
-        **_surface_meta(source),
+        **_surface_meta(surface),
         "mesh": mesh.report(),
     }
     return _finish_ledger(
@@ -453,10 +418,10 @@ def run_reilly_levels(levels, field, order: int = 2):
 # DEC diagnostic path for the cross term
 
 
-def _dec_cross_term(mesh: MeshComplex, form: FormField, source: str):
+def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     """2 int_bnd <i_N w, delta^S (J* w)> of a 1-form w, with delta^S the DEC
-    codifferential of the edge cochain of J* w; normals from the ball's
-    sphere ('analytic') or the boundary mesh's fitted shape ('discrete')."""
+    codifferential of the edge cochain of J* w; normals from the exact
+    boundary ``surface`` or, when it is None, the boundary mesh's fitted shape."""
     from .spectrum import assemble_dec
 
     surf, _ = mesh.boundary_mesh()
@@ -465,9 +430,8 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, source: str):
     ops = assemble_dec(surf)
     edges = ops.edges
     mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
-    if source == "analytic":
-        sphere = _ball_sphere(mesh)
-        normals_v, n_mid = sphere.normals(surf.vertices), sphere.normals(mids)
+    if surface is not None:
+        normals_v, n_mid = surface.normals(surf.vertices), surface.normals(mids)
     else:
         normals_v = discrete_shape(surf).normals
         n_mid = normals_v[edges[:, 0]] + normals_v[edges[:, 1]]

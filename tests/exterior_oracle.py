@@ -14,6 +14,10 @@ a (C, C, n, n) einsum of the wedge and interior stacks, and the induced
 matrices scattered from its ``np.nonzero`` entries.  The library now
 enumerates only the nonzeros; its stacks, induced matrices and duality
 residuals must match these bit for bit.
+
+``EllipsoidSurface`` is an exact boundary that is not umbilic, for the
+boundary identity checks: on a round sphere S = I/r, and a wrong formula
+for the shape operator that agrees with the right one at S = c I passes.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from hodgebench.exterior import (
     wedge_basis_stack,
 )
 from hodgebench.fields import FormField
+from hodgebench.meshes import ellipsoid_shape_world
 from hodgebench.reilly import SphereSurface, sphere_sample_points
 
 # ---------------------------------------------------------------------------
@@ -359,3 +364,27 @@ def restriction_identity_residuals(xi, radius=1.0, points=None, count=16, seed=5
         res1 = max(res1, (lhs_delta - want_delta).norm())
         res2 = max(res2, (lhs_d - want_d).norm())
     return res1, res2
+
+
+# ---------------------------------------------------------------------------
+# an exact boundary that is not umbilic
+
+
+class EllipsoidSurface:
+    """The ellipsoid F(x) = sum (x_i/a_i)^2 = 1 as ``SphereSurface`` gives a
+    sphere: inner normals -grad F/|grad F|, shape operators and the radial
+    projection onto it, at any point."""
+
+    def __init__(self, axes):
+        self.axes = np.asarray(axes, dtype=float)
+
+    def normals(self, points):
+        grad = np.atleast_2d(points) / self.axes**2  # grad F / 2
+        return -grad / np.linalg.norm(grad, axis=1)[:, None]
+
+    def shape_world(self, points):
+        return ellipsoid_shape_world(points, self.axes)
+
+    def project(self, points):
+        q = np.atleast_2d(points)
+        return q / np.sqrt(((q / self.axes) ** 2).sum(axis=1))[:, None]

@@ -206,6 +206,14 @@ def test_ball_diagnostics_analytic_p_range():
             equality_case_diagnostics(3, p=p)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_ball_diagnostics_refuse_bad_radii(radius):
+    # the analytic ball is a GeometryCase.sphere, which validates its radius;
+    # 0.0 once divided by zero and -1.0 reported a satisfied ball
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        equality_case_diagnostics(2, radius=radius)
+
+
 def test_ball_diagnostics_mesh():
     report = equality_case_diagnostics(generate_ball(3), p=1)
     assert report.satisfied
