@@ -42,6 +42,7 @@ parameter ranges), so generators check only what their parameters can break.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -721,14 +722,21 @@ def _read_rows(numbers, texts, width, dtype, what) -> np.ndarray:
     """The first ``width`` tokens of every text as one (rows, width) array.
 
     numpy's C reader converts the block.  It refuses some tokens that Python
-    reads (``1_000``, Unicode digits); then the tokens are converted as
-    Python reads them, and only where that fails too are the rows walked to
-    report the first bad one by its line number.
+    reads (``1_000``, Unicode digits), and it skips blank texts (an OBJ
+    ``v`` with no coordinates), so it is trusted only when it returns one row
+    per text.  Otherwise the tokens are converted as Python reads them, and
+    only where that fails too are the rows walked to report the first bad one
+    by its line number.
     """
     if not texts:
         return np.empty((0, width), dtype=dtype)
     try:
-        return np.loadtxt(texts, dtype, usecols=range(width), ndmin=2, comments=None)
+        with warnings.catch_warnings():
+            # all texts blank: numpy warns of no data; the count below refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(texts, dtype, usecols=range(width), ndmin=2, comments=None)
+        if len(rows) == len(texts):
+            return rows
     except ValueError:
         pass
     try:

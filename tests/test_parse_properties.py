@@ -247,6 +247,21 @@ def test_reader_matches_the_token_reader(tmp_path_factory, case):
     assert _outcome(load_mesh, path) == _outcome(oracle.load_mesh, path)
 
 
+@pytest.mark.parametrize("blank", [0, 1])
+def test_vertex_line_without_coordinates_is_refused(tmp_path, blank):
+    # numpy's reader skips a blank row; alone it warns, among others it drops it
+    lines = _obj_text().splitlines()
+    lines[blank] = "v"
+    path = tmp_path / "mesh.obj"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert (err.value.code, err.value.line) == ("parse", blank + 1)
+    assert _outcome(load_mesh, path) == _outcome(oracle.load_mesh, path)
+    path.write_text("v\n")
+    assert _outcome(load_mesh, path) == ("parse", "[parse] (line 1) bad vertex line 0", 1)
+
+
 # ---------------------------------------------------------------------------
 # what the writers write, the reader reads back bit for bit
 
