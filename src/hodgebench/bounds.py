@@ -351,6 +351,9 @@ def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> Equality
         tol = 2e-2
         surface = boundary_surface(ball)
         r = radius if surface is None else surface.radius
+        # the checks compare with 3/r; NaN or inf there fails or passes every one
+        if not (0 < r < np.inf and 3.0 / r < np.inf):
+            raise ValueError(f"radius must be finite and positive, as must 3/radius, got {radius}")
         ratio = ball.area() / ball.volume()
         case = GeometryCase.from_surface_mesh(ball.boundary_mesh()[0])
         h_mean = float(discrete_shape(case.mesh).mean.mean())

@@ -11,8 +11,10 @@ where vol = e_1 ^ ... ^ e_n.
 
 Every operation is a contraction with cached structure stacks, enumerated
 from their nonzeros: the wedge tensor and the scatter table of the induced
-operators; the ``_batch_*`` functions apply the same stacks to coefficient
-arrays of many points at once.
+operators.  The ``_batch_*`` functions apply the same stacks to coefficient
+arrays of many points at once; the boundary ones (interior product, wedge
+with a vector, the derivation S^[p]) sum cached per-output tables of the
+stacks' nonzeros.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -231,10 +233,10 @@ def _symmetric_base(base) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise ValueError("base must be a square matrix")
-    if not np.isfinite(base).all():
+    scale = float(np.abs(base).max())  # NaN or inf exactly where an entry is
+    if not isfinite(scale):
         raise ValueError("base matrix must be finite")
-    scale = max(1.0, float(np.abs(base).max()))
-    if np.abs(base - base.T).max() > 1e-10 * scale:
+    if np.abs(base - base.T).max() > 1e-10 * max(1.0, scale):
         raise ValueError("base matrix must be symmetric")
     return base
 
@@ -321,12 +323,11 @@ def duality_identity_residual(shape_matrix, degree: int) -> float:
     A self-test: the identity holds for every symmetric matrix, so the
     residual is numerical noise (<= 1e-10 for sane inputs).
     """
-    s = np.asarray(shape_matrix, dtype=float)
+    s = _symmetric_base(shape_matrix)
     n = s.shape[0]
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for dim {n}")
     star = star_matrix(n, degree)
-    s = _symmetric_base(s)
     s_p = _induced_matrix(s, degree)
     s_np = _induced_matrix(s, n - degree)
     residual = star @ s_p + s_np @ star - float(np.trace(s)) * star
@@ -491,14 +492,61 @@ def _compound(q: np.ndarray, degree: int) -> np.ndarray:
 # batched operations over M points: coefficient arrays of shape (M, C(dim, p))
 
 
+@lru_cache(maxsize=None)
+def _contraction_terms(kind: str, dim: int, degree: int) -> tuple:
+    """The nonzeros of a structure stack as per-output term tables.
+
+    Returns (left, right, sign), each of shape (outputs, terms): output o at
+    point m is the sum over t of L[m, left[o, t]] * R[m, right[o, t]] *
+    sign[o, t], for the operands L, R of :func:`_contract`.  ``"interior"``
+    and ``"wedge"`` pair a form's coefficients (L) with a vector (R), taking
+    the entries [k, o, c] of their basis stacks in (k, c) order; ``"shape"``
+    pairs a flattened shape operator (L) with a form's coefficients (R),
+    taking the entries [o, J, a, b] of the generator stack in (J, a, b) order.
+    Each output has the same number of terms: dim - degree + 1, degree + 1 and
+    degree * (dim - degree + 1).
+    """
+    if kind == "shape":
+        stack = induced_generator_stack(dim, degree)
+        _, coeff, a, b = nonzero = np.nonzero(stack)
+        left, right = a * dim + b, coeff
+    else:
+        basis = interior_basis_stack if kind == "interior" else wedge_basis_stack
+        stack = basis(dim, degree).transpose(1, 0, 2)
+        _, k, coeff = nonzero = np.nonzero(stack)
+        left, right = coeff, k
+    table = tuple(arr.reshape(stack.shape[0], -1) for arr in (left, right, stack[nonzero]))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _contract(terms, left, right) -> np.ndarray:
+    """Each output's terms of a :func:`_contraction_terms` table, added in
+    table order from zero over (M, ...) operand arrays.
+
+    This is bit for bit the ``np.einsum`` contraction with the dense stack
+    over the C-ordered shape stacks that the callers pass: einsum adds an
+    output's terms in the same order from zero, its zero terms change no sum,
+    and a +-1 stack entry changes no product's rounding.  No BLAS call is
+    made, so the sums do not depend on the thread count.
+    """
+    left_ids, right_ids, sign = terms
+    # gathered component-major, (outputs, terms, M): every product and sum
+    # is a contiguous loop over the points
+    products = left.T[left_ids] * right.T[right_ids] * sign[:, :, None]
+    out = np.zeros(products.shape[::2])
+    for t in range(products.shape[1]):
+        out += products[:, t]
+    return np.ascontiguousarray(out.T)
+
+
 def _batch_interior(coeffs, normals, degree):
-    stack = interior_basis_stack(normals.shape[1], degree)
-    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
+    return _contract(_contraction_terms("interior", normals.shape[1], degree), coeffs, normals)
 
 
 def _batch_wedge_vec(coeffs, normals, degree):
-    stack = wedge_basis_stack(normals.shape[1], degree)
-    return np.einsum("kDc,mc,mk->mD", stack, coeffs, normals)
+    return _contract(_contraction_terms("wedge", normals.shape[1], degree), coeffs, normals)
 
 
 def _batch_tangential(coeffs, normals, degree):
@@ -509,8 +557,8 @@ def _batch_tangential(coeffs, normals, degree):
 
 
 def _batch_shape(coeffs, shape_world, degree):
-    stack = induced_generator_stack(shape_world.shape[1], degree)
-    return np.einsum("IJab,mab,mJ->mI", stack, shape_world, coeffs)
+    m, dim = shape_world.shape[:2]
+    return _contract(_contraction_terms("shape", dim, degree), shape_world.reshape(m, dim * dim), coeffs)
 
 
 def _batch_d(jac, degree, dim):

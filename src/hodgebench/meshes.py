@@ -120,8 +120,16 @@ def _tet_determinants(vertices, tets) -> np.ndarray:
 
 
 def _find(sorted_keys, keys):
-    """Position of each key in a sorted key array, and whether it is there."""
-    pos = np.searchsorted(sorted_keys, keys)
+    """Position of each key in a sorted key array, and whether it is there.
+
+    The keys are searched in ascending order and their positions scattered
+    back: numpy's binary search then starts each search from the last one's
+    bounds, where an unsorted query misses the cache on every probe.
+    """
+    order = np.argsort(keys)
+    pos = np.empty(keys.shape, dtype=np.intp)
+    pos[order] = np.searchsorted(sorted_keys, keys[order])
+    del order
     return pos, np.r_[sorted_keys, -1][pos] == keys
 
 
@@ -417,9 +425,15 @@ class MeshComplex:
         """Boundary triangles of the tets (outward CCW) and their keys."""
         t = self.cells
         keys = np.concatenate([self._face_keys(t[:, f], edge_keys) for f in _TET_FACES])
-        k = np.sort(keys)
+        # a boundary face's key occurs once.  The argsort groups equal keys;
+        # it need not be stable, as the singletons go back to their slots
+        order = np.argsort(keys)
+        k = keys[order]
         shared = k[1:] == k[:-1]
-        _, once = _find(k[~(np.r_[shared, False] | np.r_[False, shared])], keys)
+        del k
+        once = np.zeros(keys.size, dtype=bool)
+        once[order[~(np.r_[shared, False] | np.r_[False, shared])]] = True
+        del order, shared
         which = np.flatnonzero(once)  # face slot-major, then tet order
         faces = t[(which % len(t))[:, None], _TET_FACES[which // len(t)]]
         return faces, keys[once]

@@ -183,9 +183,23 @@ def _ledger_setup(mesh, order, shape_source):
     n = np.einsum("mq,mqi->mi", bary, shape.normals[faces])
     n /= np.linalg.norm(n, axis=1)[:, None]
     s = np.einsum("mq,mqij->mij", bary, shape.shape_world[faces])
-    proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
-    s = np.einsum("mij,mjk,mkl->mil", proj, s, proj)
+    s = _project(np.eye(3)[None] - np.einsum("mi,mj->mij", n, n), s)
     return None, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
+
+
+def _project(proj, s) -> np.ndarray:
+    """proj @ s @ proj per point, for (M, 3, 3) stacks: the terms
+    (proj_ij * s_jk) * proj_kl added from zero in (j, k) order, which are the
+    sums and roundings of ``np.einsum("mij,mjk,mkl->mil")`` without its
+    per-point loop.  The stacks are copied component-major, (3, 3, M), so
+    that every product and sum is a contiguous loop over the points."""
+    proj = np.ascontiguousarray(proj.transpose(1, 2, 0))
+    s = np.ascontiguousarray(s.transpose(1, 2, 0))
+    out = np.zeros(proj.shape)
+    for j in range(3):
+        for k in range(3):
+            out += (proj[:, j, None] * s[j, k]) * proj[None, k]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _surface_meta(surface) -> dict:

@@ -3,10 +3,12 @@
 These are the original per-form Python loops (the coefficient-by-coefficient
 wedge, the slot-substitution derivation matrix, the C(m,p)^2-determinant
 compound matrix), the per-point boundary identity checks that walked
-``AlternatingForm`` objects one sample point at a time, and the batched d and
-delta as einsum contractions.  ``hodgebench`` replaced them with contractions
-of cached structure stacks, matrix products and array code over all points;
-they are kept only as a test oracle.
+``AlternatingForm`` objects one sample point at a time, and the batched d,
+delta, interior product, wedge with a vector, shape-operator derivation and
+tangential projection of shape operators as einsum contractions.
+``hodgebench`` replaced them with contractions of cached structure stacks,
+term tables, matrix products and array code over all points; they are kept
+only as a test oracle.
 
 The dense structure tensors are the stacks as they were first built: the
 wedge tensor by a loop over all index pairs, the induced generator stack as
@@ -30,6 +32,7 @@ import numpy as np
 from hodgebench.exterior import (
     AlternatingForm,
     _symmetric_base,
+    induced_generator_stack,
     interior_basis_stack,
     multi_indices,
     tangent_frame,
@@ -318,6 +321,27 @@ def batch_d(jac, degree, dim):
 def batch_delta(jac, degree, dim):
     """delta of a p-form at M points, as the per-point contraction with the interior stack."""
     return -np.einsum("kDc,mck->mD", interior_basis_stack(dim, degree), jac)
+
+
+def batch_interior(coeffs, normals, degree):
+    """i_n of p-forms at M points, contracted with the dense interior stack."""
+    return np.einsum("kDc,mc,mk->mD", interior_basis_stack(normals.shape[1], degree), coeffs, normals)
+
+
+def batch_wedge_vec(coeffs, normals, degree):
+    """n ^ (p-form) at M points, contracted with the dense wedge stack."""
+    return np.einsum("kDc,mc,mk->mD", wedge_basis_stack(normals.shape[1], degree), coeffs, normals)
+
+
+def batch_shape(coeffs, shape_world, degree):
+    """S^[p] of p-forms at M points, contracted with the dense generator stack."""
+    stack = induced_generator_stack(shape_world.shape[1], degree)
+    return np.einsum("IJab,mab,mJ->mI", stack, shape_world, coeffs)
+
+
+def project(proj, s):
+    """proj @ s @ proj for (M, 3, 3) stacks."""
+    return np.einsum("mij,mjk,mkl->mil", proj, s, proj)
 
 
 def check_commutation(form, surface, points, h=1e-4, method="fd"):

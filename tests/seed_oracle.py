@@ -17,6 +17,12 @@ match them bit for bit.  ``stacked_ball_tets`` is the ball's tet table as one
 ``(L-1, F, 3, 4)`` stack of shells copied out by ``np.vstack``, before the
 generator wrote each shell in place.
 
+``find`` and ``extract_boundary_by_search`` are the key lookups of tet
+validation as they were: one binary search per key in query order, and a
+second search of every face key among the singletons of the sorted keys.
+The library searches the keys in sorted order and takes the singletons from
+one argsort; it must find the same positions, faces and keys bit for bit.
+
 ``load_mesh`` is the mesh-file reader that converted every block with one
 ``np.array`` over its Python tokens; the library reads blocks with numpy's C
 reader instead, and must give the same arrays bit for bit, or the same
@@ -161,6 +167,30 @@ def extract_boundary(tets) -> np.ndarray:
     keys = np.sort(faces, axis=1)
     _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     return faces[counts.reshape(-1)[inverse.reshape(-1)] == 1]
+
+
+def find(sorted_keys, keys):
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, np.r_[sorted_keys, -1][pos] == keys
+
+
+def extract_boundary_by_search(tets, edge_keys, n_vertices):
+    """(faces, keys) of the boundary, face slot-major then tet order."""
+    slots = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    keys = []
+    for slot in slots:
+        a, b, c = tets[:, slot].T
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        mid = a + b + c - lo - hi
+        ids, found = find(edge_keys, lo * n_vertices + mid)
+        keys.append(np.where(found, ids * n_vertices + hi, -1))
+    keys = np.concatenate(keys)
+    k = np.sort(keys)
+    shared = k[1:] == k[:-1]
+    _, once = find(k[~(np.r_[shared, False] | np.r_[False, shared])], keys)
+    which = np.flatnonzero(once)
+    return tets[(which % len(tets))[:, None], slots[which // len(tets)]], keys[once]
 
 
 def validate_solid(vertices, tets, boundary_faces) -> None:

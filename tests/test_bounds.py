@@ -214,6 +214,17 @@ def test_ball_diagnostics_refuse_bad_radii(radius):
         equality_case_diagnostics(2, radius=radius)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf"), 5e-324])
+def test_ball_diagnostics_refuse_bad_radii_on_a_mesh_without_exact_boundary(radius):
+    # a solid mesh that is not a generated ball reads the radius argument;
+    # 0.0 once divided by zero, -1.0 and NaN failed every check, and 5e-324
+    # made 3/r infinite, which passed every check
+    ball = generate_ball(2)
+    mesh = MeshComplex(ball.vertices, ball.cells, boundary_faces=ball.boundary_faces)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        equality_case_diagnostics(mesh, radius=radius)
+
+
 def test_ball_diagnostics_mesh():
     report = equality_case_diagnostics(generate_ball(3), p=1)
     assert report.satisfied

@@ -317,6 +317,15 @@ def test_duality_identity_rejects_non_finite():
         duality_identity_residual(s, 1)
 
 
+@pytest.mark.parametrize("base", [1.0, [1.0, 2.0], np.zeros((2, 3)), np.zeros((2, 2, 2))])
+def test_duality_identity_rejects_malformed_bases(base):
+    # the base is checked before its size is read: 1.0 once raised IndexError
+    with pytest.raises(ValueError, match="square matrix"):
+        duality_identity_residual(base, 0)
+    with pytest.raises(ValueError, match="square matrix"):
+        induced_endomorphism(base, 0)
+
+
 # ---------------------------------------------------------------------------
 # structure stacks agree with the scalar operations
 

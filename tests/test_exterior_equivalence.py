@@ -6,18 +6,28 @@ loops and the determinant compound to 1e-14, and the loop reconstruction
 must invert the split; the batched boundary identity checks
 must match the per-point checks to 1e-12.  The stacks, induced matrices and
 duality residuals built from enumerated nonzeros must match the dense
-structure tensors they replaced byte for byte.
+structure tensors they replaced byte for byte.  The batched boundary
+kernels (interior product, wedge with a vector, the derivation S^[p]) sum
+per-output term tables, and the discrete ledgers' shape projection sums its
+terms one by one; both must match the einsum contractions they replaced
+byte for byte, at every dimension, degree and point count.
 """
 
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exterior_oracle as oracle
 from hodgebench.exterior import (
     AlternatingForm,
+    _batch_interior,
+    _batch_shape,
     _batch_tangential,
+    _batch_wedge_vec,
+    _contraction_terms,
     _induced_matrix,
     duality_identity_residual,
     induced_endomorphism,
@@ -31,6 +41,7 @@ from hodgebench.exterior import (
 from hodgebench.fields import FormField, named_form_field, named_scalar_field
 from hodgebench.reilly import (
     SphereSurface,
+    _project,
     check_commutation,
     check_derivative_formulas,
     restriction_identity_residuals,
@@ -203,3 +214,101 @@ def test_zero_points_give_zero_residuals():
     assert check_derivative_formulas(form, SPHERE, empty) == (0.0, 0.0)
     assert restriction_identity_residuals(AlternatingForm(3, 1, [1.0, 0, 0]), points=empty) == (0.0, 0.0)
 
+
+
+# ---------------------------------------------------------------------------
+# batched boundary kernels against their einsum contractions
+
+POINT_COUNTS = (0, 1, 7, 64, 240, 3840)
+
+
+def _values(rng, shape, zeros, exponent, strided):
+    """Normal values scaled by 10**exponent, a share of them +-0.0; with
+    ``strided``, a view into a wider array, as a sliced kernel output is."""
+    out = rng.standard_normal(shape) * 10.0**exponent
+    zero = rng.random(shape) < zeros
+    out[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    if strided:
+        wide = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        wide[..., : shape[-1]] = out
+        out = wide[..., : shape[-1]]
+    return out
+
+
+kernel_cases = dict(
+    dim=st.integers(2, 6),
+    count=st.sampled_from(POINT_COUNTS),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from((0.0, 0.3, 1.0)),
+    exponent=st.integers(-30, 30),
+)
+
+
+@given(strided=st.booleans(), **kernel_cases)
+@settings(max_examples=60, deadline=None)
+def test_interior_and_wedge_tables_equal_einsum(dim, count, data, seed, zeros, exponent, strided):
+    rng = np.random.default_rng(seed)
+    normals = _values(rng, (count, dim), zeros, 0, strided)
+    p = data.draw(st.integers(1, dim), label="interior degree")
+    coeffs = _values(rng, (count, comb(dim, p)), zeros, exponent, strided)
+    got = _batch_interior(coeffs, normals, p)
+    assert got.tobytes() == oracle.batch_interior(coeffs, normals, p).tobytes()
+    p = data.draw(st.integers(0, dim - 1), label="wedge degree")
+    coeffs = _values(rng, (count, comb(dim, p)), zeros, exponent, strided)
+    got = _batch_wedge_vec(coeffs, normals, p)
+    assert got.tobytes() == oracle.batch_wedge_vec(coeffs, normals, p).tobytes()
+
+
+@given(**kernel_cases)
+@settings(max_examples=60, deadline=None)
+def test_shape_table_equals_einsum(dim, count, data, seed, zeros, exponent):
+    # the ledgers pass C-ordered, symmetric shape stacks
+    rng = np.random.default_rng(seed)
+    p = data.draw(st.integers(0, dim), label="degree")
+    a = _values(rng, (count, dim, dim), zeros, exponent, False)
+    shape = a + a.transpose(0, 2, 1)
+    coeffs = _values(rng, (count, comb(dim, p)), zeros, 0, data.draw(st.booleans(), label="strided"))
+    got = _batch_shape(coeffs, shape, p)
+    assert got.tobytes() == oracle.batch_shape(coeffs, shape, p).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_every_degree_of_every_table_equals_einsum(dim):
+    rng = np.random.default_rng(dim)
+    for count in POINT_COUNTS:
+        normals = _values(rng, (count, dim), 0.2, 0, False)
+        a = _values(rng, (count, dim, dim), 0.2, 0, False)
+        shape = a + a.transpose(0, 2, 1)
+        for p in range(dim + 1):
+            coeffs = _values(rng, (count, comb(dim, p)), 0.2, 0, False)
+            pairs = [(_batch_shape(coeffs, shape, p), oracle.batch_shape(coeffs, shape, p))]
+            if p > 0:
+                pairs.append((_batch_interior(coeffs, normals, p), oracle.batch_interior(coeffs, normals, p)))
+            if p < dim:
+                pairs.append((_batch_wedge_vec(coeffs, normals, p), oracle.batch_wedge_vec(coeffs, normals, p)))
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (count, p)
+
+
+def test_term_tables_are_cached_and_read_only():
+    for kind, degree in (("interior", 2), ("wedge", 1), ("shape", 2)):
+        table = _contraction_terms(kind, 4, degree)
+        assert table is _contraction_terms(kind, 4, degree)
+        assert not any(arr.flags.writeable for arr in table)
+
+
+@given(
+    count=st.sampled_from(POINT_COUNTS),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from((0.0, 0.3)),
+    exponent=st.integers(-30, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_shape_projection_equals_einsum(count, seed, zeros, exponent):
+    rng = np.random.default_rng(seed)
+    n = _values(rng, (count, 3), zeros, 0, False)
+    n /= np.where(n.any(axis=1), np.linalg.norm(n, axis=1), 1.0)[:, None]
+    proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
+    s = _values(rng, (count, 3, 3), zeros, exponent, False)
+    assert _project(proj, s).tobytes() == oracle.project(proj, s).tobytes()

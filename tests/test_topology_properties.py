@@ -11,6 +11,7 @@ import seed_oracle as oracle
 from hodgebench.meshes import (
     MeshComplex,
     MeshError,
+    _find,
     generate_ball,
     generate_ellipsoid,
     generate_icosphere,
@@ -165,6 +166,31 @@ def test_solid_invariants_under_relabelling(seed):
     auto = MeshComplex(verts, tets)
     assert np.array_equal(np.sort(np.sort(auto.boundary_faces, axis=1), axis=0),
                           np.sort(np.sort(bnd, axis=1), axis=0))
+
+
+@given(level=st.sampled_from((1, 2)), seed=seeds)
+@settings(max_examples=20, deadline=None)
+def test_key_lookups_equal_plain_searchsorted_on_relabelled_tets(level, seed):
+    ball = generate_ball(level)
+    rng = np.random.default_rng(seed)
+    verts, new_id = _relabel(ball, rng)
+    tets = new_id[ball.cells][rng.permutation(ball.n_cells)]
+    tets[:, 1:] = _rotate_rows(tets[:, 1:], rng.integers(0, 3, ball.n_cells), 3)
+    mesh = MeshComplex(verts, tets)
+    edge_keys = mesh._sorted_edge_keys()
+    faces, keys = mesh._extract_boundary(edge_keys)
+    want_faces, want_keys = oracle.extract_boundary_by_search(tets, edge_keys, mesh.n_vertices)
+    assert np.array_equal(faces, want_faces) and np.array_equal(keys, want_keys)
+    assert np.array_equal(mesh.boundary_faces, want_faces)
+    # present, repeated and absent keys, -1 and keys past both ends
+    queries = np.concatenate(
+        [edge_keys, edge_keys[:5], rng.integers(-1, edge_keys[-1] + 3, 200), [-1, 0, 2**40]]
+    )
+    queries = queries[rng.permutation(queries.size)]
+    for got, want in zip(_find(edge_keys, queries), oracle.find(edge_keys, queries)):
+        assert np.array_equal(got, want)
+    for got, want in zip(_find(edge_keys, queries[:0]), oracle.find(edge_keys, queries[:0])):
+        assert got.shape == want.shape == (0,)
 
 
 def _verdict(fn, *args, **kwargs):
