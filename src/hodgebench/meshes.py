@@ -1007,8 +1007,8 @@ class SphereSurface:
     """Round sphere with the inner-normal convention (curvatures +1/r)."""
 
     def __init__(self, radius: float = 1.0, center=None, dim: int = 3):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius}")
         self.radius = float(radius)
         self.dim = dim
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
@@ -1046,9 +1046,21 @@ def ellipsoid_shape_world(points, semi_axes) -> np.ndarray:
     grad = 2.0 * q * weights
     gnorm = np.linalg.norm(grad, axis=1)
     nu = grad / gnorm[:, None]  # outward
-    proj = np.eye(3)[None] - np.einsum("mi,mj->mij", nu, nu)
     hess = np.diag(2.0 * weights)[None] / gnorm[:, None, None]
-    return np.einsum("mij,mjk,mkl->mil", proj, hess, proj)
+    return _project(np.eye(3) - nu[:, :, None] * nu[:, None], hess)
+
+
+def _project(proj, s) -> np.ndarray:
+    """proj @ s @ proj per point, for (M, 3, 3) stacks: the terms (proj_ij * s_jk) * proj_kl
+    added from zero in (j, k) order, as ``np.einsum("mij,mjk,mkl->mil")`` adds them, but
+    component-major, (3, 3, M), so every product and sum loops over the points."""
+    proj = np.ascontiguousarray(proj.transpose(1, 2, 0))
+    s = np.ascontiguousarray(s.transpose(1, 2, 0))
+    out = np.zeros(proj.shape)
+    for j in range(3):
+        for k in range(3):
+            out += (proj[:, j, None] * s[j, k]) * proj[None, k]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def ellipsoid_principal_curvatures(points, semi_axes) -> np.ndarray:

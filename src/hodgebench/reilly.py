@@ -39,6 +39,7 @@ from .exterior import (
 )
 from .fields import FormField, ScalarField
 from .meshes import MeshComplex, MeshError, SphereSurface, boundary_surface, discrete_shape, generate_ball
+from .meshes import _project  # shared with ellipsoid_shape_world
 
 __all__ = [
     "ReillyLedger",
@@ -69,26 +70,37 @@ TET_BLOCK = 4096
 # quadrature
 
 
+def _rule(corners: int, order: int) -> np.ndarray:
+    """Barycentric weights, one row per node: the centroid rule (order 1) or the
+    symmetric rule exact for quadratics (order 2) on a triangle or a tet."""
+    if order not in (1, 2):
+        raise ValueError(f"quadrature order must be 1 or 2, got {order!r}")
+    if order == 1:
+        return np.full((1, corners), 1.0 / corners)
+    a, b = (2.0 / 3.0, 1.0 / 6.0) if corners == 3 else (_TET4_A, _TET4_B)
+    return np.where(np.eye(corners, dtype=bool), a, b)
+
+
+def _barycentric(values, cells, bary) -> np.ndarray:
+    """sum_k bary[q, k] * values[cells[c, k]] for every cell c and node q, in
+    (cell, node) order: rule nodes, or vertex normals and shape operators at them.
+    Each node is w0*c0 + w1*c1 + ... added in corner order, the order np.einsum
+    takes (from +0.0, so einsum differs only where every product is -0.0); a BLAS
+    product (fused multiply-adds) rounds differently."""
+    corners = [np.take(values, cells[:, k], axis=0) for k in range(cells.shape[1])]
+    out = np.empty((len(cells), len(bary)) + values.shape[1:])
+    for q, weights in enumerate(bary):
+        out[:, q] = reduce(np.add, [weight * corner for weight, corner in zip(weights, corners)])
+    return out.reshape((-1,) + values.shape[1:])
+
+
 def _tet_blocks(mesh: MeshComplex, order: int):
     """The tet quadrature as (points, weights), TET_BLOCK tets at a time, in cell order."""
-    if order <= 1:
-        bary = np.full((1, 4), 0.25)
-    else:
-        bary = np.full((4, 4), _TET4_B)
-        np.fill_diagonal(bary, _TET4_A)
+    bary = _rule(4, order)
     for start in range(0, mesh.n_cells, TET_BLOCK):
-        cells = mesh.cells[start : start + TET_BLOCK]
-        # summed from zero corner by corner, in corner order, which fixes each
-        # point's rounding; a BLAS product (fused multiply-adds) rounds differently
-        corners = [np.take(mesh.vertices, cells[:, k], axis=0) for k in range(4)]
-        pts = np.empty((len(cells), bary.shape[0], 3))
-        for q, weights in enumerate(bary):
-            acc = np.zeros((len(cells), 3))
-            for weight, corner in zip(weights, corners):
-                acc += weight * corner
-            pts[:, q] = acc
         vols = mesh.tet_determinants[start : start + TET_BLOCK] / 6.0
-        yield pts.reshape(-1, 3), np.repeat(vols / bary.shape[0], bary.shape[0])
+        pts = _barycentric(mesh.vertices, mesh.cells[start : start + TET_BLOCK], bary)
+        yield pts, np.repeat(vols / len(bary), len(bary))
 
 
 def _quadrature_sum(weights, values) -> float:
@@ -140,21 +152,6 @@ def _pairwise_sums(cols) -> np.ndarray:
     return total
 
 
-def _tri_quadrature(vertices, faces, order: int):
-    v = vertices[faces]  # (F, 3, 3)
-    areas = np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1) / 2.0
-    if order <= 1:
-        bary = np.full((1, 3), 1.0 / 3.0)
-    else:
-        bary = np.full((3, 3), 1.0 / 6.0)
-        np.fill_diagonal(bary, 2.0 / 3.0)
-    pts = np.einsum("qk,fkc->fqc", bary, v).reshape(-1, 3)
-    w = np.repeat(areas / bary.shape[0], bary.shape[0])
-    face_ids = np.repeat(np.arange(len(faces)), bary.shape[0])
-    bary_all = np.tile(bary, (len(faces), 1))
-    return pts, w, face_ids, bary_all
-
-
 def _ledger_setup(mesh, order, shape_source):
     """Setup shared by the ledgers and the Stokes check.
 
@@ -173,33 +170,19 @@ def _ledger_setup(mesh, order, shape_source):
     surface = None if shape_source == "discrete" else boundary_surface(mesh)
     if shape_source == "analytic" and surface is None:
         raise ValueError("analytic shape data only available for generated balls")
-    bpts, bw, fids, bary = _tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
+    bary = _rule(3, order)
+    _, areas = mesh.face_normals_areas(mesh.boundary_faces)
+    bw = np.repeat(areas / len(bary), len(bary))
+    bpts = _barycentric(mesh.vertices, mesh.boundary_faces, bary)
     if surface is not None:
         bpts = surface.project(bpts)
         return surface, bpts, bw, surface.normals(bpts), surface.shape_world(bpts)
     boundary, _ = mesh.boundary_mesh()
     shape = discrete_shape(boundary)
-    faces = boundary.cells[fids]  # (M, 3) boundary vertex ids
-    n = np.einsum("mq,mqi->mi", bary, shape.normals[faces])
+    n = _barycentric(shape.normals, boundary.cells, bary)
     n /= np.linalg.norm(n, axis=1)[:, None]
-    s = np.einsum("mq,mqij->mij", bary, shape.shape_world[faces])
-    s = _project(np.eye(3)[None] - np.einsum("mi,mj->mij", n, n), s)
+    s = _project(np.eye(3) - n[:, :, None] * n[:, None], _barycentric(shape.shape_world, boundary.cells, bary))
     return None, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
-
-
-def _project(proj, s) -> np.ndarray:
-    """proj @ s @ proj per point, for (M, 3, 3) stacks: the terms
-    (proj_ij * s_jk) * proj_kl added from zero in (j, k) order, which are the
-    sums and roundings of ``np.einsum("mij,mjk,mkl->mil")`` without its
-    per-point loop.  The stacks are copied component-major, (3, 3, M), so
-    that every product and sum is a contiguous loop over the points."""
-    proj = np.ascontiguousarray(proj.transpose(1, 2, 0))
-    s = np.ascontiguousarray(s.transpose(1, 2, 0))
-    out = np.zeros(proj.shape)
-    for j in range(3):
-        for k in range(3):
-            out += (proj[:, j, None] * s[j, k]) * proj[None, k]
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _surface_meta(surface) -> dict:
@@ -442,13 +425,13 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     # cochains live on the intrinsic Delaunay complex; flipped edges are
     # sampled on the chords of their vertices
     ops = assemble_dec(surf)
-    edges = ops.edges
-    mids = (surf.vertices[edges[:, 0]] + surf.vertices[edges[:, 1]]) / 2.0
+    edges, half = ops.edges, np.full((1, 2), 0.5)
+    mids = _barycentric(surf.vertices, edges, half)
     if surface is not None:
         normals_v, n_mid = surface.normals(surf.vertices), surface.normals(mids)
     else:
         normals_v = discrete_shape(surf).normals
-        n_mid = normals_v[edges[:, 0]] + normals_v[edges[:, 1]]
+        n_mid = _barycentric(normals_v, edges, half)
         n_mid /= np.linalg.norm(n_mid, axis=1)[:, None]
     edge_vec = surf.vertices[edges[:, 1]] - surf.vertices[edges[:, 0]]
 
@@ -457,7 +440,10 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     t_mid = cm - _batch_wedge_vec(v_mid, n_mid, 0)
     cv = form.value(surf.vertices)
     v_vert = _batch_interior(cv, normals_v, 1)[:, 0]
-    a = np.einsum("ek,ek->e", t_mid, edge_vec)
+    # <J*w, edge> in the order numpy's x86-64 np.einsum("ek,ek->e") adds three
+    # terms (two SIMD lanes: (x + z) + y, from +0.0), which fixes the DEC bits
+    prod = t_mid * edge_vec
+    a = 0.0 + ((prod[:, 0] + prod[:, 2]) + prod[:, 1])
     delta_a = ops.codifferential_1(a)
     return 2.0 * float((ops.star0 * v_vert * delta_a).sum())
 

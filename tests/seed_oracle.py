@@ -13,7 +13,12 @@ with the exact Hodge split (the union of the degree-0 and degree-2 spectra).
 ``tet_determinants`` and ``tet_quadrature`` are the tet-volume expression that
 four call sites once evaluated separately, and the per-tet contraction that
 placed the tet quadrature points; volumes, weights and points must still
-match them bit for bit.  ``stacked_ball_tets`` is the ball's tet table as one
+match them bit for bit.  ``tri_quadrature``, ``interpolated_shape`` and
+``edge_midpoints`` are the triangle rule with its tiled per-node weights, the
+two einsums that interpolated fitted normals and shape operators at its
+nodes, and the midpoint formulas of the DEC cross term; the ledgers now build
+all of these with one barycentric kernel, which must reproduce them bit for
+bit.  ``stacked_ball_tets`` is the ball's tet table as one
 ``(L-1, F, 3, 4)`` stack of shells copied out by ``np.vstack``, before the
 generator wrote each shell in place.
 
@@ -410,6 +415,39 @@ def tet_quadrature(vertices, tets, bary):
     vols = np.einsum("ij,ij->i", v[:, 1] - v[:, 0], np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0])) / 6.0
     pts = np.einsum("qk,tkc->tqc", bary, v).reshape(-1, 3)
     return pts, np.repeat(vols / bary.shape[0], bary.shape[0])
+
+
+def tri_quadrature(vertices, faces, order):
+    """(points, weights, face ids, barycentric rows) of the triangle rule of
+    ``order``, one row per node, the points as one per-face contraction."""
+    v = vertices[faces]  # (F, 3, 3)
+    areas = np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1) / 2.0
+    if order <= 1:
+        bary = np.full((1, 3), 1.0 / 3.0)
+    else:
+        bary = np.full((3, 3), 1.0 / 6.0)
+        np.fill_diagonal(bary, 2.0 / 3.0)
+    pts = np.einsum("qk,fkc->fqc", bary, v).reshape(-1, 3)
+    w = np.repeat(areas / bary.shape[0], bary.shape[0])
+    face_ids = np.repeat(np.arange(len(faces)), bary.shape[0])
+    bary_all = np.tile(bary, (len(faces), 1))
+    return pts, w, face_ids, bary_all
+
+
+def interpolated_shape(normals, shape_world, faces, face_ids, bary_all):
+    """Vertex normals (unnormalised) and shape operators interpolated at the
+    nodes of :func:`tri_quadrature`, gathered through its per-node rows."""
+    nodes = faces[face_ids]  # (M, 3) vertex ids
+    n = np.einsum("mq,mqi->mi", bary_all, normals[nodes])
+    return n, np.einsum("mq,mqij->mij", bary_all, shape_world[nodes])
+
+
+def edge_midpoints(vertices, normals, edges):
+    """Edge midpoints and the normalised sums of the end normals."""
+    mids = (vertices[edges[:, 0]] + vertices[edges[:, 1]]) / 2.0
+    n_mid = normals[edges[:, 0]] + normals[edges[:, 1]]
+    n_mid /= np.linalg.norm(n_mid, axis=1)[:, None]
+    return mids, n_mid
 
 
 # ---------------------------------------------------------------------------

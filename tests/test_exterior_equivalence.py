@@ -8,9 +8,10 @@ must match the per-point checks to 1e-12.  The stacks, induced matrices and
 duality residuals built from enumerated nonzeros must match the dense
 structure tensors they replaced byte for byte.  The batched boundary
 kernels (interior product, wedge with a vector, the derivation S^[p]) sum
-per-output term tables, and the discrete ledgers' shape projection sums its
-terms one by one; both must match the einsum contractions they replaced
-byte for byte, at every dimension, degree and point count.
+per-output term tables, and the shape projection shared by the discrete
+ledgers and ``ellipsoid_shape_world`` sums its terms one by one; both must
+match the einsum contractions they replaced byte for byte, at every
+dimension, degree and point count.
 """
 
 from math import comb
@@ -39,6 +40,7 @@ from hodgebench.exterior import (
     wedge_basis_stack,
 )
 from hodgebench.fields import FormField, named_form_field, named_scalar_field
+from hodgebench.meshes import ellipsoid_shape_world
 from hodgebench.reilly import (
     SphereSurface,
     _project,
@@ -312,3 +314,16 @@ def test_shape_projection_equals_einsum(count, seed, zeros, exponent):
     proj = np.eye(3)[None] - np.einsum("mi,mj->mij", n, n)
     s = _values(rng, (count, 3, 3), zeros, exponent, False)
     assert _project(proj, s).tobytes() == oracle.project(proj, s).tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3840])
+@pytest.mark.parametrize("axes", [(1.0, 1.2, 1.5), (1.0, 1.0, 1.0), (0.9, 1.3, 1.1), (2.0, 0.5, 1e-3)])
+def test_ellipsoid_shape_world_equals_einsum(axes, count):
+    points = oracle.EllipsoidSurface(axes).project(sphere_sample_points(count, seed=count + 1))
+    weights = 1.0 / np.asarray(axes) ** 2
+    grad = 2.0 * points * weights
+    gnorm = np.linalg.norm(grad, axis=1)
+    nu = grad / gnorm[:, None]
+    proj = np.eye(3)[None] - np.einsum("mi,mj->mij", nu, nu)
+    hess = np.diag(2.0 * weights)[None] / gnorm[:, None, None]
+    assert ellipsoid_shape_world(points, axes).tobytes() == oracle.project(proj, hess).tobytes()

@@ -1,11 +1,15 @@
-"""Ledger terms, volumes and tet quadrature pinned to their recorded values.
+"""Ledger terms, volumes and quadrature nodes pinned to their recorded values.
 
 ``data/golden_ledgers.json`` holds every ledger term, the residual and the
 mesh volume for ``reilly --field x2dx1 --levels 1,2``, ``reilly --field
-linear-x1 --levels 1,2`` and the discrete-shape x2dx1 ledger on ball(1).
-The quadrature sums take no BLAS dot product, so the values hold at any
-BLAS thread count.  Rewrites of the quadrature and the batched d/delta must
-reproduce them exactly, not to a tolerance.
+linear-x1 --levels 1,2``, the discrete-shape x2dx1 ledger on ball(1), the
+order-1 x2dx1 ledgers on ball(1), the x2dx1 ledgers with the DEC cross term
+on ball(2) (both shape sources) and the discrete radial-sq classical ledger
+on ball(1).  The quadrature sums take no BLAS dot product, so the values hold
+at any BLAS thread count.  Rewrites of the quadrature and the batched
+d/delta must reproduce them exactly, not to a tolerance; so must the one
+barycentric kernel that places every node, interpolated normal and shape
+operator, and edge midpoint, against the expressions in ``seed_oracle``.
 """
 
 import json
@@ -16,22 +20,49 @@ import pytest
 
 import seed_oracle as oracle
 from hodgebench.fields import named_form_field, named_scalar_field
-from hodgebench.meshes import generate_ball
-from hodgebench.reilly import _TET4_A, _TET4_B, _tet_blocks, evaluate_classical_reilly, evaluate_reilly
+from hodgebench.meshes import discrete_shape, generate_ball
+from hodgebench.reilly import (
+    _TET4_A,
+    _TET4_B,
+    _barycentric,
+    _ledger_setup,
+    _rule,
+    _tet_blocks,
+    evaluate_classical_reilly,
+    evaluate_reilly,
+)
 from test_topology_equivalence import _relabelled
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_ledgers.json").read_text())
 
+# key -> (ball level, field, keyword arguments of the ledger)
+CASES = {
+    "reilly --field x2dx1 level 1": (1, "x2dx1", {}),
+    "reilly --field x2dx1 level 2": (2, "x2dx1", {}),
+    "reilly --field linear-x1 level 1": (1, "linear-x1", {}),
+    "reilly --field linear-x1 level 2": (2, "linear-x1", {}),
+    "evaluate_reilly ball(1) x2dx1 discrete": (1, "x2dx1", {"shape_source": "discrete"}),
+    "evaluate_reilly ball(1) x2dx1 order 1": (1, "x2dx1", {"order": 1}),
+    "evaluate_reilly ball(1) x2dx1 order 1 discrete": (1, "x2dx1", {"order": 1, "shape_source": "discrete"}),
+    "evaluate_reilly ball(2) x2dx1 include_dec": (2, "x2dx1", {"include_dec": True}),
+    "evaluate_reilly ball(2) x2dx1 include_dec discrete": (
+        2, "x2dx1", {"include_dec": True, "shape_source": "discrete"}
+    ),
+    "evaluate_classical_reilly ball(1) radial-sq discrete": (1, "radial-sq", {"shape_source": "discrete"}),
+}
+SCALAR_FIELDS = ("linear-x1", "radial-sq")
+
 
 def _ledger(key):
-    if key == "evaluate_reilly ball(1) x2dx1 discrete":
-        mesh = generate_ball(1)
-        return mesh, evaluate_reilly(mesh, named_form_field("x2dx1"), shape_source="discrete")
-    field, level = key.removeprefix("reilly --field ").split(" level ")
-    mesh = generate_ball(int(level))
-    if field == "linear-x1":
-        return mesh, evaluate_classical_reilly(mesh, named_scalar_field(field), order=2)
-    return mesh, evaluate_reilly(mesh, named_form_field(field), order=2)
+    level, name, kwargs = CASES[key]
+    mesh = generate_ball(level)
+    if name in SCALAR_FIELDS:
+        return mesh, evaluate_classical_reilly(mesh, named_scalar_field(name), **kwargs)
+    return mesh, evaluate_reilly(mesh, named_form_field(name), **kwargs)
+
+
+def test_every_golden_ledger_has_a_case():
+    assert sorted(GOLDEN) == sorted(CASES)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -66,3 +97,36 @@ def test_volume_and_quadrature_match_determinant_expression(name, make):
         assert np.array_equal(wts, want_wts)
         assert np.array_equal(wts, np.repeat(dets / 6.0 / len(bary), len(bary)))
         assert pts.tobytes() == want_pts.tobytes()
+
+
+# ball(0)'s boundary, the icosahedron, has too few vertices for a quadric fit
+FITTED = SOLIDS[1:]
+
+
+@pytest.mark.parametrize("name,make", FITTED, ids=[name for name, _ in FITTED])
+def test_triangle_nodes_and_fitted_shape_match_their_einsums(name, make):
+    mesh = make()
+    boundary, _ = mesh.boundary_mesh()
+    shape = discrete_shape(boundary)
+    for order in (1, 2):
+        want_pts, want_wts, face_ids, bary_all = oracle.tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
+        _, pts, wts, _, _ = _ledger_setup(mesh, order, "discrete")
+        assert pts.tobytes() == want_pts.tobytes()
+        assert wts.tobytes() == want_wts.tobytes()
+        bary = _rule(3, order)
+        want_n, want_s = oracle.interpolated_shape(shape.normals, shape.shape_world, boundary.cells, face_ids, bary_all)
+        assert _barycentric(shape.normals, boundary.cells, bary).tobytes() == want_n.tobytes()
+        assert _barycentric(shape.shape_world, boundary.cells, bary).tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("name,make", FITTED, ids=[name for name, _ in FITTED])
+def test_edge_midpoints_match_the_midpoint_formulas(name, make):
+    boundary, _ = make().boundary_mesh()
+    normals = discrete_shape(boundary).normals
+    edges = boundary.edges
+    want_mids, want_n = oracle.edge_midpoints(boundary.vertices, normals, edges)
+    half = np.full((1, 2), 0.5)
+    n_mid = _barycentric(normals, edges, half)
+    n_mid /= np.linalg.norm(n_mid, axis=1)[:, None]
+    assert _barycentric(boundary.vertices, edges, half).tobytes() == want_mids.tobytes()
+    assert n_mid.tobytes() == want_n.tobytes()

@@ -21,6 +21,7 @@ from hodgebench.reilly import (
 )
 from test_topology_equivalence import _relabelled
 
+BALL1 = generate_ball(1)
 BALL2 = generate_ball(2)
 BALL3 = generate_ball(3)
 VOL = 4 * np.pi / 3
@@ -167,6 +168,22 @@ def test_ledger_json():
     assert data["terms"] == ledger.terms
 
 
+ORDER_RUNS = {
+    "evaluate_reilly": lambda order: evaluate_reilly(BALL1, named_form_field("x2dx1"), order=order),
+    "evaluate_classical_reilly": lambda order: evaluate_classical_reilly(
+        BALL1, named_scalar_field("radial-sq"), order=order
+    ),
+    "check_stokes": lambda order: check_stokes(BALL1, named_form_field("x2dx1"), _x2sq_dx12(), order=order),
+}
+
+
+@pytest.mark.parametrize("order", [0, -1, 3])
+@pytest.mark.parametrize("run", ORDER_RUNS.values(), ids=ORDER_RUNS.keys())
+def test_quadrature_order_must_be_1_or_2(run, order):
+    with pytest.raises(ValueError, match=f"quadrature order must be 1 or 2, got {order}"):
+        run(order)
+
+
 # ---------------------------------------------------------------------------
 # pointwise identities
 
@@ -273,6 +290,14 @@ def test_restriction_identities_scale_to_zero():
     for radius in (1.0, 10.0, 1e3):
         res1, res2 = restriction_identity_residuals(xi, radius=radius)
         assert res1 < 1e-10 and res2 < 1e-10
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -np.inf])
+def test_sphere_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        SphereSurface(radius)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        restriction_identity_residuals(AlternatingForm(3, 1, [0.3, -1.2, 0.5]), radius=radius)
 
 
 def test_restriction_identities_higher_dim():
