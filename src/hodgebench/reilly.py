@@ -84,13 +84,18 @@ def _rule(corners: int, order: int) -> np.ndarray:
 def _barycentric(values, cells, bary) -> np.ndarray:
     """sum_k bary[q, k] * values[cells[c, k]] for every cell c and node q, in
     (cell, node) order: rule nodes, or vertex normals and shape operators at them.
-    Each node is w0*c0 + w1*c1 + ... added in corner order, the order np.einsum
-    takes (from +0.0, so einsum differs only where every product is -0.0); a BLAS
-    product (fused multiply-adds) rounds differently."""
+    Each node is w0*c0 + w1*c1 + ... added in corner order from the first product,
+    which fixes its rounding and keeps a -0.0 that every product shares, as the
+    midpoint sum n0 + n1 does; np.einsum adds from +0.0 and gives +0.0 there.  A
+    BLAS product (fused multiply-adds) rounds differently."""
     corners = [np.take(values, cells[:, k], axis=0) for k in range(cells.shape[1])]
     out = np.empty((len(cells), len(bary)) + values.shape[1:])
+    acc, term = np.empty_like(corners[0]), np.empty_like(corners[0])
     for q, weights in enumerate(bary):
-        out[:, q] = reduce(np.add, [weight * corner for weight, corner in zip(weights, corners)])
+        np.multiply(weights[0], corners[0], out=acc)
+        for weight, corner in zip(weights[1:], corners[1:]):
+            acc += np.multiply(weight, corner, out=term)
+        out[:, q] = acc
     return out.reshape((-1,) + values.shape[1:])
 
 
@@ -440,10 +445,7 @@ def _dec_cross_term(mesh: MeshComplex, form: FormField, surface):
     t_mid = cm - _batch_wedge_vec(v_mid, n_mid, 0)
     cv = form.value(surf.vertices)
     v_vert = _batch_interior(cv, normals_v, 1)[:, 0]
-    # <J*w, edge> in the order numpy's x86-64 np.einsum("ek,ek->e") adds three
-    # terms (two SIMD lanes: (x + z) + y, from +0.0), which fixes the DEC bits
-    prod = t_mid * edge_vec
-    a = 0.0 + ((prod[:, 0] + prod[:, 2]) + prod[:, 1])
+    a = np.einsum("ek,ek->e", t_mid, edge_vec)
     delta_a = ops.codifferential_1(a)
     return 2.0 * float((ops.star0 * v_vert * delta_a).sum())
 

@@ -4,14 +4,16 @@
 mesh volume for ``reilly --field x2dx1 --levels 1,2``, ``reilly --field
 linear-x1 --levels 1,2``, the discrete-shape x2dx1 ledger on ball(1), the
 order-1 x2dx1 ledgers on ball(1), the x2dx1 ledgers with the DEC cross term
-on ball(2) (both shape sources) and the discrete radial-sq classical ledger
-on ball(1).  The quadrature sums take no BLAS dot product, so the values hold
+on ball(2) (both shape sources), the discrete radial-sq classical ledger
+on ball(1), and the discrete x2dx1 ledgers at order 1 and with the DEC cross
+term on a cube cut into tets, whose boundary is flat.  The quadrature sums take no BLAS dot product, so the values hold
 at any BLAS thread count.  Rewrites of the quadrature and the batched
 d/delta must reproduce them exactly, not to a tolerance; so must the one
 barycentric kernel that places every node, interpolated normal and shape
 operator, and edge midpoint, against the expressions in ``seed_oracle``.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import pytest
 
 import seed_oracle as oracle
 from hodgebench.fields import named_form_field, named_scalar_field
-from hodgebench.meshes import discrete_shape, generate_ball
+from hodgebench.meshes import MeshComplex, discrete_shape, generate_ball, load_mesh, save_tet
 from hodgebench.reilly import (
     _TET4_A,
     _TET4_B,
@@ -35,7 +37,22 @@ from test_topology_equivalence import _relabelled
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_ledgers.json").read_text())
 
-# key -> (ball level, field, keyword arguments of the ledger)
+
+def _cube(n):
+    """[-1/2, 1/2]^3 cut into n^3 cubes, and each cube into the six tets around
+    its diagonal: a solid whose boundary is six flat squares."""
+    ticks = np.arange(n + 1) / n - 0.5
+    vertices = np.array(list(itertools.product(ticks, repeat=3)))
+    steps = np.array([(n + 1) ** 2, n + 1, 1])
+    origins = np.array(list(itertools.product(range(n), repeat=3))) @ steps
+    paths = [np.cumsum([0] + [steps[a] for a in axes]) for axes in itertools.permutations(range(3))]
+    tets = (origins[:, None, None] + np.array(paths)[None]).reshape(-1, 4)
+    flip = oracle.tet_determinants(vertices, tets) < 0
+    tets[flip] = tets[flip][:, [0, 2, 1, 3]]
+    return MeshComplex(vertices, tets)
+
+
+# key -> (ball level or mesh factory, field, keyword arguments of the ledger)
 CASES = {
     "reilly --field x2dx1 level 1": (1, "x2dx1", {}),
     "reilly --field x2dx1 level 2": (2, "x2dx1", {}),
@@ -49,13 +66,19 @@ CASES = {
         2, "x2dx1", {"include_dec": True, "shape_source": "discrete"}
     ),
     "evaluate_classical_reilly ball(1) radial-sq discrete": (1, "radial-sq", {"shape_source": "discrete"}),
+    "evaluate_reilly cube(3) x2dx1 order 1 discrete": (
+        lambda: _cube(3), "x2dx1", {"order": 1, "shape_source": "discrete"}
+    ),
+    "evaluate_reilly cube(3) x2dx1 include_dec discrete": (
+        lambda: _cube(3), "x2dx1", {"include_dec": True, "shape_source": "discrete"}
+    ),
 }
 SCALAR_FIELDS = ("linear-x1", "radial-sq")
 
 
 def _ledger(key):
-    level, name, kwargs = CASES[key]
-    mesh = generate_ball(level)
+    make, name, kwargs = CASES[key]
+    mesh = generate_ball(make) if isinstance(make, int) else make()
     if name in SCALAR_FIELDS:
         return mesh, evaluate_classical_reilly(mesh, named_scalar_field(name), **kwargs)
     return mesh, evaluate_reilly(mesh, named_form_field(name), **kwargs)
@@ -130,3 +153,24 @@ def test_edge_midpoints_match_the_midpoint_formulas(name, make):
     n_mid /= np.linalg.norm(n_mid, axis=1)[:, None]
     assert _barycentric(boundary.vertices, edges, half).tobytes() == want_mids.tobytes()
     assert n_mid.tobytes() == want_n.tobytes()
+
+
+def test_kernel_keeps_negative_zeros_that_einsum_made_positive(tmp_path):
+    """On a flat face the fitted normals have -0.0 components.  A node whose
+    every product is -0.0 stays -0.0 in the kernel, which starts from the first
+    product; np.einsum starts from +0.0.  Nothing else differs, and the ledgers
+    on this mesh keep their recorded bits (the cube rows of the golden file)."""
+    save_tet(_cube(3), tmp_path / "cube.tet")
+    mesh = load_mesh(tmp_path / "cube.tet")
+    boundary, _ = mesh.boundary_mesh()
+    shape = discrete_shape(boundary)
+    for order in (1, 2):
+        _, _, face_ids, bary_all = oracle.tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
+        want_n, want_s = oracle.interpolated_shape(shape.normals, shape.shape_world, boundary.cells, face_ids, bary_all)
+        bary = _rule(3, order)
+        assert _barycentric(shape.shape_world, boundary.cells, bary).tobytes() == want_s.tobytes()
+        n = _barycentric(shape.normals, boundary.cells, bary)
+        assert np.array_equal(n, want_n)
+        moved = np.signbit(n) != np.signbit(want_n)
+        assert moved.any()
+        assert (n[moved] == 0).all() and np.signbit(n[moved]).all()
