@@ -12,7 +12,8 @@ import numpy as np
 
 from hodgebench import (
     AlternatingForm,
-    GeometryCase,
+    MeshCase,
+    SphereCase,
     equality_case_diagnostics,
     generate_ball,
     generate_torus,
@@ -29,23 +30,23 @@ verdicts = []
 
 # spheres: every bound is attained exactly
 for n, radius in [(2, 1.0), (2, 2.0), (3, 1.0), (5, 1.0)]:
-    case = GeometryCase.sphere(n, radius)
+    case = SphereCase(n, radius)
     for p in range(1, (n + 1) // 2 + 1):
         verdicts.append(main_lower_bound(case, p))
     verdicts.append(xia_bound(case))
     verdicts.append(upper_bound_degree_one(case))
 for p in (2, 3):  # sharp middle degree on odd spheres
-    verdicts.append(upper_bound_degree_p(GeometryCase.sphere(2 * p - 1, 1.0), p))
+    verdicts.append(upper_bound_degree_p(SphereCase(2 * p - 1, 1.0), p))
 
 # convex ellipsoid meshes: satisfied with strictly positive slack
 for abc in [(1.0, 1.0, 1.2), (1.0, 1.1, 1.2)]:
-    case = GeometryCase.ellipsoid(*abc, subdivisions=3)
+    case = MeshCase.ellipsoid(*abc, subdivisions=3)
     verdicts.append(main_lower_bound(case, 1))
     verdicts.append(xia_bound(case))
     verdicts.append(upper_bound_degree_one(case))
 
 # torus: nontrivial H^1 gates the parallel-form upper bound
-verdicts.append(upper_bound_degree_one(GeometryCase.from_surface_mesh(generate_torus(16, 8))))
+verdicts.append(upper_bound_degree_one(MeshCase(generate_torus(16, 8))))
 
 print(verdict_table(verdicts))
 

@@ -50,7 +50,8 @@ from .reilly import (
 )
 from .bounds import (
     BoundVerdict,
-    GeometryCase,
+    MeshCase,
+    SphereCase,
     equality_case_diagnostics,
     main_lower_bound,
     special_killing_relation,

@@ -2,13 +2,14 @@
 
 Every check produces a BoundVerdict with the two sides of the inequality,
 an explicit satisfied/violated/inapplicable status, the signed slack
-(oriented so that >= 0 means satisfied) and a tightness measure.  Analytic
-sphere cases use closed-form curvatures and spectra; mesh cases use the
-quadric-fitted shape operator and the DEC spectrum.
+(oriented so that >= 0 means satisfied) and a tightness measure.  A
+``SphereCase`` uses closed-form curvatures and spectra; a ``MeshCase`` uses
+the quadric-fitted shape operator and the DEC spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ from .spectrum import spectrum, sphere_hodge_oracle
 
 __all__ = [
     "BoundVerdict",
-    "GeometryCase",
+    "SphereCase",
+    "MeshCase",
     "main_lower_bound",
     "xia_bound",
     "upper_bound_degree_one",
@@ -62,10 +64,22 @@ class BoundVerdict:
         return asdict(self)
 
 
+def check_tolerance(value, name: str = "tolerance") -> None:
+    """Raise ValueError unless ``value`` is a finite positive number (a bool is not)."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def _verdict(name, formula, tol, geometry, sides=None, note=""):
     """The verdict on ``sides`` = (lhs, rhs, orient): orient=+1 means lhs >= rhs
     must hold, -1 lhs <= rhs, 0 lhs == rhs.  Without sides the bound does not
-    apply: the verdict is 'inapplicable', with NaN sides, slack and tightness."""
+    apply: the verdict is 'inapplicable', with NaN sides, slack and tightness.
+    A NaN, infinite or non-positive ``tol`` is refused: it would decide nothing."""
+    check_tolerance(tol)
     lhs = rhs = slack = tightness = float("nan")
     status = "inapplicable"
     if sides is not None:
@@ -91,38 +105,17 @@ def _verdict(name, formula, tol, geometry, sides=None, note=""):
 
 
 # ---------------------------------------------------------------------------
-# geometry cases
+# geometry cases: each knows its curvatures, spectrum and default tolerance.
+# Every interior is flat Euclidean, so the curvature term of the lower bound
+# never turns it inapplicable.
 
 
-class GeometryCase:
-    """A geometry the bounds run on: analytic sphere or mesh-backed surface.
+class SphereCase:
+    """The round n-sphere of the given radius: closed-form curvatures and spectra."""
 
-    Analytic spheres know their curvatures and spectra in closed form; mesh
-    cases compute them from the quadric-fitted shape operator and the DEC
-    Laplacian, lazily and cached.  Every interior is flat Euclidean, so the
-    curvature term of the lower bound never turns it inapplicable.
-    """
+    tol = ANALYTIC_TOL
 
-    def __init__(
-        self,
-        kind: str,
-        boundary_dim: int,
-        radius: float | None = None,
-        mesh: MeshComplex | None = None,
-        label: str = "",
-    ):
-        if kind not in ("analytic-sphere", "mesh-surface"):
-            raise ValueError(f"unknown case kind {kind!r}")
-        self.kind = kind
-        self.boundary_dim = boundary_dim
-        self.radius = radius
-        self.mesh = mesh
-        self.label = label or kind
-        self._spectrum0 = None
-
-    # constructors ------------------------------------------------------
-    @classmethod
-    def sphere(cls, n: int, radius: float = 1.0) -> "GeometryCase":
+    def __init__(self, n: int, radius: float = 1.0):
         if n < 1:
             raise ValueError(f"sphere dimension must be >= 1, got n={n}")
         # the eigenvalues divide by radius**2, which must not overflow or vanish
@@ -134,105 +127,92 @@ class GeometryCase:
         # a huge n is refused without the int-to-float conversion that overflows
         if not n <= 1e154 * radius:
             raise ValueError(f"sphere n/radius must be at most 1e154 for finite sides, got n={n}, radius={radius}")
-        return cls(
-            "analytic-sphere", n, radius=radius, label=f"sphere(n={n}, r={radius:g})"
-        )
-
-    @classmethod
-    def from_surface_mesh(cls, mesh: MeshComplex, label: str = ""):
-        if mesh.kind != "surface":
-            raise ValueError("mesh case needs a surface mesh")
-        return cls(
-            "mesh-surface",
-            2,
-            mesh=mesh,
-            label=label or mesh.metadata.get("generator", "mesh"),
-        )
-
-    @classmethod
-    def ellipsoid(cls, a, b, c, subdivisions: int = 3):
-        mesh = generate_ellipsoid(a, b, c, subdivisions)
-        return cls.from_surface_mesh(mesh, label=f"ellipsoid({a:g},{b:g},{c:g}; s={subdivisions})")
-
-    # data --------------------------------------------------------------
-    @property
-    def is_analytic(self) -> bool:
-        return self.kind == "analytic-sphere"
+        self.boundary_dim = n
+        self.radius = radius
+        self.label = f"sphere(n={n}, r={radius:g})"
 
     def describe(self) -> dict:
-        out = {"label": self.label, "kind": self.kind, "n": self.boundary_dim}
-        if self.is_analytic:
-            out["radius"] = self.radius
-        else:
-            out["mesh"] = {
-                "n_vertices": self.mesh.n_vertices,
-                "metadata": self.mesh.metadata,
-            }
-        return out
-
-    def spectrum0(self):
-        if self._spectrum0 is None:
-            self._spectrum0 = spectrum(self.mesh, 0, SPECTRUM_K)
-        return self._spectrum0
+        return {"label": self.label, "kind": "analytic-sphere", "n": self.boundary_dim, "radius": self.radius}
 
     def sigma(self, p: int) -> float:
-        """Lowest p-curvature over the boundary."""
-        n = self.boundary_dim
-        if not 1 <= p <= n:
-            raise ValueError(f"p={p} out of range 1..{n}")
-        if self.is_analytic:
-            return p / self.radius
+        """Lowest p-curvature: every principal curvature is 1/radius."""
+        if not 1 <= p <= self.boundary_dim:
+            raise ValueError(f"p={p} out of range 1..{self.boundary_dim}")
+        return p / self.radius
+
+    def lambda1_exact(self, p: int) -> float:
+        """First eigenvalue on exact p-forms."""
+        lam, _ = sphere_hodge_oracle(self.boundary_dim, p)
+        return lam / self.radius**2
+
+    def h1_trivial(self) -> bool:
+        # n=1 is kept applicable: the circle attains the degree-one upper
+        # bound with equality and serves as its sharpness case
+        return True
+
+    def mean_shape_norm_sq(self, p: int) -> float:
+        """Top-p partial sum |S|_p^2 of the squared principal curvatures."""
+        return p / self.radius**2
+
+
+class MeshCase:
+    """A closed surface mesh: quadric-fitted curvatures and the DEC function
+    spectrum, computed when first asked for."""
+
+    tol = MESH_TOL
+    boundary_dim = 2
+
+    def __init__(self, mesh: MeshComplex, label: str = ""):
+        if mesh.kind != "surface":
+            raise ValueError("mesh case needs a surface mesh")
+        self.mesh = mesh
+        self.label = label or mesh.metadata.get("generator", "mesh")
+        self._lambda1 = None
+
+    @classmethod
+    def ellipsoid(cls, a, b, c, subdivisions: int = 3) -> "MeshCase":
+        mesh = generate_ellipsoid(a, b, c, subdivisions)
+        return cls(mesh, label=f"ellipsoid({a:g},{b:g},{c:g}; s={subdivisions})")
+
+    def describe(self) -> dict:
+        mesh = {"n_vertices": self.mesh.n_vertices, "metadata": self.mesh.metadata}
+        return {"label": self.label, "kind": "mesh-surface", "n": 2, "mesh": mesh}
+
+    def sigma(self, p: int) -> float:
+        """Lowest p-curvature over the vertices."""
+        if not 1 <= p <= 2:
+            raise ValueError(f"p={p} out of range 1..2")
         return lowest_p_curvature_global(discrete_shape(self.mesh).principal, p)
 
     def lambda1_exact(self, p: int) -> float:
-        """First eigenvalue on exact p-forms of the boundary."""
-        n = self.boundary_dim
-        if self.is_analytic:
-            lam, _ = sphere_hodge_oracle(n, p)
-            return lam / self.radius**2
-        if p == 1:
-            return self.spectrum0().first_positive()
-        raise ValueError("mesh-backed spectra only provide the degree-1 value")
+        """First positive function eigenvalue, the exact 1-form one (p = 1 only)."""
+        if p != 1:
+            raise ValueError("mesh-backed spectra only provide the degree-1 value")
+        if self._lambda1 is None:
+            self._lambda1 = spectrum(self.mesh, 0, SPECTRUM_K).first_positive()
+        return self._lambda1
 
     def h1_trivial(self) -> bool:
-        if self.is_analytic:
-            # n=1 is kept applicable: the circle attains the degree-one upper
-            # bound with equality and serves as its sharpness case
-            return True
         return self.mesh.betti_numbers()[1] == 0
 
-    def mean_shape_norm_sq(self, p: int | None = None) -> float:
-        """Area-averaged |S|^2 (or top-p partial sum |S|_p^2)."""
-        n = self.boundary_dim
-        if self.is_analytic:
-            count = n if p is None else p
-            return count / self.radius**2
+    def mean_shape_norm_sq(self, p: int) -> float:
+        """Area-averaged top-p partial sum |S|_p^2 of the squared principal curvatures."""
         sh = discrete_shape(self.mesh)
-        if p is None:
-            vals = (sh.principal**2).sum(axis=1)
-        else:
-            vals = np.sort(sh.principal**2, axis=1)[:, -p:].sum(axis=1)
+        vals = np.sort(sh.principal**2, axis=1)[:, -p:].sum(axis=1)
         return float((sh.areas * vals).sum() / sh.areas.sum())
 
 
 # ---------------------------------------------------------------------------
-# inequality checks
+# inequality checks; a tolerance of None is the case's own
 
 
-def _default_tol(case: GeometryCase, tol: float | None) -> float:
-    """``tol``, or the default of the case's kind when it is None."""
-    if tol is not None:
-        return tol
-    return ANALYTIC_TOL if case.is_analytic else MESH_TOL
-
-
-def main_lower_bound(case: GeometryCase, p: int, tol: float | None = None) -> BoundVerdict:
+def main_lower_bound(case: SphereCase | MeshCase, p: int, tol: float | None = None) -> BoundVerdict:
     """Lower bound of the first exact p-form eigenvalue by the product of the
     extreme p- and (n-p+1)-curvatures, for p-convex boundaries of flat (or
     nonnegatively curved) domains."""
     n = case.boundary_dim
     name, formula = "p_form_lower_bound", "lambda'_1,p >= sigma_p * sigma_(n-p+1)"
-    tol = _default_tol(case, tol)
+    tol = case.tol if tol is None else tol
     geometry = case.describe() | {"p": p}
     if not 1 <= p <= (n + 1) / 2:
         return _verdict(name, formula, tol, geometry, note=f"requires 1 <= p <= (n+1)/2, got p={p}")
@@ -245,12 +225,12 @@ def main_lower_bound(case: GeometryCase, p: int, tol: float | None = None) -> Bo
     return _verdict(name, formula, tol, geometry, (lhs, rhs, +1))
 
 
-def xia_bound(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
+def xia_bound(case: SphereCase | MeshCase, tol: float | None = None) -> BoundVerdict:
     """Function-Laplacian lower bound n*c^2 for convex boundaries with all
     principal curvatures >= c > 0."""
     n = case.boundary_dim
     name, formula = "xia_bound", "lambda_1 >= n * c^2"
-    tol = _default_tol(case, tol)
+    tol = case.tol if tol is None else tol
     geometry = case.describe()
     c = case.sigma(1)
     if c <= 0:
@@ -260,22 +240,22 @@ def xia_bound(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
     return _verdict(name, formula, tol, geometry, (lhs, rhs, +1))
 
 
-def upper_bound_degree_one(case: GeometryCase, tol: float | None = None) -> BoundVerdict:
+def upper_bound_degree_one(case: SphereCase | MeshCase, tol: float | None = None) -> BoundVerdict:
     """Upper bound of the function eigenvalue by the averaged squared shape
     norm, for boundaries with trivial first cohomology in a flat ambient."""
     n = case.boundary_dim
     name, formula = "parallel_upper_bound_degree_one", "lambda_1 <= n * avg|S|^2"
-    tol = _default_tol(case, tol)
+    tol = case.tol if tol is None else tol
     geometry = case.describe()
     if not case.h1_trivial():
         note = "nontrivial H^1: harmonic 1-forms absorb the parallel restrictions"
         return _verdict(name, formula, tol, geometry, note=note)
     lhs = case.lambda1_exact(1)
-    rhs = n * case.mean_shape_norm_sq()
+    rhs = n * case.mean_shape_norm_sq(n)
     return _verdict(name, formula, tol, geometry, (lhs, rhs, -1))
 
 
-def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -> BoundVerdict:
+def upper_bound_degree_p(case: SphereCase | MeshCase, p: int, tol: float | None = None) -> BoundVerdict:
     """Upper bound of the exact p-form eigenvalue by alpha(p) times the
     averaged top-alpha(p) squared curvature sum, alpha(p) = max(p, n-p+1).
 
@@ -286,7 +266,7 @@ def upper_bound_degree_p(case: GeometryCase, p: int, tol: float | None = None) -
     n = case.boundary_dim
     alpha = max(p, n - p + 1)
     formula = "lambda'_1,p <= alpha(p) * avg|S|^2_alpha(p)"
-    tol = _default_tol(case, tol)
+    tol = case.tol if tol is None else tol
     geometry = case.describe() | {"p": p, "alpha": alpha}
     if not 2 <= p <= n - 1:
         raise ValueError(f"p={p} out of range 2..{n - 1}")
@@ -302,9 +282,9 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
 
     Returns (eigenvalue, BoundVerdict).
     """
-    tol = tol if tol is not None else ANALYTIC_TOL
-    if c < 0:
-        raise ValueError("special Killing number c must be >= 0")
+    tol = ANALYTIC_TOL if tol is None else tol
+    if not 0 <= c < np.inf:
+        raise ValueError(f"special Killing number c must be finite and >= 0, got {c}")
     if not 1 <= p + 1 <= n:
         raise ValueError(f"degree p+1={p + 1} out of range 1..{n}")
     value = c * (p + 1) * (n - p)
@@ -312,6 +292,8 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
     formula = "lambda''_1,p = lambda'_1,p+1 = c(p+1)(n-p)"
     lam_unit, _ = sphere_hodge_oracle(n, p + 1)
     sphere_value = lam_unit * c  # radius 1/sqrt(c); zero for c = 0
+    if not max(value, sphere_value) < np.inf:
+        raise ValueError(f"special Killing eigenvalue c(p+1)(n-p) overflows for c={c}, p={p}, n={n}")
     return value, _verdict("special_killing_eigenvalue", formula, tol, geometry, (value, sphere_value, 0))
 
 
@@ -355,12 +337,12 @@ def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> Equality
         if not (0 < r < np.inf and 3.0 / r < np.inf):
             raise ValueError(f"radius must be finite and positive, as must 3/radius, got {radius}")
         ratio = ball.area() / ball.volume()
-        case = GeometryCase.from_surface_mesh(ball.boundary_mesh()[0])
+        case = MeshCase(ball.boundary_mesh()[0])
         h_mean = float(discrete_shape(case.mesh).mean.mean())
         geometry = {"label": "mesh-ball", "metadata": ball.metadata, "p": p}
     else:
         tol = ANALYTIC_TOL
-        case = GeometryCase.sphere(int(ball), radius)
+        case = SphereCase(int(ball), radius)
         r = radius
         ratio = (case.boundary_dim + 1) / r
         h_mean = 1.0 / r

@@ -18,14 +18,15 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bounds import (
-    GeometryCase,
+    MeshCase,
+    SphereCase,
+    check_tolerance,
     equality_case_diagnostics,
     main_lower_bound,
     special_killing_relation,
@@ -82,7 +83,7 @@ _GEOMETRIES = {
         generate_torus,
         (("NU", int, 24), ("NV", int, 12), ("R", float, 2.0), ("r", float, 0.7)),
     ),
-    "sphere": (GeometryCase.sphere, (("N", int, 2), ("RADIUS", float, 1.0))),
+    "sphere": (SphereCase, (("N", int, 2), ("RADIUS", float, 1.0))),
 }
 
 
@@ -228,7 +229,7 @@ def _sphere_suite(tol):
     verdicts = []
     for n in (1, 2, 3, 4, 5):
         for radius in (1.0, 2.0):
-            case = GeometryCase.sphere(n, radius)
+            case = SphereCase(n, radius)
             for p in range(1, (n + 1) // 2 + 1):
                 verdicts.append(main_lower_bound(case, p, tol))
             verdicts.append(xia_bound(case, tol))
@@ -254,7 +255,7 @@ def _ellipsoid_suite(tol, p):
         (1.0, 1.0, 1.3),
         (1.0, 1.2, 1.3),
     ]
-    return [v for abc in axes for v in _surface_verdicts(GeometryCase.ellipsoid(*abc), p, tol)]
+    return [v for abc in axes for v in _surface_verdicts(MeshCase.ellipsoid(*abc), p, tol)]
 
 
 def cmd_bounds(cfg: argparse.Namespace) -> int:
@@ -280,11 +281,7 @@ def cmd_bounds(cfg: argparse.Namespace) -> int:
         reports.append(equality_case_diagnostics(generate_ball(3), p=p))
     elif cfg.geometry:
         geo = parse_geometry(cfg.geometry)
-        case = (
-            geo
-            if isinstance(geo, GeometryCase)
-            else GeometryCase.from_surface_mesh(geo)
-        )
+        case = MeshCase(geo) if isinstance(geo, MeshComplex) else geo
         verdicts = _surface_verdicts(case, p, cfg.tol)
     else:
         raise ValueError("provide --suite or --geometry")
@@ -383,13 +380,7 @@ def _check_tolerances(args: argparse.Namespace) -> None:
     for dest, flag in (("tol", "--tol"), ("cluster_tol", "--cluster-tol")):
         if dest not in args or (dest == "tol" and args.tol is None):
             continue  # not the subcommand's option; without --tol each verdict has its own default
-        value = getattr(args, dest)
-        try:
-            ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
-        except (TypeError, OverflowError):  # not a number, or an int beyond float
-            ok = False
-        if not ok:
-            raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
+        check_tolerance(getattr(args, dest), flag)
 
 
 def main(argv=None) -> int:

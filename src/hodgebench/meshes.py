@@ -1013,9 +1013,13 @@ class SphereSurface:
         self.dim = dim
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
 
+    def _unit(self, points) -> np.ndarray:
+        # in units of the radius, so the norm squares numbers near 1 at any radius
+        q = (np.atleast_2d(points) - self.center) / self.radius
+        return q / np.linalg.norm(q, axis=1)[:, None]
+
     def normals(self, points) -> np.ndarray:
-        q = np.atleast_2d(points) - self.center
-        return -q / np.linalg.norm(q, axis=1)[:, None]
+        return -self._unit(points)
 
     def shape_world(self, points) -> np.ndarray:
         n = self.normals(points)
@@ -1023,8 +1027,7 @@ class SphereSurface:
         return proj / self.radius
 
     def project(self, points) -> np.ndarray:
-        q = np.atleast_2d(points) - self.center
-        return self.center + self.radius * q / np.linalg.norm(q, axis=1)[:, None]
+        return self.center + self.radius * self._unit(points)
 
 
 def boundary_surface(mesh: MeshComplex) -> SphereSurface | None:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from hodgebench.bounds import (
-    GeometryCase,
+    MeshCase,
+    SphereCase,
     equality_case_diagnostics,
     main_lower_bound,
     special_killing_relation,
@@ -170,7 +171,7 @@ def test_criterion_7_bounds_suite():
         all_verdicts = []
         for n in (1, 2, 3, 4, 5):
             for radius in (1.0, 2.0):
-                case = GeometryCase.sphere(n, radius)
+                case = SphereCase(n, radius)
                 for p in range(1, (n + 1) // 2 + 1):
                     v = main_lower_bound(case, p)
                     assert v.satisfied and v.tightness <= 1e-12
@@ -183,7 +184,7 @@ def test_criterion_7_bounds_suite():
             assert v.satisfied and v.tightness <= 1e-12
             all_verdicts.append(v)
         for p in (2, 3):  # odd spheres at the sharp middle degree
-            v = upper_bound_degree_p(GeometryCase.sphere(2 * p - 1, 1.0), p)
+            v = upper_bound_degree_p(SphereCase(2 * p - 1, 1.0), p)
             assert v.satisfied and v.tightness <= 1e-12
             all_verdicts.append(v)
 
@@ -195,7 +196,7 @@ def test_criterion_7_bounds_suite():
             (1.0, 1.2, 1.3),
         ]
         for abc in axes:
-            case = GeometryCase.ellipsoid(*abc, subdivisions=3)
+            case = MeshCase.ellipsoid(*abc, subdivisions=3)
             for v in (
                 main_lower_bound(case, 1, tol=0.03),
                 xia_bound(case, tol=0.03),

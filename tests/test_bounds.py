@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hodgebench.bounds import (
-    GeometryCase,
+    MeshCase,
+    SphereCase,
     _verdict,
     equality_case_diagnostics,
     main_lower_bound,
@@ -27,7 +28,7 @@ from hodgebench.spectrum import sphere_hodge_oracle
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("radius", [1.0, 2.0, 0.5])
 def test_sphere_lower_bound_equality(n, radius):
-    case = GeometryCase.sphere(n, radius)
+    case = SphereCase(n, radius)
     for p in range(1, (n + 1) // 2 + 1):
         verdict = main_lower_bound(case, p)
         assert verdict.satisfied
@@ -37,21 +38,21 @@ def test_sphere_lower_bound_equality(n, radius):
 @pytest.mark.parametrize("radius", [1.0, 3.0])
 def test_sphere_xia_equality(radius):
     for n in (1, 2, 3, 4):
-        verdict = xia_bound(GeometryCase.sphere(n, radius))
+        verdict = xia_bound(SphereCase(n, radius))
         assert verdict.satisfied
         assert verdict.tightness <= 1e-12
         assert np.isclose(verdict.rhs, n / radius**2)
 
 
 def test_circle_upper_bound_equality():
-    verdict = upper_bound_degree_one(GeometryCase.sphere(1, 1.0))
+    verdict = upper_bound_degree_one(SphereCase(1, 1.0))
     assert verdict.satisfied
     assert verdict.tightness <= 1e-12
     assert verdict.lhs == 1.0 and verdict.rhs == 1.0
 
 
 def test_sphere_upper_bound_degree_one_satisfied():
-    verdict = upper_bound_degree_one(GeometryCase.sphere(2, 1.0))
+    verdict = upper_bound_degree_one(SphereCase(2, 1.0))
     assert verdict.satisfied
     assert verdict.lhs == 2.0 and verdict.rhs == 4.0
 
@@ -60,26 +61,26 @@ def test_upper_bound_degree_p_sharp_at_middle():
     # odd spheres at the middle degree: p^2 <= p * p with equality
     for p in (2, 3, 4):
         n = 2 * p - 1
-        verdict = upper_bound_degree_p(GeometryCase.sphere(n, 1.0), p)
+        verdict = upper_bound_degree_p(SphereCase(n, 1.0), p)
         assert verdict.satisfied
         assert verdict.tightness <= 1e-12
         assert np.isclose(verdict.lhs, p * p)
 
 
 def test_upper_bound_degree_p_alpha():
-    verdict = upper_bound_degree_p(GeometryCase.sphere(4, 1.0), 2)
+    verdict = upper_bound_degree_p(SphereCase(4, 1.0), 2)
     assert verdict.geometry["alpha"] == 3  # max(2, 4-2+1)
     assert verdict.satisfied
 
 
 def test_upper_bound_degree_p_range_error():
     with pytest.raises(ValueError):
-        upper_bound_degree_p(GeometryCase.sphere(4, 1.0), 1)
+        upper_bound_degree_p(SphereCase(4, 1.0), 1)
 
 
 def test_convex_lower_bound_dominates_isotropic():
     # for sigma_p >= p*c the product bound dominates p(n-p+1)c^2
-    case = GeometryCase.sphere(4, 2.0)
+    case = SphereCase(4, 2.0)
     c = case.sigma(1)
     for p in range(1, 3):
         verdict = main_lower_bound(case, p)
@@ -121,6 +122,35 @@ def test_special_killing_rejects_negative_number():
         special_killing_relation(-1.0, 1, 3)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, 1e308])
+def test_special_killing_refuses_nonfinite_values(c):
+    # NaN and inf gave a 'violated' verdict with NaN slack; at 1e308 the
+    # eigenvalue c(p+1)(n-p) overflowed to inf and did the same
+    with pytest.raises(ValueError, match="special Killing"):
+        special_killing_relation(c, 1, 2)
+
+
+TOLERANCE_BOUNDS = {
+    "lower": lambda tol: main_lower_bound(SphereCase(2), 1, tol),
+    "lower-inapplicable": lambda tol: main_lower_bound(SphereCase(2), 2, tol),
+    "xia": lambda tol: xia_bound(SphereCase(2), tol),
+    "upper-1": lambda tol: upper_bound_degree_one(SphereCase(2), tol),
+    "upper-p": lambda tol: upper_bound_degree_p(SphereCase(3), 2, tol),
+    "killing": lambda tol: special_killing_relation(1.0, 1, 2, tol)[1],
+}
+
+
+@pytest.mark.parametrize(
+    "tol", [np.nan, np.inf, -1.0, 0.0, True, "0.1", 10**400],
+    ids=["nan", "inf", "negative", "zero", "bool", "string", "int-beyond-float"],
+)
+@pytest.mark.parametrize("bound", sorted(TOLERANCE_BOUNDS))
+def test_verdicts_refuse_what_the_cli_refuses_as_tolerance(bound, tol):
+    # a NaN tolerance once gave a 'violated' verdict that reported it
+    with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+        TOLERANCE_BOUNDS[bound](tol)
+
+
 # ---------------------------------------------------------------------------
 # parallel restriction identities on round spheres
 
@@ -139,7 +169,7 @@ def test_parallel_restriction_on_spheres():
 
 @pytest.fixture(scope="module")
 def ellipsoid_case():
-    return GeometryCase.ellipsoid(1.0, 1.0, 1.2, 3)
+    return MeshCase.ellipsoid(1.0, 1.0, 1.2, 3)
 
 
 def test_ellipsoid_verdicts_satisfied(ellipsoid_case):
@@ -158,21 +188,21 @@ def test_ellipsoid_applicability_flags(ellipsoid_case):
 
 
 def test_lower_bound_inapplicable_when_not_convex():
-    torus_case = GeometryCase.from_surface_mesh(generate_torus(16, 8))
+    torus_case = MeshCase(generate_torus(16, 8))
     verdict = main_lower_bound(torus_case, 1)
     assert verdict.status == "inapplicable"
     assert not verdict.applicable
 
 
 def test_upper_bound_gate_on_torus():
-    torus_case = GeometryCase.from_surface_mesh(generate_torus(16, 8))
+    torus_case = MeshCase(generate_torus(16, 8))
     verdict = upper_bound_degree_one(torus_case)
     assert verdict.status == "inapplicable"
     assert "H^1" in verdict.note
 
 
 def test_duality_consistent_rhs():
-    case = GeometryCase.sphere(4, 1.3)
+    case = SphereCase(4, 1.3)
     n = 4
     for p in (1, 2):
         a = main_lower_bound(case, p)
@@ -181,7 +211,7 @@ def test_duality_consistent_rhs():
 
 
 def test_out_of_range_p_is_inapplicable():
-    case = GeometryCase.sphere(3, 1.0)
+    case = SphereCase(3, 1.0)
     verdict = main_lower_bound(case, 3)  # p > (n+1)/2
     assert verdict.status == "inapplicable"
 
@@ -208,7 +238,7 @@ def test_ball_diagnostics_analytic_p_range():
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
 def test_ball_diagnostics_refuse_bad_radii(radius):
-    # the analytic ball is a GeometryCase.sphere, which validates its radius;
+    # the analytic ball is a SphereCase, which validates its radius;
     # 0.0 once divided by zero and -1.0 reported a satisfied ball
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         equality_case_diagnostics(2, radius=radius)
@@ -237,7 +267,7 @@ def test_ball_diagnostics_mesh():
 
 
 def test_verdict_semantics():
-    verdict = xia_bound(GeometryCase.sphere(2, 1.0))
+    verdict = xia_bound(SphereCase(2, 1.0))
     assert verdict.satisfied == (verdict.slack >= -verdict.tolerance * max(abs(verdict.lhs), abs(verdict.rhs)))
     d = verdict.to_dict()
     assert d["name"] == "xia_bound"
@@ -246,7 +276,7 @@ def test_verdict_semantics():
 
 def test_verdict_measures_tiny_sides_against_themselves():
     # sides below 1e-300: a radius of 1e152 puts both sides near 2e-304
-    case = GeometryCase.sphere(2, 1e152)
+    case = SphereCase(2, 1e152)
     upper = upper_bound_degree_one(case)
     assert (upper.lhs, upper.rhs, upper.status, upper.tightness) == (2e-304, 4e-304, "satisfied", 0.5)
     for verdict in (main_lower_bound(case, 1), xia_bound(case)):
@@ -260,8 +290,8 @@ def test_verdict_measures_tiny_sides_against_themselves():
 
 def test_verdict_table_and_json():
     verdicts = [
-        xia_bound(GeometryCase.sphere(2, 1.0)),
-        upper_bound_degree_one(GeometryCase.sphere(2, 1.0)),
+        xia_bound(SphereCase(2, 1.0)),
+        upper_bound_degree_one(SphereCase(2, 1.0)),
     ]
     table = verdict_table(verdicts)
     assert "xia_bound" in table and "satisfied" in table
@@ -275,7 +305,7 @@ def test_verdict_table_and_json():
 
 @pytest.fixture(scope="module")
 def unit_ellipsoid_verdicts():
-    case = GeometryCase.from_surface_mesh(generate_ellipsoid(1.0, 1.1, 1.2, 2))
+    case = MeshCase(generate_ellipsoid(1.0, 1.1, 1.2, 2))
     return main_lower_bound(case, 1), xia_bound(case)
 
 
@@ -284,7 +314,7 @@ def test_mesh_verdicts_do_not_depend_on_units(unit_ellipsoid_verdicts, j):
     # the pencil solve and the quadric fit are both exact under scaling by
     # 2^j: the sides scale by 4^-j and the tightness keeps its bits
     mesh = generate_ellipsoid(1.0, 1.1, 1.2, 2)
-    case = GeometryCase.from_surface_mesh(MeshComplex(np.ldexp(mesh.vertices, j), mesh.cells))
+    case = MeshCase(MeshComplex(np.ldexp(mesh.vertices, j), mesh.cells))
     for got, want in zip((main_lower_bound(case, 1), xia_bound(case)), unit_ellipsoid_verdicts):
         assert got.status == want.status == "satisfied"
         assert (got.lhs, got.rhs) == (np.ldexp(want.lhs, -2 * j), np.ldexp(want.rhs, -2 * j))

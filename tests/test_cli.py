@@ -13,7 +13,7 @@ from hodgebench.cli import (
     main,
     parse_geometry,
 )
-from hodgebench.bounds import GeometryCase
+from hodgebench.bounds import SphereCase
 from hodgebench.fields import named_scalar_field
 from hodgebench.meshes import generate_ball, generate_torus, load_mesh, save_tet
 from hodgebench.reilly import evaluate_classical_reilly
@@ -28,7 +28,7 @@ def test_parse_geometry_specs():
     assert parse_geometry("ellipsoid:1,1,1.2").metadata["semi_axes"] == [1.0, 1.0, 1.2]
     assert parse_geometry("torus:12,8").betti_numbers() == (1, 2, 1)
     case = parse_geometry("sphere:3,2.0")
-    assert isinstance(case, GeometryCase)
+    assert isinstance(case, SphereCase)
     assert case.radius == 2.0
     for spec in ("klein:1", "ball:1"):  # no subcommand takes a solid
         with pytest.raises(ValueError, match="unknown geometry"):
@@ -308,6 +308,7 @@ def test_deterministic_outputs(tmp_path):
 
 
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "golden_bounds_spheres.json"
+GOLDEN_MESH_BOUNDS = json.loads((Path(__file__).parent / "data" / "golden_bounds_meshes.json").read_text())
 
 
 def _stamp_line(data):
@@ -366,6 +367,19 @@ def test_bounds_sphere_suite_matches_golden(tmp_path):
     written = (tmp_path / "bounds.json").read_bytes()
     assert written.count(out) == 1
     assert written.replace(out, b'"<out>"') == GOLDEN_BOUNDS.read_bytes()
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_MESH_BOUNDS))
+def test_bounds_mesh_reports_match_golden(tmp_path, key):
+    """The mesh verdicts (DEC spectrum, quadric fit) and the ball diagnostics,
+    byte for byte with ``config.out`` masked as above, and the exit code.  The
+    reports are the same at one and two BLAS threads."""
+    golden = GOLDEN_MESH_BOUNDS[key]
+    assert main([*golden["argv"], "--out", str(tmp_path)]) == golden["exit_code"]
+    out = json.dumps(str(tmp_path)).encode()
+    written = (tmp_path / "bounds.json").read_bytes()
+    assert written.count(out) == 1
+    assert written.replace(out, b'"<out>"') == golden["report"].encode()
 
 
 def test_version_flag(capsys):

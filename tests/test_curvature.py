@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgebench.bounds import GeometryCase
+from hodgebench.bounds import MeshCase, SphereCase
 from hodgebench.curvature import is_p_convex, lowest_p_curvature_global, p_curvature_list
 from hodgebench.exterior import induced_endomorphism
 from hodgebench.meshes import MeshComplex, discrete_shape, generate_ellipsoid
@@ -92,24 +92,25 @@ def top_p_squared(eta, p):
 
 def test_sum_largest_squared():
     # the bounds' area average of |S|_p^2 over an ellipsoid mesh
-    case = GeometryCase.ellipsoid(1.0, 1.1, 1.3, subdivisions=2)
+    case = MeshCase.ellipsoid(1.0, 1.1, 1.3, subdivisions=2)
     shape = discrete_shape(case.mesh)
     for p in (1, 2):
         want = sum(a * top_p_squared(eta, p) for a, eta in zip(shape.areas, shape.principal))
         assert np.isclose(case.mean_shape_norm_sq(p), want / shape.areas.sum(), rtol=1e-13)
-    # at p = n the partial sum is the full squared norm
-    assert np.isclose(case.mean_shape_norm_sq(2), case.mean_shape_norm_sq(), rtol=1e-13)
+    # at p = n the partial sum is the full squared norm, to the bit
+    full = (shape.areas * (shape.principal**2).sum(axis=1)).sum() / shape.areas.sum()
+    assert case.mean_shape_norm_sq(2) == full
     for n in (1, 3, 5):
-        sphere = GeometryCase.sphere(n, 2.0)
+        sphere = SphereCase(n, 2.0)
         for p in range(1, n + 1):
             assert sphere.mean_shape_norm_sq(p) == p / 4.0
 
 
 def test_shape_norm_monotone_in_p():
-    case = GeometryCase.sphere(6, 1.5)
+    case = SphereCase(6, 1.5)
     vals = [case.mean_shape_norm_sq(p) for p in range(1, 7)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-    mesh_case = GeometryCase.ellipsoid(0.9, 1.0, 1.2, subdivisions=2)
+    mesh_case = MeshCase.ellipsoid(0.9, 1.0, 1.2, subdivisions=2)
     assert mesh_case.mean_shape_norm_sq(1) <= mesh_case.mean_shape_norm_sq(2)
 
 

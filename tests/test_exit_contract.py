@@ -25,7 +25,7 @@ from scipy.sparse.linalg import ArpackError
 
 import hodgebench
 from hodgebench import cli
-from hodgebench.bounds import GeometryCase
+from hodgebench.bounds import SphereCase
 from hodgebench.cli import EXIT_NO_CONVERGENCE, EXIT_VIOLATION, main
 from hodgebench.meshes import MeshComplex, generate_ball, generate_icosphere, generate_torus, save_tet
 from test_meshes import glue_at_vertex
@@ -336,8 +336,8 @@ def test_planted_arpack_error_exits_3_as_a_process(tmp_path):
 def test_planted_violation_exits_5(tmp_path, capsys, monkeypatch):
     # doubled curvatures quadruple the right side of the lower bound, which
     # is tight on a sphere
-    sigma = GeometryCase.sigma
-    monkeypatch.setattr(GeometryCase, "sigma", lambda self, p: 2 * sigma(self, p))
+    sigma = SphereCase.sigma
+    monkeypatch.setattr(SphereCase, "sigma", lambda self, p: 2 * sigma(self, p))
     out = tmp_path / "out"
     assert main(["bounds", "--geometry", "sphere:3", "--out", str(out)]) == EXIT_VIOLATION
     assert "VIOLATED: p_form_lower_bound on sphere(n=3, r=1)" in capsys.readouterr().err

@@ -300,6 +300,24 @@ def test_sphere_radius_must_be_finite_and_positive(radius):
         restriction_identity_residuals(AlternatingForm(3, 1, [0.3, -1.2, 0.5]), radius=radius)
 
 
+@pytest.mark.parametrize("radius", [1e160, 1e200, 1e300, 1e-160, 1e-200, 1e-300, 2.0**-1000])
+def test_sphere_surface_at_extreme_radii(radius):
+    # the norm reads the points in units of the radius; squaring the raw
+    # coordinates overflowed from 1e160 up and divided by zero at 1e-200
+    # (pytest turns the RuntimeWarning into an error)
+    sphere = SphereSurface(radius)
+    unit = sphere_sample_points(16)
+    tangent_proj = np.eye(3) - unit[:, :, None] * unit[:, None]
+    assert np.allclose(sphere.normals(radius * unit), -unit, rtol=0, atol=1e-15)
+    assert np.allclose(sphere.project(3 * radius * unit) / radius, unit, rtol=0, atol=1e-15)
+    assert np.allclose(sphere.shape_world(radius * unit) * radius, tangent_proj, rtol=0, atol=1e-15)
+
+
+def test_restriction_identities_at_huge_radius():
+    res1, res2 = restriction_identity_residuals(AlternatingForm(3, 1, [0.3, -1.2, 0.5]), radius=1e200)
+    assert res1 < 1e-210 and res2 < 1e-210
+
+
 def test_restriction_identities_higher_dim():
     xi = AlternatingForm(5, 2, np.arange(10, dtype=float) - 4.5)
     res1, res2 = restriction_identity_residuals(xi, radius=2.0)
