@@ -287,13 +287,17 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
         raise ValueError(f"special Killing number c must be finite and >= 0, got {c}")
     if not 1 <= p + 1 <= n:
         raise ValueError(f"degree p+1={p + 1} out of range 1..{n}")
-    value = c * (p + 1) * (n - p)
+    try:
+        value = c * (p + 1) * (n - p)
+        lam_unit, _ = sphere_hodge_oracle(n, p + 1)
+        sphere_value = lam_unit * c  # radius 1/sqrt(c); zero for c = 0
+        overflows = not max(value, sphere_value) < np.inf
+    except OverflowError:  # an int c or n that no float holds
+        overflows = True
+    if overflows:
+        raise ValueError(f"special Killing eigenvalue c(p+1)(n-p) overflows for c={c}, p={p}, n={n}")
     geometry = {"label": f"special-killing(c={c:g}, p={p}, n={n})", "n": n, "p": p, "c": c}
     formula = "lambda''_1,p = lambda'_1,p+1 = c(p+1)(n-p)"
-    lam_unit, _ = sphere_hodge_oracle(n, p + 1)
-    sphere_value = lam_unit * c  # radius 1/sqrt(c); zero for c = 0
-    if not max(value, sphere_value) < np.inf:
-        raise ValueError(f"special Killing eigenvalue c(p+1)(n-p) overflows for c={c}, p={p}, n={n}")
     return value, _verdict("special_killing_eigenvalue", formula, tol, geometry, (value, sphere_value, 0))
 
 

@@ -532,12 +532,13 @@ def _contract(terms, left, right) -> np.ndarray:
     made, so the sums do not depend on the thread count.
     """
     left_ids, right_ids, sign = terms
-    # gathered component-major, (outputs, terms, M): every product and sum
-    # is a contiguous loop over the points
-    products = left.T[left_ids] * right.T[right_ids] * sign[:, :, None]
-    out = np.zeros(products.shape[::2])
-    for t in range(products.shape[1]):
-        out += products[:, t]
+    # gathered component-major, (outputs, M), one term at a time: every
+    # product and sum is a contiguous loop over the points, and no array
+    # holds more than one term
+    left, right = left.T, right.T
+    out = np.zeros((len(sign), left.shape[1]))
+    for t in range(sign.shape[1]):
+        out += left[left_ids[:, t]] * right[right_ids[:, t]] * sign[:, t, None]
     return np.ascontiguousarray(out.T)
 
 

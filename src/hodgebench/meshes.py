@@ -88,12 +88,13 @@ def _pair_keys(u, w, n):
 
 
 # Tets per block of the determinants.  Each (block, 3) work array takes
-# 1.5 MB, so the transient is bounded by the block, not by the mesh.  The
-# work arrays are allocated once: arrays allocated afresh in every block were
-# handed back to the OS and faulted in again on every block.  Smaller blocks
-# leave glibc's malloc a lower mmap threshold, so the ledgers after them fault
-# more pages in.
-DET_BLOCK = 65536
+# 0.4 MB, so the transient is bounded by the block, not by the mesh.  The
+# work arrays are allocated once and the corners are gathered into them in
+# place: arrays allocated afresh in every block were handed back to the OS and
+# faulted in again on every block.  Measured on ball(4) (235,520 tets) against
+# 65,536: the determinants take 11 ms, not 18, generate_ball(4) peaks 7 MiB
+# lower, and the ledgers that follow run no slower.
+DET_BLOCK = 16384
 
 
 def _tet_determinants(vertices, tets) -> np.ndarray:
@@ -108,7 +109,7 @@ def _tet_determinants(vertices, tets) -> np.ndarray:
         t = tets[start : start + DET_BLOCK]
         p, c, s = corners[:, : len(t)], cross[: len(t)], prod[: len(t)]
         for corner in range(4):
-            p[corner] = vertices[t[:, corner]]
+            np.take(vertices, t[:, corner], axis=0, out=p[corner])
         p[1:] -= p[0]
         a, b = p[2], p[3]
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -58,11 +58,12 @@ __all__ = [
 _TET4_A = 0.5854101966249685
 _TET4_B = 0.1381966011250105
 
-# Tets per block of the interior quadrature.  A block's per-point arrays
-# (points, field values, Jacobians and their d/delta) take about 1 MB each,
-# so the ledgers' interior memory scales with the block, not with the mesh.
-# Measured on ball(4): 4096 was the fastest of 2048..32768 and keeps the
-# interior below the boundary quadrature's own peak.
+# Tets per block of the interior quadrature, and boundary faces per block of
+# the boundary quadrature.  A block's per-point arrays (points, field values,
+# Jacobians and their d/delta, normals and shape operators) take about 1 MB
+# each, so the ledgers' memory scales with the block, not with the mesh.
+# Measured on ball(4): 4096 was the fastest of 2048..32768.  The interior
+# sums are added block by block, so this value is part of their rounding.
 TET_BLOCK = 4096
 
 
@@ -157,17 +158,10 @@ def _pairwise_sums(cols) -> np.ndarray:
     return total
 
 
-def _ledger_setup(mesh, order, shape_source):
-    """Setup shared by the ledgers and the Stokes check.
-
-    Returns (surface, bpts, bw, normals, shape_world): the mesh's
+def _ledger_surface(mesh, shape_source):
+    """The exact boundary the ledgers and the Stokes check read: the mesh's
     :func:`boundary_surface` for the 'analytic' source ('auto' is 'analytic'
-    exactly where there is one), None for the 'discrete' source, and the
-    boundary quadrature with its surface data.  Analytic nodes are projected
-    onto the exact boundary; discrete ones stay on the flat faces, which
-    interpolate the fitted shape of the boundary mesh barycentrically.  The
-    interior quadrature is taken in blocks by :func:`_interior_integrals`.
-    """
+    exactly where there is one), None for the 'discrete' source."""
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "requires a solid mesh")
     if shape_source not in ("auto", "analytic", "discrete"):
@@ -175,19 +169,57 @@ def _ledger_setup(mesh, order, shape_source):
     surface = None if shape_source == "discrete" else boundary_surface(mesh)
     if shape_source == "analytic" and surface is None:
         raise ValueError("analytic shape data only available for generated balls")
+    return surface
+
+
+def _boundary_blocks(mesh, order, surface, block=TET_BLOCK):
+    """The boundary quadrature as (weights, nodes, normals, shape operators),
+    ``block`` boundary faces at a time, in face order.
+
+    Nodes are projected onto the exact boundary ``surface``; with None they
+    stay on the flat faces, which interpolate the fitted shape of the boundary
+    mesh barycentrically.  Every array is computed node by node, so no value
+    depends on the block.
+    """
     bary = _rule(3, order)
-    _, areas = mesh.face_normals_areas(mesh.boundary_faces)
-    bw = np.repeat(areas / len(bary), len(bary))
-    bpts = _barycentric(mesh.vertices, mesh.boundary_faces, bary)
-    if surface is not None:
-        bpts = surface.project(bpts)
-        return surface, bpts, bw, surface.normals(bpts), surface.shape_world(bpts)
-    boundary, _ = mesh.boundary_mesh()
-    shape = discrete_shape(boundary)
-    n = _barycentric(shape.normals, boundary.cells, bary)
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    s = _project(np.eye(3) - n[:, :, None] * n[:, None], _barycentric(shape.shape_world, boundary.cells, bary))
-    return None, bpts, bw, n, (s + s.transpose(0, 2, 1)) / 2.0
+    if surface is None:
+        boundary, _ = mesh.boundary_mesh()
+        shape = discrete_shape(boundary)
+    # one empty block for a solid without boundary faces, so each term is still a sum
+    for start in range(0, max(len(mesh.boundary_faces), 1), block):
+        faces = mesh.boundary_faces[start : start + block]
+        _, areas = mesh.face_normals_areas(faces)
+        weights = np.repeat(areas / len(bary), len(bary))
+        pts = _barycentric(mesh.vertices, faces, bary)
+        if surface is not None:
+            pts = surface.project(pts)
+            yield weights, pts, surface.normals(pts), surface.shape_world(pts)
+            continue
+        cells = boundary.cells[start : start + block]
+        n = _barycentric(shape.normals, cells, bary)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        s = _project(np.eye(3) - n[:, :, None] * n[:, None], _barycentric(shape.shape_world, cells, bary))
+        s = (s + s.transpose(0, 2, 1)) / 2.0  # rebound, so the suspended generator holds one copy
+        yield weights, pts, n, s
+
+
+def _boundary_values(mesh, order, surface, integrands) -> np.ndarray:
+    """The boundary quadrature weights, then the per-node arrays returned by
+    ``integrands(nodes, normals, shapes)``, as the rows of one array over
+    every node.  The blocks of :func:`_boundary_blocks` are written into it
+    in place, so only the rows grow with the boundary, and each term is one
+    :func:`_quadrature_sum` over a row, whatever the block."""
+    size = len(mesh.boundary_faces) * len(_rule(3, order))
+    rows, stop = None, 0
+    for weights, *block in _boundary_blocks(mesh, order, surface):
+        values = integrands(*block)
+        if rows is None:
+            rows = np.empty((1 + len(values), size))
+        start, stop = stop, stop + len(weights)
+        rows[0, start:stop] = weights
+        for row, value in zip(rows[1:], values):
+            row[start:stop] = value
+    return rows
 
 
 def _surface_meta(surface) -> dict:
@@ -285,7 +317,7 @@ def evaluate_reilly(
         raise ValueError("form degree must be 1, 2 or 3")
     if include_dec and p != 1:
         raise ValueError(f"the DEC cross term is evaluated for 1-forms only, got degree {p}")
-    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface = _ledger_surface(mesh, shape_source)
 
     def interior(pts):
         jac = form.jacobian(pts)
@@ -297,28 +329,30 @@ def evaluate_reilly(
 
     form_l2, lhs, dirichlet = _interior_integrals(mesh, order, interior)
 
-    # boundary terms
-    cb = form.value(epts)
-    delta_sigma_j, v_part, t_part, s_v, n_mean = _commutation_delta(
-        cb, form.jacobian(epts), normals, shape_world, p
-    )
-    cross = 2.0 * _quadrature_sum(bw, _row_sums(v_part * delta_sigma_j))
+    def boundary(epts, normals, shape_world):
+        cb = form.value(epts)
+        delta_sigma_j, v_part, t_part, s_v, n_mean = _commutation_delta(
+            cb, form.jacobian(epts), normals, shape_world, p
+        )
+        s_t_t = _row_sums(_batch_shape(t_part, shape_world, p) * t_part)
+        b_two = s_t_t + n_mean * _row_sums(v_part**2) - _row_sums(s_v * v_part)
+        star_c = cb @ star_matrix(3, p).T
+        t_star = _batch_tangential(star_c, normals, 3 - p)
+        b_one = s_t_t + _row_sums(_batch_shape(t_star, shape_world, 3 - p) * t_star)
+        return _row_sums(v_part * delta_sigma_j), b_two, b_one
 
-    s_t_t = _row_sums(_batch_shape(t_part, shape_world, p) * t_part)
-    b_two = s_t_t + n_mean * _row_sums(v_part**2) - _row_sums(s_v * v_part)
-    star_c = cb @ star_matrix(3, p).T
-    t_star = _batch_tangential(star_c, normals, 3 - p)
-    b_one = s_t_t + _row_sums(_batch_shape(t_star, shape_world, 3 - p) * t_star)
-    boundary = _quadrature_sum(bw, b_two)
-    boundary_star = _quadrature_sum(bw, b_one)
+    bw, cross_density, b_two, b_one = _boundary_values(mesh, order, surface, boundary)
+    cross = 2.0 * _quadrature_sum(bw, cross_density)
+    shape_term = _quadrature_sum(bw, b_two)
+    shape_term_star = _quadrature_sum(bw, b_one)
     gap = float(np.abs(b_one - b_two).max()) if len(b_one) else 0.0
 
     terms = {
         "dirichlet_energy": dirichlet,
         "curvature_energy": 0.0,  # <W w, w> vanishes on a flat solid
         "normal_cross_term": cross,
-        "boundary_shape_term": boundary,
-        "boundary_shape_term_star_form": boundary_star,
+        "boundary_shape_term": shape_term,
+        "boundary_shape_term_star_form": shape_term_star,
         "boundary_forms_max_gap": gap,
         "form_l2_norm_sq": form_l2,
     }
@@ -355,7 +389,7 @@ def evaluate_classical_reilly(
     2 f_N Lap^S f, <S grad^S f, grad^S f>, nH f_N^2 on the right.
     ``shape_source`` is as for :func:`evaluate_reilly`.
     """
-    surface, epts, bw, normals, shape_world = _ledger_setup(mesh, order, shape_source)
+    surface = _ledger_surface(mesh, shape_source)
 
     def interior(pts):
         hess = f.hessian(pts)
@@ -364,17 +398,21 @@ def evaluate_classical_reilly(
 
     lhs, hessian_energy = _interior_integrals(mesh, order, interior)
 
-    gb = f.gradient(epts)
-    hb = f.hessian(epts)
-    f_n = np.einsum("mk,mk->m", gb, normals)
-    lap_b = -np.einsum("mii->m", hb)
-    hess_nn = np.einsum("mi,mij,mj->m", normals, hb, normals)
-    n_mean = np.einsum("mii->m", shape_world)
-    # surface Laplacian via the commutation identity for df
-    lap_sigma = lap_b + hess_nn - n_mean * f_n
-    boundary_normal_lap = 2.0 * _quadrature_sum(bw, f_n * lap_sigma)
-    boundary_shape_grad = _quadrature_sum(bw, np.einsum("mi,mij,mj->m", gb, shape_world, gb))
-    boundary_mean_sq = _quadrature_sum(bw, n_mean * f_n**2)
+    def boundary(epts, normals, shape_world):
+        gb = f.gradient(epts)
+        hb = f.hessian(epts)
+        f_n = np.einsum("mk,mk->m", gb, normals)
+        lap_b = -np.einsum("mii->m", hb)
+        hess_nn = np.einsum("mi,mij,mj->m", normals, hb, normals)
+        n_mean = np.einsum("mii->m", shape_world)
+        # surface Laplacian via the commutation identity for df
+        lap_sigma = lap_b + hess_nn - n_mean * f_n
+        return f_n * lap_sigma, np.einsum("mi,mij,mj->m", gb, shape_world, gb), n_mean * f_n**2
+
+    bw, normal_lap, shape_grad, mean_sq = _boundary_values(mesh, order, surface, boundary)
+    boundary_normal_lap = 2.0 * _quadrature_sum(bw, normal_lap)
+    boundary_shape_grad = _quadrature_sum(bw, shape_grad)
+    boundary_mean_sq = _quadrature_sum(bw, mean_sq)
 
     terms = {
         "hessian_energy": hessian_energy,
@@ -621,7 +659,7 @@ def check_stokes(
     if phi.degree != omega.degree + 1:
         raise ValueError("phi must have degree one higher than omega")
     p = phi.degree
-    _, epts, bw, normals, _ = _ledger_setup(mesh, order, shape_source)
+    surface = _ledger_surface(mesh, shape_source)
 
     def interior(pts):
         d_omega = _batch_d(omega.jacobian(pts), omega.degree, 3)
@@ -630,8 +668,10 @@ def check_stokes(
 
     lhs, vol_term = _interior_integrals(mesh, order, interior)
 
-    ob = omega.value(epts)
-    t_omega = _batch_tangential(ob, normals, omega.degree)
-    i_n_phi = _batch_interior(phi.value(epts), normals, p)
-    bnd = _quadrature_sum(bw, _row_sums(t_omega * i_n_phi))
+    def boundary(epts, normals, _):
+        t_omega = _batch_tangential(omega.value(epts), normals, omega.degree)
+        return (_row_sums(t_omega * _batch_interior(phi.value(epts), normals, p)),)
+
+    bw, density = _boundary_values(mesh, order, surface, boundary)
+    bnd = _quadrature_sum(bw, density)
     return _residual(lhs, [vol_term, -bnd])

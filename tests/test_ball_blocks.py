@@ -61,4 +61,4 @@ def test_ball_generation_memory_is_bounded_by_the_ball():
         tracemalloc.stop()
     kept = sum(a.nbytes for a in (ball.vertices, ball.cells, ball.boundary_faces, ball.tet_determinants))
     assert ball.n_cells > meshes.DET_BLOCK
-    assert peak <= 2.5 * kept, (peak, kept)
+    assert peak <= 1.5 * kept, (peak, kept)

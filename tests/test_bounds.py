@@ -130,6 +130,16 @@ def test_special_killing_refuses_nonfinite_values(c):
         special_killing_relation(c, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "c,n", [(10**400, 2), (1.0, 10**400), (10**400, 10**400)], ids=["int-c", "int-n", "int-c-and-n"]
+)
+def test_special_killing_refuses_ints_beyond_float(c, n):
+    # an int c or n that no float holds raised OverflowError from the
+    # int-to-float conversion
+    with pytest.raises(ValueError, match="special Killing eigenvalue"):
+        special_killing_relation(c, 1, n)
+
+
 TOLERANCE_BOUNDS = {
     "lower": lambda tol: main_lower_bound(SphereCase(2), 1, tol),
     "lower-inapplicable": lambda tol: main_lower_bound(SphereCase(2), 2, tol),

@@ -27,7 +27,7 @@ from hodgebench.reilly import (
     _TET4_A,
     _TET4_B,
     _barycentric,
-    _ledger_setup,
+    _boundary_blocks,
     _rule,
     _tet_blocks,
     evaluate_classical_reilly,
@@ -133,7 +133,9 @@ def test_triangle_nodes_and_fitted_shape_match_their_einsums(name, make):
     shape = discrete_shape(boundary)
     for order in (1, 2):
         want_pts, want_wts, face_ids, bary_all = oracle.tri_quadrature(mesh.vertices, mesh.boundary_faces, order)
-        _, pts, wts, _, _ = _ledger_setup(mesh, order, "discrete")
+        blocks = list(_boundary_blocks(mesh, order, None))
+        wts = np.concatenate([block[0] for block in blocks])
+        pts = np.concatenate([block[1] for block in blocks])
         assert pts.tobytes() == want_pts.tobytes()
         assert wts.tobytes() == want_wts.tobytes()
         bary = _rule(3, order)

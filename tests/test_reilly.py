@@ -424,6 +424,53 @@ def test_interior_memory_does_not_grow_with_the_mesh():
         assert peak < 32 * 2**20, peak
 
 
+# ---------------------------------------------------------------------------
+# boundary quadrature in face blocks
+
+
+def _boundary_results(mesh):
+    """Both ledgers and check_stokes on one mesh, for both shape sources, as text."""
+    out = []
+    for source in ("analytic", "discrete"):
+        for ledger in (
+            evaluate_reilly(mesh, named_form_field("x2dx1"), shape_source=source),
+            evaluate_classical_reilly(mesh, named_scalar_field("radial-sq"), shape_source=source),
+        ):
+            out.append(json.dumps(ledger.to_dict()))
+        out.append(repr(check_stokes(mesh, named_form_field("x2dx1"), _x2sq_dx12(), shape_source=source)))
+    return out
+
+
+@pytest.mark.parametrize("block", (1, 7, reilly.TET_BLOCK, len(BALL3.boundary_faces) + 1))
+def test_boundary_block_changes_no_bit(monkeypatch, block):
+    """Each boundary term is one quadrature sum over every node, so the
+    number of faces per block moves no bit of a ledger or a Stokes residual."""
+    want = _boundary_results(BALL3)
+    blocks = reilly._boundary_blocks
+    monkeypatch.setattr(reilly, "_boundary_blocks", lambda *args: blocks(*args, block=block))
+    assert _boundary_results(BALL3) == want
+
+
+def _ledger_transient(mesh, source):
+    form = named_form_field("x2dx1")
+    evaluate_reilly(mesh, form, shape_source=source)  # the mesh tables and the fit cached first
+    tracemalloc.start()
+    try:
+        evaluate_reilly(mesh, form, shape_source=source)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ("analytic", "discrete"))
+def test_ledger_memory_is_bounded_by_a_block(source):
+    """Interior and boundary are taken in blocks, so the ledger on ball(4),
+    whose boundary is four times ball(3)'s, needs little more than on ball(3):
+    one boundary block of ball(4) and a few arrays over every boundary node."""
+    slack = 1.25 * 2**20
+    assert _ledger_transient(generate_ball(4), source) <= _ledger_transient(BALL3, source) + slack
+
+
 @pytest.mark.parametrize("j", (-120, -40, 40, 120))
 def test_discrete_ledger_does_not_depend_on_units(j):
     # every term of a ball scaled by 2^j scales by a power of two, and the
