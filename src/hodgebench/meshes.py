@@ -28,10 +28,11 @@ has key ``i*V + j`` (below V**2 <= 2**62 for any V < 2**31).
 ``MeshComplex.edges`` decodes the sorted distinct keys, so edges come out
 sorted lexicographically by (i, j): the order of the rows of ``d0``, the
 columns of ``d1`` and every edge cochain.  ``MeshComplex.edge_ids`` maps
-vertex pairs to edge ids by ``searchsorted`` on the sorted keys.  A triangle
-with sorted vertices a < b < c has key ``edge_id(a, b)*V + c``, below E*V for
-E edges.  Validation counts these keys, and icosphere subdivision numbers
-each edge midpoint by the edge's first use in face order.
+vertex pairs to edge ids by a search of the sorted keys, and refuses a pair
+that is not an edge.  A triangle with sorted vertices a < b < c has key
+``edge_id(a, b)*V + c``, below E*V for E edges.  Validation counts these
+keys, and icosphere subdivision numbers each edge midpoint by the edge's
+first use in face order.
 
 Validation
 ----------
@@ -134,13 +135,13 @@ def _find(sorted_keys, keys):
     return pos, np.r_[sorted_keys, -1][pos] == keys
 
 
-def _adjacency(mesh: MeshComplex) -> sparse.csr_matrix:
-    """Symmetric vertex adjacency with unit weights."""
-    e = mesh.edges
-    n = mesh.n_vertices
-    return sparse.csr_matrix(
-        (np.ones(2 * len(e)), (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]])), shape=(n, n)
-    )
+def _components(n, rows, cols):
+    """(count, labels) of the connected components of the undirected graph
+    on n nodes with the edges {rows[k], cols[k]}."""
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 class MeshComplex:
@@ -230,9 +231,15 @@ class MeshComplex:
         return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
     def edge_ids(self, u, w) -> np.ndarray:
-        """Ids of the edges {u[k], w[k]}; every pair must be an edge of the mesh."""
+        """Ids of the edges {u[k], w[k]}; a pair that is not an edge of the
+        mesh raises MeshError."""
         self.edges  # builds the sorted keys
-        return np.searchsorted(self._edge_keys, _pair_keys(u, w, self.n_vertices))
+        keys = _pair_keys(u, w, self.n_vertices)
+        ids, found = _find(self._edge_keys, keys.reshape(-1))
+        if not found.all():
+            pair = divmod(int(keys.flat[np.argmin(found)]), self.n_vertices)
+            raise MeshError("not_an_edge", f"vertices {pair} are not joined by an edge")
+        return ids.reshape(keys.shape)
 
     @property
     def n_edges(self) -> int:
@@ -249,9 +256,7 @@ class MeshComplex:
         """(b0, b1, b2) of a closed orientable surface: b2 = b0, and b1
         follows from the Euler characteristic b0 - b1 + b2; computed once."""
         if self._betti is None:
-            from scipy.sparse.csgraph import connected_components
-
-            b0, _ = connected_components(_adjacency(self), directed=False)
+            b0, _ = _components(self.n_vertices, *self.edges.T)
             self._betti = int(b0), int(2 * b0 - self.euler_characteristic()), int(b0)
         return self._betti
 
@@ -353,15 +358,13 @@ class MeshComplex:
             )
 
     def _check_face_areas(self, faces) -> None:
-        p = self.vertices[faces]
-        # the norm that ``face_normals_areas`` divides by: it overflows
-        # (ellipsoid:1,1,1e300), is NaN where the cross product overflows
-        # (inf - inf on ellipsoid:1e200,1e200,1e200), and underflows to 0 once
-        # the cross product's components fall below about 1e-154
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-            norms = np.linalg.norm(cross, axis=1)
-        flat = np.flatnonzero(~((norms > 0) & (norms < np.inf)))
+        # an area overflows (ellipsoid:1,1,1e300), is NaN where the cross
+        # product overflows (inf - inf on ellipsoid:1e200,1e200,1e200), and
+        # underflows to 0 once the cross product's components fall below
+        # about 1e-154; the normals then divide by it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, areas = self.face_normals_areas(faces)
+        flat = np.flatnonzero(~((areas > 0) & (areas < np.inf)))
         if flat.size:
             raise MeshError(
                 "degenerate_face",
@@ -378,15 +381,9 @@ class MeshComplex:
         Every component of the corner graph then belongs to one vertex, and a
         vertex must own exactly one.
         """
-        from scipy.sparse.csgraph import connected_components
-
-        n = faces.size
         end1 = h1 - h1 % 3 + (h1 + 1) % 3  # the corner where half-edge h1 ends
         end2 = h2 - h2 % 3 + (h2 + 1) % 3
-        rows = np.r_[h1, end1]
-        cols = np.r_[end2, h2]
-        graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        n_fans, labels = connected_components(graph, directed=False)
+        n_fans, labels = _components(faces.size, np.r_[h1, end1], np.r_[end2, h2])
         owner = np.empty(n_fans, dtype=np.int64)
         owner[labels] = faces.reshape(-1)
         fans = np.bincount(owner, minlength=self.n_vertices)
@@ -488,12 +485,9 @@ class MeshComplex:
         if self.kind != "surface":
             raise MeshError("bad_kind", "OFF export is for surface meshes")
         with open(path, "w") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{self.n_vertices} {self.n_cells} 0\n")
-            for v in self.vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for f in self.cells:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+            fh.write(f"OFF\n{self.n_vertices} {self.n_cells} 0\n")
+            np.savetxt(fh, self.vertices, fmt="%.17g")
+            np.savetxt(fh, self.cells, fmt="3 %d %d %d")
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +733,8 @@ def _read_rows(numbers, texts, width, dtype, what) -> np.ndarray:
     numpy's C reader converts the block.  It refuses some tokens that Python
     reads (``1_000``, Unicode digits), and it skips blank texts (an OBJ
     ``v`` with no coordinates), so it is trusted only when it returns one row
-    per text.  Otherwise the tokens are converted as Python reads them, and
-    only where that fails too are the rows walked to report the first bad one
-    by its line number.
+    per text.  Otherwise the rows are converted one by one as Python reads
+    their tokens, and the first row that fails is named by its line number.
     """
     if not texts:
         return np.empty((0, width), dtype=dtype)
@@ -754,18 +747,14 @@ def _read_rows(numbers, texts, width, dtype, what) -> np.ndarray:
             return rows
     except ValueError:
         pass
-    try:
-        # flat, so that the reshape fails unless every row has ``width``
-        # tokens; a row's token list lives only while it is split
-        flat = [token for text in texts for token in text.split()[:width]]
-        return np.array(flat, dtype=dtype).reshape(len(texts), width)
-    except (ValueError, OverflowError):
-        for k, (line, text) in enumerate(zip(numbers, texts)):
-            try:
-                np.array(text.split()[:width], dtype=dtype).reshape(width)
-            except (ValueError, OverflowError):
-                raise MeshError("parse", f"bad {what} line {k}", line) from None
-        raise
+    rows = []
+    for k, (line, text) in enumerate(zip(numbers, texts)):
+        try:
+            # the reshape fails unless the row has ``width`` tokens
+            rows.append(np.array(text.split()[:width], dtype=dtype).reshape(width))
+        except (ValueError, OverflowError):
+            raise MeshError("parse", f"bad {what} line {k}", line) from None
+    return np.stack(rows)
 
 
 def _parse_counted(fmt, numbers, texts) -> tuple:
@@ -832,14 +821,10 @@ def save_tet(mesh: MeshComplex, path) -> None:
     if mesh.kind != "solid":
         raise MeshError("bad_kind", "tet export is for solid meshes")
     with open(path, "w") as fh:
-        fh.write("tetmesh\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_cells} {mesh.boundary_faces.shape[0]}\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.cells:
-            fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")
-        for f in mesh.boundary_faces:
-            fh.write(f"{f[0]} {f[1]} {f[2]}\n")
+        fh.write(f"tetmesh\n{mesh.n_vertices} {mesh.n_cells} {mesh.boundary_faces.shape[0]}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
+        np.savetxt(fh, mesh.cells, fmt="%d")
+        np.savetxt(fh, mesh.boundary_faces, fmt="%d")
 
 
 # ---------------------------------------------------------------------------
@@ -869,8 +854,10 @@ def _vertex_rings(mesh: MeshComplex, depth: int = 2, min_size: int = 8):
     sorted.  Rings grow one level per product with (I + adjacency); they
     grow deeper where the mesh is too sparse (patch corners) to determine a
     quadric fit, counting v itself once it is reached."""
-    adj = _adjacency(mesh)
-    step = adj + sparse.identity(mesh.n_vertices, format="csr")
+    e, n = mesh.edges, mesh.n_vertices
+    rows, cols = np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]]
+    adj = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    step = adj + sparse.identity(n, format="csr")
     ring = adj
     for level in range(1, depth + 3):
         size = np.diff(ring.indptr)
@@ -1023,9 +1010,7 @@ class SphereSurface:
         return -self._unit(points)
 
     def shape_world(self, points) -> np.ndarray:
-        n = self.normals(points)
-        proj = np.eye(self.dim)[None] - np.einsum("mi,mj->mij", n, n)
-        return proj / self.radius
+        return _tangent_projector(self.normals(points)) / self.radius
 
     def project(self, points) -> np.ndarray:
         return self.center + self.radius * self._unit(points)
@@ -1051,7 +1036,12 @@ def ellipsoid_shape_world(points, semi_axes) -> np.ndarray:
     gnorm = np.linalg.norm(grad, axis=1)
     nu = grad / gnorm[:, None]  # outward
     hess = np.diag(2.0 * weights)[None] / gnorm[:, None, None]
-    return _project(np.eye(3) - nu[:, :, None] * nu[:, None], hess)
+    return _project(_tangent_projector(nu), hess)
+
+
+def _tangent_projector(n) -> np.ndarray:
+    """I - n n^T per point, for (M, dim) unit normals."""
+    return np.eye(n.shape[1]) - n[:, :, None] * n[:, None]
 
 
 def _project(proj, s) -> np.ndarray:

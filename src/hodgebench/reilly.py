@@ -21,7 +21,8 @@ second path is available as a diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import math
+from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import reduce
 
 import numpy as np
@@ -39,7 +40,7 @@ from .exterior import (
 )
 from .fields import FormField, ScalarField
 from .meshes import MeshComplex, MeshError, SphereSurface, boundary_surface, discrete_shape, generate_ball
-from .meshes import _project  # shared with ellipsoid_shape_world
+from .meshes import _project, _tangent_projector  # shared with ellipsoid_shape_world
 
 __all__ = [
     "ReillyLedger",
@@ -133,7 +134,7 @@ def _row_sums(a) -> np.ndarray:
     than 8 entries left to right from 0.0, and a longer one as 0.0 plus
     its ``pairwise_sum``.  The order is kept, so the roundings are too.
     """
-    cols = a.reshape(len(a), -1)
+    cols = a.reshape(len(a), math.prod(a.shape[1:]))  # -1 cannot be inferred for zero rows
     if cols.shape[1] >= 8:
         total = _pairwise_sums(cols)
         total += 0.0  # as 0.0 + total: turns -0.0 into 0.0, as numpy's does
@@ -198,7 +199,7 @@ def _boundary_blocks(mesh, order, surface, block=TET_BLOCK):
         cells = boundary.cells[start : start + block]
         n = _barycentric(shape.normals, cells, bary)
         n /= np.linalg.norm(n, axis=1)[:, None]
-        s = _project(np.eye(3) - n[:, :, None] * n[:, None], _barycentric(shape.shape_world, cells, bary))
+        s = _project(_tangent_projector(n), _barycentric(shape.shape_world, cells, bary))
         s = (s + s.transpose(0, 2, 1)) / 2.0  # rebound, so the suspended generator holds one copy
         yield weights, pts, n, s
 
@@ -250,16 +251,7 @@ class ReillyLedger:
     meta: dict = dataclass_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "lhs": self.lhs,
-            "terms": {k: float(v) for k, v in self.terms.items()},
-            "rhs_terms": list(self.rhs_terms),
-            "residual": self.residual,
-            "relative_residual": self.relative_residual,
-            "meta": self.meta,
-        }
+        return {**asdict(self), "rhs_terms": list(self.rhs_terms)}
 
 
 def _residual(lhs, rhs_values):
@@ -557,8 +549,10 @@ def _pointwise(form, surface, points):
 
 
 def _max_norm(diff) -> float:
-    # np.max propagates NaN; 0.0 for zero points
-    return float(np.max(np.linalg.norm(diff, axis=1), initial=0.0))
+    # each row in units of the power of two at its largest |component|, so no
+    # square overflows or underflows; np.max propagates NaN; 0.0 for zero points
+    unit = np.ldexp(1.0, np.frexp(np.abs(diff).max(axis=1, initial=0.0))[1])
+    return float(np.max(np.linalg.norm(diff / unit[:, None], axis=1) * unit, initial=0.0))
 
 
 def check_derivative_formulas(

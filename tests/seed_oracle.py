@@ -31,7 +31,9 @@ one argsort; it must find the same positions, faces and keys bit for bit.
 ``load_mesh`` is the mesh-file reader that converted every block with one
 ``np.array`` over its Python tokens; the library reads blocks with numpy's C
 reader instead, and must give the same arrays bit for bit, or the same
-``MeshError`` code, message and line.
+``MeshError`` code, message and line.  ``save_off`` and ``save_tet`` are the
+writers that formatted each row with an f-string; the library writes its
+blocks with ``np.savetxt`` and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -543,3 +545,25 @@ def _parse_obj(lines) -> MeshComplex:
         raise MeshError("parse", "no geometry found in OBJ", 1)
     cells = np.where(idx > 0, idx - 1, np.array(read)[:, None] + idx)
     return MeshComplex(vertices, cells, metadata={"source": "obj"})
+
+
+def save_off(mesh, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_cells} 0\n")
+        for v in mesh.vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in mesh.cells:
+            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def save_tet(mesh, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("tetmesh\n")
+        fh.write(f"{mesh.n_vertices} {mesh.n_cells} {mesh.boundary_faces.shape[0]}\n")
+        for v in mesh.vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for t in mesh.cells:
+            fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")
+        for f in mesh.boundary_faces:
+            fh.write(f"{f[0]} {f[1]} {f[2]}\n")

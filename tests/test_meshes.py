@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import seed_oracle as oracle
 from hodgebench.meshes import (
     MeshComplex,
     MeshError,
@@ -190,6 +191,41 @@ def test_sphere_curvature_converges():
     assert errs[2] < 0.7 * errs[1]
 
 
+def _uv_sphere(bands, longitudes):
+    """Unit UV sphere: two poles of valence ``longitudes`` and ``bands - 1``
+    latitude circles, outward CCW."""
+    theta = np.pi * np.arange(1, bands) / bands
+    phi = 2 * np.pi * np.arange(longitudes) / longitudes
+    circles = np.stack(
+        np.broadcast_arrays(
+            np.sin(theta)[:, None] * np.cos(phi), np.sin(theta)[:, None] * np.sin(phi), np.cos(theta)[:, None]
+        ),
+        axis=-1,
+    )
+    verts = np.vstack([[0.0, 0.0, 1.0], circles.reshape(-1, 3), [0.0, 0.0, -1.0]])
+    j = np.arange(longitudes)
+    j1 = (j + 1) % longitudes
+    faces = [np.column_stack([np.zeros_like(j), 1 + j, 1 + j1])]
+    for k in range(bands - 2):
+        a, b = 1 + k * longitudes + j, 1 + k * longitudes + j1
+        faces += [np.column_stack([a, a + longitudes, b + longitudes]), np.column_stack([a, b + longitudes, b])]
+    last = 1 + (bands - 2) * longitudes
+    faces.append(np.column_stack([np.full_like(j, len(verts) - 1), last + j1, last + j]))
+    return MeshComplex(verts, np.vstack(faces))
+
+
+def test_high_valence_pole_is_fit_from_two_rings():
+    # the 16 neighbours of a pole lie on one circle, which no quadric through
+    # them determines: the fit needs the second ring (with one ring it raises
+    # degenerate_ring).  Every other surface of the tests has valence <= 6,
+    # so its rings grow to two rings through min_size anyway.
+    mesh = _uv_sphere(12, 16)
+    shape = discrete_shape(mesh)
+    for pole in (0, mesh.n_vertices - 1):
+        # 1.0917 for 15-degree latitude bands
+        assert np.abs(shape.principal[pole] - 1.0).max() < 0.1
+
+
 def test_sphere_radius_scaling():
     # the fit is scale-equivariant: doubling the radius halves the curvatures
     s1 = discrete_shape(generate_icosphere(2, 1.0))
@@ -289,6 +325,47 @@ def test_off_cube_roundtrip(tmp_path):
     again = load_mesh(out)
     assert np.allclose(again.vertices, mesh.vertices)
     assert np.array_equal(again.cells, mesh.cells)
+
+
+def _with_extreme_coordinates(mesh):
+    v = mesh.vertices.copy()
+    v[0] = [-0.0, 1e300, -1e-300]
+    v[1] = [1e-300, -0.0, -1e300]
+    return MeshComplex(v, mesh.cells, mesh.boundary_faces, validate=False)
+
+
+WRITTEN = {
+    **{f"icosphere{s}": (lambda s=s: generate_icosphere(s)) for s in range(3)},
+    "torus": lambda: generate_torus(16, 8),
+    "ellipsoid": lambda: generate_ellipsoid(1.0, 2.0, 3.0, 2),
+    "icosphere-extreme": lambda: _with_extreme_coordinates(generate_icosphere(1)),
+    **{f"ball{s}": (lambda s=s: generate_ball(s)) for s in range(3)},
+    "ball-extreme": lambda: _with_extreme_coordinates(generate_ball(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_writers_match_the_row_writers(tmp_path, name):
+    mesh = WRITTEN[name]()
+    if mesh.kind == "surface":
+        mesh.save_off(tmp_path / "got")
+        oracle.save_off(mesh, tmp_path / "want")
+    else:
+        save_tet(mesh, tmp_path / "got")
+        oracle.save_tet(mesh, tmp_path / "want")
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_edge_ids_refuse_a_pair_that_is_not_an_edge():
+    mesh = generate_icosphere(1)
+    e = mesh.edges
+    assert np.array_equal(mesh.edge_ids(e[:, 1], e[:, 0]), np.arange(len(e)))
+    far = int(np.argmax(np.linalg.norm(mesh.vertices - mesh.vertices[0], axis=1)))  # antipodal to 0
+    u, w = e[:6].copy().reshape(2, 3, 2).transpose(2, 0, 1)
+    w[1, 1], u[1, 1] = 0, far
+    with pytest.raises(MeshError, match=rf"\(0, {far}\) are not joined") as err:
+        mesh.edge_ids(u, w)
+    assert err.value.code == "not_an_edge"
 
 
 def test_off_flipped_face_is_orientation_error(tmp_path):

@@ -318,6 +318,17 @@ def test_restriction_identities_at_huge_radius():
     assert res1 < 1e-210 and res2 < 1e-210
 
 
+@pytest.mark.parametrize("j", [300, -300, 600, -600, 900, -900])
+def test_restriction_residuals_scale_with_the_radius(j):
+    # each residual row is normed in units of its largest component, so the
+    # squares neither overflow (small radii) nor underflow to a zero that
+    # measures nothing (large radii)
+    xi = AlternatingForm(3, 2, [1.0, 0.0, 0.0])
+    base = restriction_identity_residuals(xi)
+    got = restriction_identity_residuals(xi, radius=2.0**j)
+    assert np.array(got).tobytes() == (np.array(base) * 2.0**-j).tobytes()
+
+
 def test_restriction_identities_higher_dim():
     xi = AlternatingForm(5, 2, np.arange(10, dtype=float) - 4.5)
     res1, res2 = restriction_identity_residuals(xi, radius=2.0)
@@ -326,6 +337,20 @@ def test_restriction_identities_higher_dim():
 
 # ---------------------------------------------------------------------------
 # integrated adjointness
+
+
+def test_solid_without_boundary_faces_has_zero_boundary_terms():
+    bare = MeshComplex(
+        BALL1.vertices, BALL1.cells, boundary_faces=np.empty((0, 3), int), metadata=BALL1.metadata, validate=False
+    )
+    ledger = evaluate_reilly(bare, named_form_field("x2dx1"))
+    full = evaluate_reilly(BALL1, named_form_field("x2dx1"))
+    for name in ("normal_cross_term", "boundary_shape_term", "boundary_shape_term_star_form", "boundary_forms_max_gap"):
+        assert ledger.terms[name] == 0.0
+    assert ledger.lhs == full.lhs and ledger.terms["dirichlet_energy"] == full.terms["dirichlet_energy"]
+    classical = evaluate_classical_reilly(bare, named_scalar_field("radial-sq"))
+    assert classical.terms["boundary_normal_laplacian"] == classical.terms["boundary_mean_normal_sq"] == 0.0
+    assert np.isfinite(check_stokes(bare, named_form_field("x2dx1"), named_form_field("parallel-dx12"))).all()
 
 
 def test_stokes_scalar_pair():
