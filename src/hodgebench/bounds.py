@@ -9,14 +9,13 @@ the quadric-fitted shape operator and the DEC spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .curvature import lowest_p_curvature_global
-from .meshes import MeshComplex, boundary_surface, discrete_shape, generate_ellipsoid
-from .spectrum import spectrum, sphere_hodge_oracle
+from .meshes import MeshComplex, _require_kind, boundary_surface, discrete_shape, generate_ellipsoid
+from .spectrum import check_tolerance, spectrum, sphere_hodge_oracle
 
 __all__ = [
     "BoundVerdict",
@@ -64,22 +63,18 @@ class BoundVerdict:
         return asdict(self)
 
 
-def check_tolerance(value, name: str = "tolerance") -> None:
-    """Raise ValueError unless ``value`` is a finite positive number (a bool is not)."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
-    except (TypeError, OverflowError):  # not a number, or an int beyond float
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+def _tolerance(tol, default):
+    """``tol``, or ``default`` for None; a NaN, infinite or non-positive
+    tolerance is refused, before any side is computed: it would decide nothing."""
+    tol = default if tol is None else tol
+    check_tolerance(tol)
+    return tol
 
 
 def _verdict(name, formula, tol, geometry, sides=None, note=""):
     """The verdict on ``sides`` = (lhs, rhs, orient): orient=+1 means lhs >= rhs
     must hold, -1 lhs <= rhs, 0 lhs == rhs.  Without sides the bound does not
-    apply: the verdict is 'inapplicable', with NaN sides, slack and tightness.
-    A NaN, infinite or non-positive ``tol`` is refused: it would decide nothing."""
-    check_tolerance(tol)
+    apply: the verdict is 'inapplicable', with NaN sides, slack and tightness."""
     lhs = rhs = slack = tightness = float("nan")
     status = "inapplicable"
     if sides is not None:
@@ -163,8 +158,7 @@ class MeshCase:
     boundary_dim = 2
 
     def __init__(self, mesh: MeshComplex, label: str = ""):
-        if mesh.kind != "surface":
-            raise ValueError("mesh case needs a surface mesh")
+        _require_kind(mesh, "surface", "MeshCase")
         self.mesh = mesh
         self.label = label or mesh.metadata.get("generator", "mesh")
         self._lambda1 = None
@@ -212,7 +206,7 @@ def main_lower_bound(case: SphereCase | MeshCase, p: int, tol: float | None = No
     nonnegatively curved) domains."""
     n = case.boundary_dim
     name, formula = "p_form_lower_bound", "lambda'_1,p >= sigma_p * sigma_(n-p+1)"
-    tol = case.tol if tol is None else tol
+    tol = _tolerance(tol, case.tol)
     geometry = case.describe() | {"p": p}
     if not 1 <= p <= (n + 1) / 2:
         return _verdict(name, formula, tol, geometry, note=f"requires 1 <= p <= (n+1)/2, got p={p}")
@@ -230,7 +224,7 @@ def xia_bound(case: SphereCase | MeshCase, tol: float | None = None) -> BoundVer
     principal curvatures >= c > 0."""
     n = case.boundary_dim
     name, formula = "xia_bound", "lambda_1 >= n * c^2"
-    tol = case.tol if tol is None else tol
+    tol = _tolerance(tol, case.tol)
     geometry = case.describe()
     c = case.sigma(1)
     if c <= 0:
@@ -245,7 +239,7 @@ def upper_bound_degree_one(case: SphereCase | MeshCase, tol: float | None = None
     norm, for boundaries with trivial first cohomology in a flat ambient."""
     n = case.boundary_dim
     name, formula = "parallel_upper_bound_degree_one", "lambda_1 <= n * avg|S|^2"
-    tol = case.tol if tol is None else tol
+    tol = _tolerance(tol, case.tol)
     geometry = case.describe()
     if not case.h1_trivial():
         note = "nontrivial H^1: harmonic 1-forms absorb the parallel restrictions"
@@ -266,7 +260,7 @@ def upper_bound_degree_p(case: SphereCase | MeshCase, p: int, tol: float | None 
     n = case.boundary_dim
     alpha = max(p, n - p + 1)
     formula = "lambda'_1,p <= alpha(p) * avg|S|^2_alpha(p)"
-    tol = case.tol if tol is None else tol
+    tol = _tolerance(tol, case.tol)
     geometry = case.describe() | {"p": p, "alpha": alpha}
     if not 2 <= p <= n - 1:
         raise ValueError(f"p={p} out of range 2..{n - 1}")
@@ -282,7 +276,7 @@ def special_killing_relation(c: float, p: int, n: int, tol: float | None = None)
 
     Returns (eigenvalue, BoundVerdict).
     """
-    tol = ANALYTIC_TOL if tol is None else tol
+    tol = _tolerance(tol, ANALYTIC_TOL)
     if not 0 <= c < np.inf:
         raise ValueError(f"special Killing number c must be finite and >= 0, got {c}")
     if not 1 <= p + 1 <= n:
@@ -332,8 +326,7 @@ def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> Equality
     r is that of its :func:`boundary_surface`, else ``radius``."""
     checks = []
     if isinstance(ball, MeshComplex):
-        if ball.kind != "solid":
-            raise ValueError("equality diagnostics needs a solid mesh or analytic data")
+        _require_kind(ball, "solid", "equality_case_diagnostics")
         tol = 2e-2
         surface = boundary_surface(ball)
         r = radius if surface is None else surface.radius

@@ -26,7 +26,6 @@ from . import __version__
 from .bounds import (
     MeshCase,
     SphereCase,
-    check_tolerance,
     equality_case_diagnostics,
     main_lower_bound,
     special_killing_relation,
@@ -359,9 +358,9 @@ def _config_value(sp, path, action, value):
     """A --config value, converted and checked as the same value on the line.
 
     A JSON string, or a number for an option that takes one, goes through
-    the option's ``type`` and ``choices``.  Booleans and other types are
-    refused, except that a float option (a tolerance) leaves them to
-    ``_check_tolerances``."""
+    the option's ``type`` and ``choices``.  Booleans are refused, and so are
+    other types, except that a float option (a tolerance) passes them on to
+    the library, which refuses any tolerance but a finite positive number."""
     takes_string = action.type is None
     if isinstance(value, str if takes_string else (int, float, str)) and not isinstance(value, bool):
         try:
@@ -372,15 +371,6 @@ def _config_value(sp, path, action, value):
         return value
     kind = "a string" if takes_string else "a number"
     sp.error(f"--config {path}: argument {action.option_strings[0]}: expected {kind}, got {json.dumps(value)}")
-
-
-def _check_tolerances(args: argparse.Namespace) -> None:
-    # flags and --config values alike: a NaN, infinite or non-positive
-    # tolerance would reach the verdicts and the reports
-    for dest, flag in (("tol", "--tol"), ("cluster_tol", "--cluster-tol")):
-        if dest not in args or (dest == "tol" and args.tol is None):
-            continue  # not the subcommand's option; without --tol each verdict has its own default
-        check_tolerance(getattr(args, dest), flag)
 
 
 def main(argv=None) -> int:
@@ -407,7 +397,6 @@ def main(argv=None) -> int:
         )
         args = parser.parse_args(argv)
     try:
-        _check_tolerances(args)
         if args.command == "spectrum":
             return cmd_spectrum(args)
         if args.command == "reilly":

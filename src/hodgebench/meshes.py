@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,18 @@ def _find(sorted_keys, keys):
     return pos, np.r_[sorted_keys, -1][pos] == keys
 
 
+def _require_kind(mesh, kind, what) -> None:
+    """Refuse ``mesh`` unless it is a ``kind`` ('surface' or 'solid') mesh."""
+    if mesh.kind != kind:
+        raise MeshError("bad_kind", f"{what} requires a {kind} mesh")
+
+
+def _check_count(value, name, least) -> None:
+    """Refuse a generator count that is not an int (a bool is not) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
 def _components(n, rows, cols):
     """(count, labels) of the connected components of the undirected graph
     on n nodes with the edges {rows[k], cols[k]}."""
@@ -217,8 +230,7 @@ class MeshComplex:
     def tet_determinants(self) -> np.ndarray:
         """Six times the signed volume of each tet (solids only), computed once."""
         if self._tet_dets is None:
-            if self.kind != "solid":
-                raise MeshError("bad_kind", "tet determinants require a solid mesh")
+            _require_kind(self, "solid", "tet_determinants")
             self._tet_dets = _tet_determinants(self.vertices, self.cells)
             self._tet_dets.flags.writeable = False
         return self._tet_dets
@@ -248,8 +260,7 @@ class MeshComplex:
         return self._n_edges
 
     def euler_characteristic(self) -> int:
-        if self.kind != "surface":
-            raise MeshError("bad_kind", "Euler characteristic defined for surfaces here")
+        _require_kind(self, "surface", "the Euler characteristic")
         return self.n_vertices - self.n_edges + self.n_cells
 
     def betti_numbers(self) -> tuple:
@@ -439,8 +450,7 @@ class MeshComplex:
     def boundary_mesh(self):
         """Boundary as a standalone surface mesh plus the vertex index map,
         computed once; its vertex, face and map arrays are read-only."""
-        if self.kind != "solid":
-            raise MeshError("bad_kind", "boundary_mesh requires a solid mesh")
+        _require_kind(self, "solid", "boundary_mesh")
         if self._boundary is None:
             used = np.unique(self.boundary_faces.reshape(-1))
             remap = -np.ones(self.n_vertices, dtype=np.int64)
@@ -482,8 +492,7 @@ class MeshComplex:
         return stats
 
     def save_off(self, path) -> None:
-        if self.kind != "surface":
-            raise MeshError("bad_kind", "OFF export is for surface meshes")
+        _require_kind(self, "surface", "OFF export")
         with open(path, "w") as fh:
             fh.write(f"OFF\n{self.n_vertices} {self.n_cells} 0\n")
             np.savetxt(fh, self.vertices, fmt="%.17g")
@@ -535,8 +544,7 @@ def _subdivide(verts, faces):
 
 def _icosphere(subdivisions: int, radius: float = 1.0):
     """Vertices and faces of the subdivided icosahedron projected to radius."""
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    _check_count(subdivisions, "subdivisions", 0)
     verts, faces = _icosahedron()
     for _ in range(subdivisions):
         verts, faces = _subdivide(verts, faces)
@@ -602,11 +610,10 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
     joined by prisms split into tets.  The tets tile the polyhedral ball
     exactly, so the total volume equals the polyhedron volume.
     """
+    sphere, cells = _icosphere(subdivisions)
     if layers is None:
         layers = max(1, 2**subdivisions)
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    sphere, cells = _icosphere(subdivisions)
+    _check_count(layers, "layers", 1)
     nv = len(sphere)
     radii = np.arange(1, layers + 1) / layers
     verts = np.vstack([np.zeros((1, 3)), (sphere * radii[:, None, None]).reshape(-1, 3)])
@@ -648,8 +655,8 @@ def generate_ball(subdivisions: int, layers: int | None = None) -> MeshComplex:
 
 def generate_torus(nu: int = 24, nv: int = 12, big_radius: float = 2.0, small_radius: float = 0.7) -> MeshComplex:
     """Triangulated torus of revolution, genus 1, outward orientation."""
-    if nu < 3 or nv < 3:
-        raise ValueError("need at least 3 samples per direction")
+    _check_count(nu, "nu", 3)
+    _check_count(nv, "nv", 3)
     # a spindle or horn torus (r >= R) is not an embedded surface
     if not 0 < small_radius < big_radius < np.inf:
         raise ValueError(f"torus radii must be finite with 0 < r < R, got R={big_radius}, r={small_radius}")
@@ -818,8 +825,7 @@ def _parse_obj(numbers, texts) -> tuple:
 
 
 def save_tet(mesh: MeshComplex, path) -> None:
-    if mesh.kind != "solid":
-        raise MeshError("bad_kind", "tet export is for solid meshes")
+    _require_kind(mesh, "solid", "tet export")
     with open(path, "w") as fh:
         fh.write(f"tetmesh\n{mesh.n_vertices} {mesh.n_cells} {mesh.boundary_faces.shape[0]}\n")
         np.savetxt(fh, mesh.vertices, fmt="%.17g")
@@ -903,8 +909,7 @@ def discrete_shape(mesh: MeshComplex) -> DiscreteShape:
     principal curvatures +1.  Fitted once per mesh; the arrays of the
     result are read-only.
     """
-    if mesh.kind != "surface":
-        raise MeshError("bad_kind", "discrete shape requires a surface mesh")
+    _require_kind(mesh, "surface", "the discrete shape fit")
     if mesh._shape is None:
         shape = _fit_quadrics(mesh)
         for array in vars(shape).values():

@@ -39,8 +39,8 @@ from .exterior import (
     tangent_frame,
 )
 from .fields import FormField, ScalarField
-from .meshes import MeshComplex, MeshError, SphereSurface, boundary_surface, discrete_shape, generate_ball
-from .meshes import _project, _tangent_projector  # shared with ellipsoid_shape_world
+from .meshes import MeshComplex, SphereSurface, boundary_surface, discrete_shape, generate_ball
+from .meshes import _project, _require_kind, _tangent_projector  # shared with the meshes module
 
 __all__ = [
     "ReillyLedger",
@@ -163,8 +163,7 @@ def _ledger_surface(mesh, shape_source):
     """The exact boundary the ledgers and the Stokes check read: the mesh's
     :func:`boundary_surface` for the 'analytic' source ('auto' is 'analytic'
     exactly where there is one), None for the 'discrete' source."""
-    if mesh.kind != "solid":
-        raise MeshError("bad_kind", "requires a solid mesh")
+    _require_kind(mesh, "solid", "a Reilly ledger or Stokes check")
     if shape_source not in ("auto", "analytic", "discrete"):
         raise ValueError(f"unknown shape source {shape_source!r}")
     surface = None if shape_source == "discrete" else boundary_surface(mesh)

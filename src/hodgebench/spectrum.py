@@ -15,14 +15,14 @@ degree 1 is solved as that union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, hypot, sqrt
+from math import comb, hypot, isfinite, sqrt
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .meshes import MeshComplex, MeshError
+from .meshes import MeshComplex, MeshError, _components, _require_kind
 
 __all__ = [
     "DecOperators",
@@ -47,6 +47,16 @@ FLIP_TOL = 1e-12
 # Relative to the median weight magnitude, a cotan weight at or below
 # ZERO_TOL is a zero dual edge, which the degree-2 pencil merges across.
 ZERO_TOL = 1e-8
+
+
+def check_tolerance(value, name: str = "tolerance") -> None:
+    """Raise ValueError unless ``value`` is a finite positive number (a bool is not)."""
+    try:
+        ok = not isinstance(value, bool) and isfinite(value) and value > 0
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 class SolverError(Exception):
@@ -97,11 +107,9 @@ class DecOperators:
             s2 = sparse.diags(self.star2)
             a = s2 @ self.d1 @ sparse.diags(1.0 / self.star1) @ self.d1.T @ s2
             return a.tocsr(), self.star2
-        from scipy.sparse.csgraph import connected_components
-
-        inc = abs(self.d1[:, zero])  # faces x zero edges
-        n_groups, group = connected_components(inc @ inc.T, directed=False)
-        nf = len(group)
+        pairs = abs(self.d1[:, zero]).tocsc().indices.reshape(-1, 2)  # the faces of each zero edge
+        nf = len(self.star2)
+        n_groups, group = _components(nf, *pairs.T)
         p = sparse.csr_matrix((np.ones(nf), (np.arange(nf), group)), shape=(nf, n_groups))
         mass = 1.0 / (p.T @ (1.0 / self.star2))
         g = self.d1[:, ~zero].T @ p
@@ -222,8 +230,7 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
     cotangent expression, so a Delaunay mesh gets exactly the operators of
     its own triangulation.
     """
-    if mesh.kind != "surface":
-        raise MeshError("bad_kind", "DEC assembly requires a surface mesh")
+    _require_kind(mesh, "surface", "DEC assembly")
     v = mesh.vertices
     f = mesh.cells.copy()
     edges = mesh.edges.copy()
@@ -546,7 +553,8 @@ def spectrum(
     differentials are the exact 1-eigenforms) and exact for 2-forms.  The
     harmonic count must equal the Betti number b_p of the surface (capped
     at k) and no eigenvalue may lie below -zero_tol; otherwise the solve is
-    not trusted and SolverError is raised.
+    not trusted and SolverError is raised.  A ``cluster_tol`` that is not a
+    finite positive number is refused with ValueError before any solve.
 
     Degree 1 builds no pencil of its own.  After checking that d1 d0 is
     exactly zero, it solves the degree-0 and degree-2 pencils for
@@ -566,6 +574,7 @@ def spectrum(
         raise ValueError("need k >= 1")
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
+    check_tolerance(cluster_tol, "cluster_tol")
     ops = dec or assemble_dec(mesh)
     betti = mesh.betti_numbers()
     if degree == 1:

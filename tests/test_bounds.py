@@ -161,6 +161,27 @@ def test_verdicts_refuse_what_the_cli_refuses_as_tolerance(bound, tol):
         TOLERANCE_BOUNDS[bound](tol)
 
 
+MESH_BOUNDS = {
+    "lower": lambda case, tol: main_lower_bound(case, 1, tol),
+    "xia": xia_bound,
+    "upper-1": upper_bound_degree_one,
+    "upper-p": lambda case, tol: upper_bound_degree_p(case, 2, tol),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(MESH_BOUNDS))
+def test_mesh_bounds_refuse_the_tolerance_before_any_side(bound):
+    # a bad tolerance is refused before a quadric fit or an eigensolve runs
+    case = MeshCase(generate_torus(8, 6))
+
+    def side(*args):
+        raise AssertionError("a side was computed")
+
+    case.sigma = case.lambda1_exact = case.mean_shape_norm_sq = case.h1_trivial = side
+    with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+        MESH_BOUNDS[bound](case, np.nan)
+
+
 # ---------------------------------------------------------------------------
 # parallel restriction identities on round spheres
 

@@ -54,6 +54,10 @@ def write_ball(path):
     save_tet(generate_ball(1), path)
 
 
+def write_icosphere(path):
+    generate_icosphere(1).save_off(path)
+
+
 @dataclass(frozen=True)
 class Row:
     id: str
@@ -220,6 +224,11 @@ CONTRACT = [
     ),
     Row("off-spindle-torus", "spectrum --mesh {tmp}/spindle.off", 2, "[degenerate_face] flipping edge",
         {"spindle.off": write_spindle_torus}),
+    # a mesh of the other kind: spectra are of surfaces, ledgers of solids
+    Row("spectrum-tet-file", "spectrum --mesh {tmp}/ball.tet", 2,
+        "[bad_kind] DEC assembly requires a surface mesh", {"ball.tet": write_ball}),
+    Row("reilly-off-file", "reilly --mesh {tmp}/ico.off", 2,
+        "[bad_kind] a Reilly ledger or Stokes check requires a solid mesh", {"ico.off": write_icosphere}),
     # exit 0: spheres far below unit size.  Solved at their own scale, these
     # failed the eigenpair residual check or ARPACK (error -9: the start
     # vector mapped to zero), first in a traceback, then in exit 3 ----------

@@ -77,3 +77,30 @@ def test_ball_is_valid(subdivisions):
 @settings(max_examples=15, deadline=None)
 def test_ball_with_layers_is_valid(subdivisions, layers):
     _check_ball(generate_ball(subdivisions, layers))
+
+
+# a count that is not an integer; a torus with nu = 24.5 had an edge that
+# borders three faces, and generated meshes are not validated
+NON_INTEGER_COUNTS = {
+    "icosphere-2.5": (lambda: generate_icosphere(2.5), "subdivisions"),
+    "ellipsoid-2.0": (lambda: generate_ellipsoid(1.0, 1.0, 1.2, 2.0), "subdivisions"),
+    "ball-1.5": (lambda: generate_ball(1.5), "subdivisions"),
+    "ball-layers-2.5": (lambda: generate_ball(1, 2.5), "layers"),
+    "ball-layers-true": (lambda: generate_ball(1, True), "layers"),
+    "torus-nu-24.5": (lambda: generate_torus(24.5, 12), "nu"),
+    "torus-nv-12.5": (lambda: generate_torus(24, 12.5), "nv"),
+    "torus-nv-12.0": (lambda: generate_torus(24, 12.0), "nv"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
+def test_generators_refuse_non_integer_counts(case):
+    make, name = NON_INTEGER_COUNTS[case]
+    with pytest.raises(ValueError, match=f"{name} must be >= [0-9] and an integer"):
+        make()
+
+
+def test_generators_take_numpy_integer_counts():
+    mesh = generate_torus(np.int64(8), np.int32(6))
+    assert mesh.n_vertices == 48
+    assert generate_ball(np.int64(1), np.int64(2)).metadata["layers"] == 2

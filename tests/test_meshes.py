@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import seed_oracle as oracle
+from hodgebench.bounds import MeshCase, equality_case_diagnostics
+from hodgebench.fields import FormField, named_form_field, named_scalar_field
 from hodgebench.meshes import (
     MeshComplex,
     MeshError,
@@ -17,6 +19,8 @@ from hodgebench.meshes import (
     load_mesh,
     save_tet,
 )
+from hodgebench.reilly import check_stokes, evaluate_classical_reilly, evaluate_reilly
+from hodgebench.spectrum import assemble_dec, spectrum
 
 OFF_CUBE = """OFF
 8 12 0
@@ -366,6 +370,44 @@ def test_edge_ids_refuse_a_pair_that_is_not_an_edge():
     with pytest.raises(MeshError, match=rf"\(0, {far}\) are not joined") as err:
         mesh.edge_ids(u, w)
     assert err.value.code == "not_an_edge"
+
+
+# every entry point that refuses a mesh of the other kind: the job its
+# message names, the kind it requires, and a call on a mesh of the other kind
+WRONG_KIND = {
+    "tet_determinants": ("tet_determinants", "solid", lambda mesh, tmp: mesh.tet_determinants),
+    "euler_characteristic": ("the Euler characteristic", "surface", lambda mesh, tmp: mesh.euler_characteristic()),
+    "boundary_mesh": ("boundary_mesh", "solid", lambda mesh, tmp: mesh.boundary_mesh()),
+    "save_off": ("OFF export", "surface", lambda mesh, tmp: mesh.save_off(tmp / "mesh.off")),
+    "save_tet": ("tet export", "solid", lambda mesh, tmp: save_tet(mesh, tmp / "mesh.tet")),
+    "discrete_shape": ("the discrete shape fit", "surface", lambda mesh, tmp: discrete_shape(mesh)),
+    "assemble_dec": ("DEC assembly", "surface", lambda mesh, tmp: assemble_dec(mesh)),
+    "spectrum": ("DEC assembly", "surface", lambda mesh, tmp: spectrum(mesh, 0, 4)),
+    **{
+        name: ("a Reilly ledger or Stokes check", "solid", call)
+        for name, call in (
+            ("evaluate_reilly", lambda mesh, tmp: evaluate_reilly(mesh, named_form_field("x2dx1"))),
+            ("evaluate_classical_reilly",
+             lambda mesh, tmp: evaluate_classical_reilly(mesh, named_scalar_field("linear-x1"))),
+            ("check_stokes",
+             lambda mesh, tmp: check_stokes(mesh, named_form_field("x2dx1"), FormField.zero(2))),
+        )
+    },
+    "MeshCase": ("MeshCase", "surface", lambda mesh, tmp: MeshCase(mesh)),
+    "equality_case_diagnostics": (
+        "equality_case_diagnostics", "solid", lambda mesh, tmp: equality_case_diagnostics(mesh)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_wrong_kind_is_refused_with_one_message_shape(tmp_path, name):
+    what, kind, call = WRONG_KIND[name]
+    other = generate_icosphere(1) if kind == "solid" else generate_ball(1)
+    with pytest.raises(MeshError, match=rf"^\[bad_kind\] {what} requires a {kind} mesh$") as err:
+        call(other, tmp_path)
+    assert err.value.code == "bad_kind"
+    assert not any(tmp_path.iterdir())
 
 
 def test_off_flipped_face_is_orientation_error(tmp_path):

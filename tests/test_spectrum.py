@@ -482,3 +482,12 @@ def test_report_serialization():
 def test_solver_error_on_bad_k():
     with pytest.raises(ValueError):
         spectrum(generate_icosphere(1, 1.0), 0, 0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, True, None],
+                         ids=["nan", "inf", "zero", "negative", "bool", "none"])
+def test_spectrum_refuses_a_bad_cluster_tol(tol):
+    # a NaN or infinite tolerance put all ten eigenvalues of icosphere(2) in
+    # one cluster, where the default gives four
+    with pytest.raises(ValueError, match="cluster_tol must be a finite positive number"):
+        spectrum(generate_icosphere(2), 0, 10, cluster_tol=tol)
