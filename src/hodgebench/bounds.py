@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .curvature import lowest_p_curvature_global
-from .meshes import MeshComplex, _require_kind, boundary_surface, discrete_shape, generate_ellipsoid
+from .meshes import MeshComplex, _check_count, _require_kind, boundary_surface, discrete_shape, generate_ellipsoid
 from .spectrum import check_tolerance, spectrum, sphere_hodge_oracle
 
 __all__ = [
@@ -111,8 +111,8 @@ class SphereCase:
     tol = ANALYTIC_TOL
 
     def __init__(self, n: int, radius: float = 1.0):
-        if n < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got n={n}")
+        _check_count(n, "sphere dimension", 1)
+        n = int(n)  # a numpy integer too, so that reports serialize
         # the eigenvalues divide by radius**2, which must not overflow or vanish
         square = float(radius) * float(radius)
         if not (radius > 0 and 0 < square < np.inf):
@@ -339,7 +339,7 @@ def equality_case_diagnostics(ball, p: int = 1, radius: float = 1.0) -> Equality
         geometry = {"label": "mesh-ball", "metadata": ball.metadata, "p": p}
     else:
         tol = ANALYTIC_TOL
-        case = SphereCase(int(ball), radius)
+        case = SphereCase(ball, radius)
         r = radius
         ratio = (case.boundary_dim + 1) / r
         h_mean = 1.0 / r

@@ -94,8 +94,12 @@ def _pair_keys(u, w, n):
 # work arrays are allocated once and the corners are gathered into them in
 # place: arrays allocated afresh in every block were handed back to the OS and
 # faulted in again on every block.  Measured on ball(4) (235,520 tets) against
-# 65,536: the determinants take 11 ms, not 18, generate_ball(4) peaks 7 MiB
-# lower, and the ledgers that follow run no slower.
+# 65,536: the determinants take 11 ms, not 18, and generate_ball(4) peaks
+# 7 MiB lower.  The block also keeps the ledgers that follow fast: freeing the
+# 1.5 MB corner array raises glibc's heap-trim threshold above the 2.5 MiB of
+# arrays a ledger block allocates, which then stay in the heap.  With 4096
+# (reilly.TET_BLOCK), every ball(4) ledger in a fresh process faults its blocks
+# in again: 3x the page faults, and x2dx1 at level 4 takes 0.155 s, not 0.110.
 DET_BLOCK = 16384
 
 
@@ -143,7 +147,7 @@ def _require_kind(mesh, kind, what) -> None:
 
 
 def _check_count(value, name, least) -> None:
-    """Refuse a generator count that is not an int (a bool is not) or is below ``least``."""
+    """Refuse a count that is not an int (a bool is not) or is below ``least``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 

@@ -130,30 +130,26 @@ def _cotan_weights(face_edges, cots, ne) -> np.ndarray:
     return w
 
 
-def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, start, tol):
+def _flip_to_delaunay(edges, f, face_edges, signs, cots, elen, areas, start, tol):
     """Flip edges with cotan weight below -tol, starting from the edges
     ``start``, until none is left.
 
     Works in place on the edge and face tables (side k of face t runs from
-    corner k to corner k + 1 and is edge ``face_edges[t, k]``; ``cots`` and
-    ``lengths_sq`` are per corner, the latter of the opposite side).  A
-    flipped edge keeps its id and joins the two opposite vertices; its
-    length comes from the quad laid flat in the plane, and the two new
-    faces get cotangents and areas from their side lengths alone.  This is
-    the edge-flip algorithm of Bobenko & Springborn (DCG 2007), which ends
-    in the intrinsic Delaunay triangulation.
+    corner k to corner k + 1 and is edge ``face_edges[t, k]``; ``cots`` are
+    per corner, ``elen`` per edge).  A flipped edge keeps its id and joins
+    the two opposite vertices; its length comes from the quad laid flat in
+    the plane, and the two new faces get cotangents and areas from their
+    side lengths alone.  This is the edge-flip algorithm of Bobenko &
+    Springborn (DCG 2007), which ends in the intrinsic Delaunay
+    triangulation.
     """
     # halves[e]: the slots 3*face + side of edge e
     per_edge = np.bincount(face_edges.reshape(-1), minlength=len(edges))
     slots = np.argsort(face_edges.reshape(-1), kind="stable").tolist()
     ends = np.cumsum(per_edge).tolist()
     halves = [slots[i:j] for i, j in zip([0] + ends[:-1], ends)]
-    length = np.sqrt(lengths_sq)  # per corner, of the opposite side
-    elen = np.zeros(len(edges))
-    for corner in range(3):
-        elen[face_edges[:, (corner + 1) % 3]] = length[:, corner]
     ev, fv, fe, fs = edges.tolist(), f.tolist(), face_edges.tolist(), signs.tolist()
-    ct, lsq, ar, el = cots.tolist(), lengths_sq.tolist(), areas.tolist(), elen.tolist()
+    ct, ar, el = cots.tolist(), areas.tolist(), elen.tolist()
 
     def weight(e):
         return 0.5 * sum(ct[h // 3][(h % 3 + 2) % 3] for h in halves[e])
@@ -203,14 +199,13 @@ def _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, star
                 raise MeshError("degenerate_face", f"flipping edge {e} leaves face {t} with no area")
             for corner in range(3):
                 opp, adj1, adj2 = sides[(corner + 1) % 3], sides[(corner + 2) % 3], sides[corner]
-                lsq[t][corner] = opp * opp
                 ct[t][corner] = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (4.0 * ar[t])
         for x in (e_bc, e_ca, e_ad, e_db):
             if x not in queued:
                 queued.add(x)
                 stack.append(x)
     edges[:], f[:], face_edges[:], signs[:] = ev, fv, fe, fs
-    cots[:], lengths_sq[:], areas[:] = ct, lsq, ar
+    cots[:], elen[:], areas[:] = ct, el, ar
 
 
 def _heron(a, b, c):
@@ -250,20 +245,14 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
         cross = np.linalg.norm(np.cross(e1, e2), axis=1)
         cots[:, corner] = np.einsum("ij,ij->i", e1, e2) / cross
 
-    # squared length of the side opposite each corner
-    lengths_sq = np.empty((nf, 3))
-    for corner in range(3):
-        lengths_sq[:, corner] = (
-            np.linalg.norm(v[f[:, (corner + 1) % 3]] - v[f[:, (corner + 2) % 3]], axis=1)
-            ** 2
-        )
+    elen = np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)
     _, face_areas = mesh.face_normals_areas()
 
     star1 = _cotan_weights(face_edges, cots, ne)
     tol = FLIP_TOL * float(np.median(np.abs(star1)))
     start = np.flatnonzero(star1 < -tol)
     if start.size:
-        _flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, face_areas, start.tolist(), tol)
+        _flip_to_delaunay(edges, f, face_edges, signs, cots, elen, face_areas, start.tolist(), tol)
         star1 = _cotan_weights(face_edges, cots, ne)
 
     rows = np.repeat(np.arange(ne), 2)
@@ -273,7 +262,9 @@ def assemble_dec(mesh: MeshComplex) -> DecOperators:
         shape=(nf, ne),
     )
 
-    # circumcentric dual areas: per corner (|e_opp_j|^2 cot_j + |e_opp_k|^2 cot_k)/8
+    # circumcentric dual areas: per corner (|e_opp_j|^2 cot_j + |e_opp_k|^2 cot_k)/8,
+    # where the side opposite corner k is side k + 1
+    lengths_sq = elen[face_edges[:, [1, 2, 0]]] ** 2
     star0 = np.zeros(nv)
     for corner in range(3):
         j = (corner + 1) % 3

@@ -10,6 +10,11 @@ equivalence tests require the array code to reproduce them bit for bit
 ``one_form_spectrum`` is the direct degree-1 pencil that ``spectrum`` replaced
 with the exact Hodge split (the union of the degree-0 and degree-2 spectra).
 
+``idt_assemble_dec`` and ``flip_to_delaunay`` are DEC assembly and the
+intrinsic Delaunay flips as they were when they kept a squared length per face
+corner beside the length per edge; the library keeps only the per-edge
+lengths, and must give the same operators bit for bit.
+
 ``tet_determinants`` and ``tet_quadrature`` are the tet-volume expression that
 four call sites once evaluated separately, and the per-tet contraction that
 placed the tet quadrature points; volumes, weights and points must still
@@ -38,6 +43,7 @@ blocks with ``np.savetxt`` and must give the same bytes.
 
 from __future__ import annotations
 
+from math import hypot
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 
 from hodgebench.exterior import tangent_frame
 from hodgebench.meshes import MeshComplex, MeshError
+from hodgebench.spectrum import FLIP_TOL, DecOperators, _cotan_weights, _heron
 
 # ---------------------------------------------------------------------------
 # topology tables
@@ -120,6 +127,119 @@ def assemble_dec(vertices, faces):
     e2 = v[f[:, 2]] - v[f[:, 0]]
     star2 = 1.0 / (np.linalg.norm(np.cross(e1, e2), axis=1) / 2.0)
     return d0, d1, star0, star1, star2
+
+
+def flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, areas, start, tol):
+    """The flips with ``lengths_sq`` per corner, of the opposite side, and a
+    per-edge length table scattered from it."""
+    per_edge = np.bincount(face_edges.reshape(-1), minlength=len(edges))
+    slots = np.argsort(face_edges.reshape(-1), kind="stable").tolist()
+    ends = np.cumsum(per_edge).tolist()
+    halves = [slots[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    length = np.sqrt(lengths_sq)
+    elen = np.zeros(len(edges))
+    for corner in range(3):
+        elen[face_edges[:, (corner + 1) % 3]] = length[:, corner]
+    ev, fv, fe, fs = edges.tolist(), f.tolist(), face_edges.tolist(), signs.tolist()
+    ct, lsq, ar, el = cots.tolist(), lengths_sq.tolist(), areas.tolist(), elen.tolist()
+
+    def weight(e):
+        return 0.5 * sum(ct[h // 3][(h % 3 + 2) % 3] for h in halves[e])
+
+    stack = start[::-1]
+    queued = set(stack)
+    while stack:
+        e = stack.pop()
+        queued.discard(e)
+        if weight(e) >= -tol:
+            continue
+        h1, h2 = halves[e]
+        t1, k1, t2, k2 = h1 // 3, h1 % 3, h2 // 3, h2 % 3
+        if t1 == t2:
+            continue
+        a, b, c = fv[t1][k1], fv[t1][(k1 + 1) % 3], fv[t1][(k1 + 2) % 3]
+        d = fv[t2][(k2 + 2) % 3]
+        e_bc, e_ca = fe[t1][(k1 + 1) % 3], fe[t1][(k1 + 2) % 3]
+        e_ad, e_db = fe[t2][(k2 + 1) % 3], fe[t2][(k2 + 2) % 3]
+        s_bc, s_ca = fs[t1][(k1 + 1) % 3], fs[t1][(k1 + 2) % 3]
+        s_ad, s_db = fs[t2][(k2 + 1) % 3], fs[t2][(k2 + 2) % 3]
+        ab = el[e]
+        xc = (ab * ab + el[e_ca] ** 2 - el[e_bc] ** 2) / (2.0 * ab)
+        xd = (ab * ab + el[e_ad] ** 2 - el[e_db] ** 2) / (2.0 * ab)
+        yc, yd = 2.0 * ar[t1] / ab, 2.0 * ar[t2] / ab
+        el[e] = hypot(xc - xd, yc + yd)
+        s_cd = 1.0 if c <= d else -1.0
+        ev[e] = [min(c, d), max(c, d)]
+        fv[t1], fe[t1], fs[t1] = [c, a, d], [e_ca, e_ad, e], [s_ca, s_ad, -s_cd]
+        fv[t2], fe[t2], fs[t2] = [d, b, c], [e_db, e_bc, e], [s_db, s_bc, s_cd]
+        for x, old, new in (
+            (e_ca, 3 * t1 + (k1 + 2) % 3, 3 * t1),
+            (e_ad, 3 * t2 + (k2 + 1) % 3, 3 * t1 + 1),
+            (e_db, 3 * t2 + (k2 + 2) % 3, 3 * t2),
+            (e_bc, 3 * t1 + (k1 + 1) % 3, 3 * t2 + 1),
+        ):
+            halves[x][halves[x].index(old)] = new
+        halves[e] = [3 * t1 + 2, 3 * t2 + 2]
+        for t in (t1, t2):
+            sides = [el[x] for x in fe[t]]
+            ar[t] = _heron(*sides)
+            if not ar[t] > 0:
+                raise MeshError("degenerate_face", f"flipping edge {e} leaves face {t} with no area")
+            for corner in range(3):
+                opp, adj1, adj2 = sides[(corner + 1) % 3], sides[(corner + 2) % 3], sides[corner]
+                lsq[t][corner] = opp * opp
+                ct[t][corner] = (adj1 * adj1 + adj2 * adj2 - opp * opp) / (4.0 * ar[t])
+        for x in (e_bc, e_ca, e_ad, e_db):
+            if x not in queued:
+                queued.add(x)
+                stack.append(x)
+    edges[:], f[:], face_edges[:], signs[:] = ev, fv, fe, fs
+    cots[:], lengths_sq[:], areas[:] = ct, lsq, ar
+
+
+def idt_assemble_dec(mesh) -> DecOperators:
+    """DEC operators on the intrinsic Delaunay triangulation, with a squared
+    side length per face corner."""
+    v = mesh.vertices
+    f = mesh.cells.copy()
+    edges = mesh.edges.copy()
+    nv, ne, nf = mesh.n_vertices, mesh.n_edges, mesh.n_cells
+    heads = f[:, [1, 2, 0]]
+    face_edges = mesh.edge_ids(f, heads)
+    signs = np.where(f < heads, 1.0, -1.0)
+    cots = np.empty((nf, 3))
+    for corner in range(3):
+        p0 = v[f[:, corner]]
+        e1 = v[f[:, (corner + 1) % 3]] - p0
+        e2 = v[f[:, (corner + 2) % 3]] - p0
+        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+        cots[:, corner] = np.einsum("ij,ij->i", e1, e2) / cross
+    lengths_sq = np.empty((nf, 3))
+    for corner in range(3):
+        lengths_sq[:, corner] = (
+            np.linalg.norm(v[f[:, (corner + 1) % 3]] - v[f[:, (corner + 2) % 3]], axis=1)
+            ** 2
+        )
+    _, face_areas = mesh.face_normals_areas()
+    star1 = _cotan_weights(face_edges, cots, ne)
+    tol = FLIP_TOL * float(np.median(np.abs(star1)))
+    start = np.flatnonzero(star1 < -tol)
+    if start.size:
+        flip_to_delaunay(edges, f, face_edges, signs, cots, lengths_sq, face_areas, start.tolist(), tol)
+        star1 = _cotan_weights(face_edges, cots, ne)
+    rows = np.repeat(np.arange(ne), 2)
+    d0 = sparse.csr_matrix((np.tile([-1.0, 1.0], ne), (rows, edges.reshape(-1))), shape=(ne, nv))
+    d1 = sparse.csr_matrix(
+        (signs.reshape(-1), (np.repeat(np.arange(nf), 3), face_edges.reshape(-1))),
+        shape=(nf, ne),
+    )
+    star0 = np.zeros(nv)
+    for corner in range(3):
+        j = (corner + 1) % 3
+        k = (corner + 2) % 3
+        contrib = (lengths_sq[:, j] * cots[:, j] + lengths_sq[:, k] * cots[:, k]) / 8.0
+        np.add.at(star0, f[:, corner], contrib)
+    return DecOperators(d0=d0, d1=d1, star0=star0, star1=star1, star2=1.0 / face_areas, edges=edges, faces=f)
 
 
 def one_form_spectrum(dec, k):

@@ -267,6 +267,29 @@ def test_ball_diagnostics_analytic_p_range():
             equality_case_diagnostics(3, p=p)
 
 
+NON_INTEGER_DIMENSIONS = {
+    # its int() truncated 3.7 to 3 and reported ball(n+1=4, r=1) satisfied
+    "diagnostics-3.7": lambda: equality_case_diagnostics(3.7),
+    # labelled its verdicts sphere(n=True, r=1)
+    "sphere-true": lambda: SphereCase(True),
+    # ended in a bare TypeError from math.comb
+    "lower-2.5": lambda: main_lower_bound(SphereCase(2.5), 1),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_DIMENSIONS.values(), ids=NON_INTEGER_DIMENSIONS.keys())
+def test_analytic_spheres_refuse_a_non_integer_dimension(call):
+    with pytest.raises(ValueError, match="sphere dimension must be >= 1 and an integer"):
+        call()
+
+
+def test_analytic_spheres_take_a_numpy_integer_dimension():
+    # the verdict once kept the numpy integer, which json refused
+    lower, diagnostics = main_lower_bound(SphereCase(np.int64(2)), 1), equality_case_diagnostics(np.int64(2))
+    assert json.dumps(lower.to_dict()) == json.dumps(main_lower_bound(SphereCase(2), 1).to_dict())
+    assert json.dumps(diagnostics.to_dict()) == json.dumps(equality_case_diagnostics(2).to_dict())
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
 def test_ball_diagnostics_refuse_bad_radii(radius):
     # the analytic ball is a SphereCase, which validates its radius;
